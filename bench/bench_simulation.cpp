@@ -33,6 +33,8 @@
 #include <filesystem>
 #include <map>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/analyze.hpp"
@@ -49,6 +51,7 @@
 #include "sim/traps.hpp"
 #include "stable/stable_sets.hpp"
 #include "support/fenwick.hpp"
+#include "support/rng.hpp"
 #include "support/stat_test.hpp"
 #include "verify/verifier.hpp"
 
@@ -598,6 +601,53 @@ void BM_BusyBeaverSweepStaticScreened(benchmark::State& state) {
 BENCHMARK(BM_BusyBeaverSweepScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BusyBeaverSweepExact)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BusyBeaverSweepStaticScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
+
+// Exact exploration alone, as the busy-beaver search drives it: a fixed
+// seeded set of 4 random deterministic 5-state tables, every input 2..24,
+// 60 000-node budget.  Arg 0 explores each graph into a fresh
+// ReachabilityGraph, arg 1 re-explores one arena for all of them.  Items =
+// edges explored.
+void BM_ReachabilityExplore(benchmark::State& state) {
+    constexpr std::size_t n = 5;
+    std::vector<std::pair<StateId, StateId>> pairs;
+    for (StateId q = 0; q < static_cast<StateId>(n); ++q)
+        for (StateId p = 0; p <= q; ++p) pairs.emplace_back(p, q);
+    Rng rng(0x5eed5);
+    std::vector<Protocol> candidates;
+    for (int c = 0; c < 4; ++c) {
+        ProtocolBuilder b;
+        const std::uint64_t outputs = 1 + rng.below((1u << n) - 1);
+        for (std::size_t q = 0; q < n; ++q)
+            b.add_state("q" + std::to_string(q), static_cast<int>((outputs >> q) & 1u));
+        b.set_input("x", 0);
+        for (const auto& [p, q] : pairs) {
+            const auto& [r, s] = pairs[rng.below(pairs.size())];
+            b.add_transition(p, q, r, s);
+        }
+        candidates.push_back(std::move(b).build());
+    }
+    ReachabilityOptions options;
+    options.max_nodes = 60'000;
+    const bool reuse = state.range(0) == 1;
+    ReachabilityGraph arena;
+    std::uint64_t edges = 0;
+    for (auto _ : state) {
+        for (const Protocol& protocol : candidates) {
+            for (AgentCount input = 2; input <= 24; ++input) {
+                const Config roots[] = {protocol.initial_config(input)};
+                if (reuse) {
+                    arena.reexplore(protocol, roots, options);
+                    edges += arena.num_edges();
+                } else {
+                    edges += ReachabilityGraph::explore(protocol, roots, options).num_edges();
+                }
+            }
+        }
+        benchmark::DoNotOptimize(edges);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(edges));
+}
+BENCHMARK(BM_ReachabilityExplore)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- Static analysis (ppsc-analyze) -----------------------------------------
 

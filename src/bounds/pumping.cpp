@@ -17,8 +17,7 @@ std::optional<int> component_consensus(const ReachabilityGraph& graph,
     std::optional<int> verdict;
     for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
         if (scc.component_of[node] != component) continue;
-        const auto value = graph.protocol().consensus_output(
-            graph.config(static_cast<NodeId>(node)));
+        const auto value = graph.protocol().consensus_output(graph.row(static_cast<NodeId>(node)));
         if (!value) return std::nullopt;
         if (!verdict) verdict = value;
         if (*verdict != *value) return std::nullopt;
@@ -49,15 +48,15 @@ std::optional<Config> stable_configuration_for_input(const Protocol& protocol, A
         for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
             const auto component = static_cast<std::size_t>(scc.component_of[node]);
             if (!scc.is_bottom[component]) continue;
-            const Config& config = graph.config(static_cast<NodeId>(node));
-            const std::optional<int> member = graph.protocol().consensus_output(config);
+            const std::span<const AgentCount> counts = graph.row(static_cast<NodeId>(node));
+            const std::optional<int> member = graph.protocol().consensus_output(counts);
             const std::int8_t v = member ? static_cast<std::int8_t>(*member) : std::int8_t{-1};
             if (value[component] == 2)
                 value[component] = v;
             else if (value[component] != v)
                 value[component] = -1;
             if (least[component] == kNoNode ||
-                config.counts() < graph.config(least[component]).counts())
+                std::ranges::lexicographical_compare(counts, graph.row(least[component])))
                 least[component] = static_cast<NodeId>(node);
         }
         for (std::int32_t component = 0; component < scc.num_components; ++component) {

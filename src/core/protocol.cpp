@@ -96,10 +96,11 @@ Config Protocol::initial_config(AgentCount i) const {
     return initial_config(values);
 }
 
-std::optional<int> Protocol::consensus_output(const Config& config) const {
+std::optional<int> Protocol::consensus_output(std::span<const AgentCount> counts) const {
+    PPSC_DASSERT(counts.size() == num_states());
     std::optional<int> verdict;
     for (std::size_t q = 0; q < num_states(); ++q) {
-        if (config[static_cast<StateId>(q)] == 0) continue;
+        if (counts[q] == 0) continue;
         const int b = outputs_[q];
         if (!verdict)
             verdict = b;

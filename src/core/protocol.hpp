@@ -207,7 +207,12 @@ public:
     Config initial_config(AgentCount i) const;
 
     /// O(C): 0 or 1 if all agents agree, nullopt if mixed or C empty.
-    std::optional<int> consensus_output(const Config& config) const;
+    std::optional<int> consensus_output(const Config& config) const {
+        return consensus_output(std::span<const AgentCount>(config.counts()));
+    }
+
+    /// O(C) of a count row (counts[q] agents in state q, |Q| entries).
+    std::optional<int> consensus_output(std::span<const AgentCount> counts) const;
 
     /// Is transition `t` enabled at `config` (C ≥ pre)?
     bool enabled(const Config& config, const Transition& t) const noexcept;

@@ -33,12 +33,15 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnings) {
     ProtocolBuilder b;
-    std::vector<std::string> names;  // ProtocolBuilder has no name lookup pre-build
+    // ProtocolBuilder has no name lookup pre-build: `names` maps ids back to
+    // names for messages, `state_of` names to ids (hashed, so a `trans` line
+    // costs O(1) instead of O(|Q|)).
+    std::vector<std::string> names;
+    std::unordered_map<std::string, StateId> state_of;
     auto lookup = [&](const std::string& name, std::size_t line_no) -> StateId {
-        for (std::size_t q = 0; q < names.size(); ++q) {
-            if (names[q] == name) return static_cast<StateId>(q);
-        }
-        fail(line_no, "unknown state '" + name + "'");
+        const auto it = state_of.find(name);
+        if (it == state_of.end()) fail(line_no, "unknown state '" + name + "'");
+        return it->second;
     };
 
     std::istringstream input{std::string(text)};
@@ -57,12 +60,14 @@ Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnin
         if (keyword == "state") {
             if (tokens.size() != 3) fail(line_number, "expected: state <name> <0|1>");
             if (tokens[2] != "0" && tokens[2] != "1") fail(line_number, "output must be 0 or 1");
+            StateId id = 0;
             try {
-                b.add_state(tokens[1], tokens[2] == "1" ? 1 : 0);
+                id = b.add_state(tokens[1], tokens[2] == "1" ? 1 : 0);
             } catch (const std::invalid_argument& e) {
                 fail(line_number, e.what());
             }
             names.push_back(tokens[1]);
+            state_of.emplace(tokens[1], id);
         } else if (keyword == "input") {
             if (tokens.size() != 4 || tokens[2] != "->")
                 fail(line_number, "expected: input <var> -> <state>");

@@ -128,6 +128,9 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
     reach.max_nodes = options.max_nodes_per_graph;
 
     std::map<AgentCount, std::uint64_t> histogram;
+    // One reachability arena for every graph of the search: it only
+    // allocates when a graph outgrows all earlier ones.
+    ReachabilityGraph arena;
 
     auto consider = [&](const Encoding& encoding) {
         ++outcome.enumerated;
@@ -164,7 +167,7 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
         }
         std::optional<AgentCount> eta;
         try {
-            eta = verifier.infer_threshold(options.max_input);
+            eta = verifier.infer_threshold(options.max_input, arena);
         } catch (const std::length_error&) {
             ++outcome.budget_skipped;
             return;

@@ -34,13 +34,13 @@ void StableAnalysis::ensure_slice(AgentCount population) const {
     ReachabilityGraph graph = ReachabilityGraph::full_slice(protocol_, population, options_);
 
     // Bad_b = configurations with an agent whose output is not b — read off
-    // each node's sparse support, never a 0..|Q| scan.
+    // each node's count row in the arena, no Config materialised.
     std::vector<bool> bad[2];
     for (int b = 0; b < 2; ++b) bad[b].assign(graph.num_nodes(), false);
     for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
-        const Config& config = graph.config(static_cast<NodeId>(node));
-        for (const StateId q : config.support()) {
-            bad[1 - protocol_.output(q)][node] = true;
+        const std::span<const AgentCount> counts = graph.row(static_cast<NodeId>(node));
+        for (std::size_t q = 0; q < counts.size(); ++q) {
+            if (counts[q] > 0) bad[1 - protocol_.output(static_cast<StateId>(q))][node] = true;
         }
     }
 

@@ -7,8 +7,8 @@
 // Computation: transitions preserve population size, so within the size-N
 // slice C is b-stable iff C cannot reach Bad_b = { C' : some agent of C'
 // outputs ¬b } — one backward reachability from Bad_b per slice, then
-// complement.  Bad_b is seeded from the sparse support of each node (an
-// agent outside O⁻¹(b) is visible in the support), and the backward
+// complement.  Bad_b is seeded from each node's count row in the graph
+// arena (an agent outside O⁻¹(b) is a nonzero count), and the backward
 // reachability runs the ClosureCompute machinery of verify/reachability.hpp
 // — sparse reverse-CSR worklist by default, the seed-era dense formulation
 // as a swappable reference asserted identical in

@@ -5,21 +5,27 @@
 #include <stdexcept>
 
 #include "support/check.hpp"
+#include "support/hash.hpp"
 
 namespace ppsc {
 
 namespace {
 
-/// Enumerates all multisets of `population` agents over `num_states`
-/// states, invoking `emit` for each.
+/// Initial slot-table size of every exploration.  Growth doubles, so the
+/// rehash work is O(nodes) in total, and a reused arena's vector keeps the
+/// largest size it ever reached as capacity.
+constexpr std::size_t kInitialSlots = 256;
+
+/// Enumerates all multisets of `population` agents over `counts.size()`
+/// states into `counts`, invoking `emit` for each.
 template <typename Emit>
-void enumerate_slice(std::size_t num_states, AgentCount population, Emit&& emit) {
-    std::vector<AgentCount> counts(num_states, 0);
+void enumerate_slice(std::span<AgentCount> counts, AgentCount population, Emit&& emit) {
+    const std::size_t num_states = counts.size();
     // Recursive distribution of `population` agents over the states.
     auto recurse = [&](auto&& self, std::size_t state, AgentCount remaining) -> void {
         if (state + 1 == num_states) {
             counts[state] = remaining;
-            emit(counts);
+            emit();
             return;
         }
         for (AgentCount c = remaining; c >= 0; --c) {
@@ -32,36 +38,102 @@ void enumerate_slice(std::size_t num_states, AgentCount population, Emit&& emit)
 
 }  // namespace
 
-NodeId ReachabilityGraph::intern(const Config& config, const ReachabilityOptions& options,
-                                 std::vector<NodeId>& frontier) {
-    auto [it, inserted] = index_.try_emplace(config, static_cast<NodeId>(configs_.size()));
-    if (inserted) {
-        if (configs_.size() >= options.max_nodes)
-            throw std::length_error(
-                "ReachabilityGraph: node budget exhausted (raise max_nodes)");
-        configs_.push_back(config);
-        adjacency_.emplace_back();
-        frontier.push_back(it->second);
-    }
-    return it->second;
+void ReachabilityGraph::reset(const Protocol& protocol) {
+    protocol_ = &protocol;
+    width_ = protocol.num_states();
+    rows_.clear();
+    hashes_.clear();
+    slots_.assign(kInitialSlots, kEmptySlot);
+    scratch_.assign(width_, 0);
+    // Keys depend on the state index only, so a wider protocol extends them.
+    for (std::size_t q = state_keys_.size(); q < width_; ++q)
+        state_keys_.push_back(mix64(0x9e3779b97f4a7c15ull * (q + 1)) | 1u);
+    offsets_.assign(1, 0);
+    targets_.clear();
+    roots_.clear();
+    reverse_adjacency_.clear();
+    reverse_offsets_.clear();
+    reverse_targets_.clear();
 }
 
-void ReachabilityGraph::close(const ReachabilityOptions& options, std::vector<NodeId> frontier) {
-    // Standard interning BFS; `frontier` holds nodes whose successors are
-    // not yet computed.
-    std::size_t processed = 0;
-    std::vector<NodeId> out;  // reused buffer; adjacency_ grows inside intern()
-    const auto fire_rule = [&](const Config& current, NodeId node, TransitionId rule,
-                               std::vector<NodeId>& frontier_ref) {
-        const Transition& t = protocol_->transitions()[static_cast<std::size_t>(rule)];
-        const NodeId target = intern(protocol_->fire(current, t), options, frontier_ref);
-        if (target != node) out.push_back(target);
+std::uint64_t ReachabilityGraph::hash_row(std::span<const AgentCount> counts) const noexcept {
+    std::uint64_t hash = 0;
+    for (std::size_t q = 0; q < counts.size(); ++q)
+        hash += static_cast<std::uint64_t>(counts[q]) * state_keys_[q];
+    return hash;
+}
+
+std::size_t ReachabilityGraph::probe(std::span<const AgentCount> key,
+                                     std::uint64_t hash) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(mix64(hash)) & mask;
+    while (slots_[slot] != kEmptySlot) {
+        const std::uint32_t id = slots_[slot];
+        if (hashes_[id] == hash && std::ranges::equal(key, row(static_cast<NodeId>(id)))) break;
+        slot = (slot + 1) & mask;
+    }
+    return slot;
+}
+
+NodeId ReachabilityGraph::intern(std::uint64_t hash, const ReachabilityOptions& options) {
+    const std::span<const AgentCount> key(scratch_);
+    const std::size_t slot = probe(key, hash);
+    if (slots_[slot] != kEmptySlot) return static_cast<NodeId>(slots_[slot]);
+    // A new node: check the budget before anything is inserted, so an abort
+    // leaves the table consistent with the rows.
+    if (num_nodes() >= options.max_nodes ||
+        num_nodes() >= static_cast<std::size_t>(std::numeric_limits<NodeId>::max()))
+        throw std::length_error("ReachabilityGraph: node budget exhausted (raise max_nodes)");
+    const auto id = static_cast<NodeId>(num_nodes());
+    rows_.insert(rows_.end(), key.begin(), key.end());
+    hashes_.push_back(hash);
+    slots_[slot] = static_cast<std::uint32_t>(id);
+    if (2 * num_nodes() > slots_.size()) grow_slots();
+    return id;
+}
+
+void ReachabilityGraph::grow_slots() {
+    // Rows are distinct, so re-placing them needs the cached hashes only.
+    slots_.assign(2 * slots_.size(), kEmptySlot);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t id = 0; id < num_nodes(); ++id) {
+        std::size_t slot = static_cast<std::size_t>(mix64(hashes_[id])) & mask;
+        while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+        slots_[slot] = static_cast<std::uint32_t>(id);
+    }
+}
+
+void ReachabilityGraph::close(const ReachabilityOptions& options) {
+    // Interning BFS.  New nodes are appended, so processing ids in order is
+    // the BFS, and each node's successor list lands in the CSR in id order.
+    const std::span<const Transition> transitions = protocol_->transitions();
+    const std::uint64_t* const keys = state_keys_.data();
+    AgentCount* const scratch = scratch_.data();
+    NodeId node = 0;
+    std::uint64_t node_hash = 0;
+    // Fires `rule` on the scratch row, interns the successor, and undoes the
+    // move: the scratch row holds `node`'s counts again afterwards.  The
+    // hash is linear in the counts, so the successor's costs four key reads.
+    const auto fire_rule = [&](TransitionId rule) {
+        const Transition& t = transitions[static_cast<std::size_t>(rule)];
+        --scratch[t.pre1];
+        --scratch[t.pre2];
+        ++scratch[t.post1];
+        ++scratch[t.post2];
+        const NodeId target = intern(node_hash + keys[t.post1] + keys[t.post2] - keys[t.pre1] -
+                                         keys[t.pre2],
+                                     options);
+        --scratch[t.post1];
+        --scratch[t.post2];
+        ++scratch[t.pre1];
+        ++scratch[t.pre2];
+        if (target != node) out_.push_back(target);
     };
-    while (processed < frontier.size()) {
-        const NodeId node = frontier[processed++];
-        const Config current = configs_[static_cast<std::size_t>(node)];  // copy: configs_ may grow
-        out.clear();
-        const std::vector<StateId> support = current.support();
+    for (; static_cast<std::size_t>(node) < num_nodes(); ++node) {
+        const std::span<const AgentCount> current = row(node);
+        std::copy(current.begin(), current.end(), scratch);  // rows_ may grow below
+        node_hash = hashes_[static_cast<std::size_t>(node)];
+        out_.clear();
         if (options.compute == ClosureCompute::sparse) {
             // Walk the non-silent-pair CSR restricted to the support: every
             // enabled pair with at least one rule is reached through the
@@ -70,41 +142,47 @@ void ReachabilityGraph::close(const ReachabilityOptions& options, std::vector<No
             // from their lower endpoint).  Silent support pairs are never
             // touched, so the cost is Σ_{q ∈ supp} deg(q) + rules fired,
             // independent of the rule-table kind.
-            for (const StateId q : support) {
-                if (current[q] >= 2) {
+            for (StateId q = 0; static_cast<std::size_t>(q) < width_; ++q) {
+                if (scratch[q] == 0) continue;
+                if (scratch[q] >= 2) {
                     const Protocol::PairId self = protocol_->self_pair(q);
                     if (self != Protocol::kNoPair) {
                         for (const TransitionId rule : protocol_->rules_for_pair_id(self))
-                            fire_rule(current, node, rule, frontier);
+                            fire_rule(rule);
                     }
                 }
                 for (const Protocol::PairNeighbor& neighbor : protocol_->pair_neighbors(q)) {
-                    if (neighbor.partner < q || current[neighbor.partner] == 0) continue;
+                    if (neighbor.partner < q || scratch[neighbor.partner] == 0) continue;
                     for (const TransitionId rule : protocol_->rules_for_pair_id(neighbor.pair))
-                        fire_rule(current, node, rule, frontier);
+                        fire_rule(rule);
                 }
             }
         } else {
             // Reference: probe every support × support pair through the rule
             // table (the seed formulation).
-            for (std::size_t i = 0; i < support.size(); ++i) {
-                for (std::size_t j = i; j < support.size(); ++j) {
-                    if (i == j && current[support[i]] < 2) continue;
+            support_.clear();
+            for (StateId q = 0; static_cast<std::size_t>(q) < width_; ++q)
+                if (scratch[q] > 0) support_.push_back(q);
+            for (std::size_t i = 0; i < support_.size(); ++i) {
+                for (std::size_t j = i; j < support_.size(); ++j) {
+                    if (i == j && scratch[support_[i]] < 2) continue;
                     for (const TransitionId rule :
-                         protocol_->rules_for_pair(support[i], support[j]))
-                        fire_rule(current, node, rule, frontier);
+                         protocol_->rules_for_pair(support_[i], support_[j]))
+                        fire_rule(rule);
                 }
             }
         }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-        adjacency_[static_cast<std::size_t>(node)] = out;
+        std::sort(out_.begin(), out_.end());
+        out_.erase(std::unique(out_.begin(), out_.end()), out_.end());
+        targets_.insert(targets_.end(), out_.begin(), out_.end());
+        if (targets_.size() > std::numeric_limits<std::uint32_t>::max())
+            throw std::length_error("ReachabilityGraph: edge count exceeds the CSR offset range");
+        offsets_.push_back(static_cast<std::uint32_t>(targets_.size()));
     }
 }
 
-ReachabilityGraph ReachabilityGraph::explore(const Protocol& protocol,
-                                             std::span<const Config> roots,
-                                             const ReachabilityOptions& options) {
+void ReachabilityGraph::reexplore(const Protocol& protocol, std::span<const Config> roots,
+                                  const ReachabilityOptions& options) {
     if (roots.empty())
         throw std::invalid_argument("ReachabilityGraph::explore: no root configurations");
     const AgentCount population = roots.front().size();
@@ -119,11 +197,19 @@ ReachabilityGraph ReachabilityGraph::explore(const Protocol& protocol,
                 "ReachabilityGraph::explore: configurations need at least two agents");
     }
 
+    reset(protocol);
+    for (const Config& root : roots) {
+        std::copy(root.counts().begin(), root.counts().end(), scratch_.begin());
+        roots_.push_back(intern(hash_row(scratch_), options));
+    }
+    close(options);
+}
+
+ReachabilityGraph ReachabilityGraph::explore(const Protocol& protocol,
+                                             std::span<const Config> roots,
+                                             const ReachabilityOptions& options) {
     ReachabilityGraph graph;
-    graph.protocol_ = &protocol;
-    std::vector<NodeId> frontier;
-    for (const Config& root : roots) graph.roots_.push_back(graph.intern(root, options, frontier));
-    graph.close(options, std::move(frontier));
+    graph.reexplore(protocol, roots, options);
     return graph;
 }
 
@@ -133,73 +219,78 @@ ReachabilityGraph ReachabilityGraph::full_slice(const Protocol& protocol, AgentC
         throw std::invalid_argument(
             "ReachabilityGraph::full_slice: configurations need at least two agents");
     ReachabilityGraph graph;
-    graph.protocol_ = &protocol;
-    std::vector<NodeId> frontier;
-    enumerate_slice(protocol.num_states(), population, [&](const std::vector<AgentCount>& counts) {
-        graph.intern(Config::from_counts(counts), options, frontier);
-    });
-    graph.close(options, std::move(frontier));
+    graph.reset(protocol);
+    enumerate_slice(graph.scratch_, population,
+                    [&] { graph.intern(graph.hash_row(graph.scratch_), options); });
+    graph.close(options);
     return graph;
 }
 
-std::size_t ReachabilityGraph::num_edges() const noexcept {
-    std::size_t edges = 0;
-    for (const auto& out : adjacency_) edges += out.size();
-    return edges;
+Config ReachabilityGraph::config(NodeId node) const {
+    if (node < 0 || static_cast<std::size_t>(node) >= num_nodes())
+        throw std::out_of_range("ReachabilityGraph::config: bad node id");
+    const std::span<const AgentCount> counts = row(node);
+    return Config::from_counts(std::vector<AgentCount>(counts.begin(), counts.end()));
 }
 
 std::optional<NodeId> ReachabilityGraph::find(const Config& config) const {
-    auto it = index_.find(config);
-    if (it == index_.end()) return std::nullopt;
-    return it->second;
+    if (config.num_states() != width_ || slots_.empty()) return std::nullopt;
+    const std::span<const AgentCount> key(config.counts());
+    const std::size_t slot = probe(key, hash_row(key));
+    if (slots_[slot] == kEmptySlot) return std::nullopt;
+    return static_cast<NodeId>(slots_[slot]);
 }
 
 std::span<const NodeId> ReachabilityGraph::successors(NodeId node) const {
-    return adjacency_.at(static_cast<std::size_t>(node));
+    if (node < 0 || static_cast<std::size_t>(node) + 1 >= offsets_.size())
+        throw std::out_of_range("ReachabilityGraph::successors: bad node id");
+    return out_edges(static_cast<std::size_t>(node));
 }
 
 ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
-    // Iterative Tarjan.  Components are numbered in completion order, so
-    // every inter-component edge goes from a larger to a smaller id.
-    const std::size_t n = configs_.size();
+    // Iterative Tarjan over the CSR.  Components are numbered in completion
+    // order, so every inter-component edge goes from a larger to a smaller
+    // id.
+    const std::size_t n = num_nodes();
     SccResult result;
     result.component_of.assign(n, -1);
 
+    // A visited node is on the Tarjan stack exactly until its component is
+    // assigned, so component_of < 0 doubles as the on-stack flag.
     constexpr std::int32_t kUnvisited = -1;
     std::vector<std::int32_t> index(n, kUnvisited);
     std::vector<std::int32_t> lowlink(n, 0);
-    std::vector<bool> on_stack(n, false);
     std::vector<NodeId> stack;
     std::int32_t next_index = 0;
 
     struct Frame {
         NodeId node;
-        std::size_t child = 0;
+        std::uint32_t edge;  // next CSR slot of node's successor list
     };
     std::vector<Frame> call_stack;
+    const auto visit = [&](std::size_t v) {
+        index[v] = lowlink[v] = next_index++;
+        stack.push_back(static_cast<NodeId>(v));
+        call_stack.push_back({static_cast<NodeId>(v), offsets_[v]});
+    };
 
     for (std::size_t start = 0; start < n; ++start) {
         if (index[start] != kUnvisited) continue;
-        call_stack.push_back({static_cast<NodeId>(start)});
+        visit(start);
         while (!call_stack.empty()) {
             Frame& frame = call_stack.back();
             const auto node = static_cast<std::size_t>(frame.node);
-            if (frame.child == 0) {
-                index[node] = lowlink[node] = next_index++;
-                stack.push_back(frame.node);
-                on_stack[node] = true;
-            }
-            const auto& out = adjacency_[node];
+            const std::uint32_t end = offsets_[node + 1];
             bool descended = false;
-            while (frame.child < out.size()) {
-                const auto next = static_cast<std::size_t>(out[frame.child]);
-                ++frame.child;
+            while (frame.edge < end) {
+                const auto next = static_cast<std::size_t>(targets_[frame.edge++]);
                 if (index[next] == kUnvisited) {
-                    call_stack.push_back({static_cast<NodeId>(next)});
+                    visit(next);  // invalidates `frame`
                     descended = true;
                     break;
                 }
-                if (on_stack[next]) lowlink[node] = std::min(lowlink[node], index[next]);
+                if (result.component_of[next] < 0)
+                    lowlink[node] = std::min(lowlink[node], index[next]);
             }
             if (descended) continue;
             if (lowlink[node] == index[node]) {
@@ -207,25 +298,23 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
                 while (true) {
                     const NodeId member = stack.back();
                     stack.pop_back();
-                    on_stack[static_cast<std::size_t>(member)] = false;
                     result.component_of[static_cast<std::size_t>(member)] =
                         result.num_components;
-                    if (member == frame.node) break;
+                    if (static_cast<std::size_t>(member) == node) break;
                 }
                 ++result.num_components;
             }
             call_stack.pop_back();
             if (!call_stack.empty()) {
-                Frame& parent = call_stack.back();
-                const auto parent_node = static_cast<std::size_t>(parent.node);
-                lowlink[parent_node] = std::min(lowlink[parent_node], lowlink[node]);
+                const auto parent = static_cast<std::size_t>(call_stack.back().node);
+                lowlink[parent] = std::min(lowlink[parent], lowlink[node]);
             }
         }
     }
 
     result.is_bottom.assign(static_cast<std::size_t>(result.num_components), true);
     for (std::size_t node = 0; node < n; ++node) {
-        for (const NodeId target : adjacency_[node]) {
+        for (const NodeId target : out_edges(node)) {
             if (result.component_of[node] !=
                 result.component_of[static_cast<std::size_t>(target)])
                 result.is_bottom[static_cast<std::size_t>(result.component_of[node])] = false;
@@ -235,13 +324,13 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
 }
 
 std::vector<bool> ReachabilityGraph::forward_closure(NodeId start) const {
-    std::vector<bool> visited(configs_.size(), false);
+    std::vector<bool> visited(num_nodes(), false);
     std::deque<NodeId> queue{start};
     visited[static_cast<std::size_t>(start)] = true;
     while (!queue.empty()) {
         const NodeId node = queue.front();
         queue.pop_front();
-        for (const NodeId next : adjacency_[static_cast<std::size_t>(node)]) {
+        for (const NodeId next : out_edges(static_cast<std::size_t>(node))) {
             if (!visited[static_cast<std::size_t>(next)]) {
                 visited[static_cast<std::size_t>(next)] = true;
                 queue.push_back(next);
@@ -252,28 +341,27 @@ std::vector<bool> ReachabilityGraph::forward_closure(NodeId start) const {
 }
 
 void ReachabilityGraph::build_reverse_edges() const {
-    if (!reverse_adjacency_.empty() || configs_.empty()) return;
-    reverse_adjacency_.resize(configs_.size());
-    for (std::size_t node = 0; node < configs_.size(); ++node) {
-        for (const NodeId target : adjacency_[node])
+    if (!reverse_adjacency_.empty() || num_nodes() == 0) return;
+    reverse_adjacency_.resize(num_nodes());
+    for (std::size_t node = 0; node < num_nodes(); ++node) {
+        for (const NodeId target : out_edges(node))
             reverse_adjacency_[static_cast<std::size_t>(target)].push_back(
                 static_cast<NodeId>(node));
     }
 }
 
 void ReachabilityGraph::build_reverse_csr() const {
-    if (!reverse_offsets_.empty() || configs_.empty()) return;
+    if (!reverse_offsets_.empty() || num_nodes() == 0) return;
     // Counting sort of the edge list by target: two passes over the forward
-    // adjacency, two contiguous arrays, no per-node vectors.
-    reverse_offsets_.assign(configs_.size() + 1, 0);
-    for (const auto& out : adjacency_)
-        for (const NodeId target : out) ++reverse_offsets_[static_cast<std::size_t>(target) + 1];
+    // CSR, two contiguous arrays, no per-node vectors.
+    reverse_offsets_.assign(num_nodes() + 1, 0);
+    for (const NodeId target : targets_) ++reverse_offsets_[static_cast<std::size_t>(target) + 1];
     for (std::size_t i = 1; i < reverse_offsets_.size(); ++i)
         reverse_offsets_[i] += reverse_offsets_[i - 1];
     reverse_targets_.resize(reverse_offsets_.back());
     std::vector<std::uint32_t> cursor(reverse_offsets_.begin(), reverse_offsets_.end() - 1);
-    for (std::size_t node = 0; node < configs_.size(); ++node) {
-        for (const NodeId target : adjacency_[node])
+    for (std::size_t node = 0; node < num_nodes(); ++node) {
+        for (const NodeId target : out_edges(node))
             reverse_targets_[cursor[static_cast<std::size_t>(target)]++] =
                 static_cast<NodeId>(node);
     }
@@ -281,7 +369,7 @@ void ReachabilityGraph::build_reverse_csr() const {
 
 std::vector<bool> ReachabilityGraph::backward_closure(const std::vector<bool>& targets,
                                                       ClosureCompute compute) const {
-    if (targets.size() != configs_.size())
+    if (targets.size() != num_nodes())
         throw std::invalid_argument("ReachabilityGraph::backward_closure: size mismatch");
 
     if (compute == ClosureCompute::reference) {

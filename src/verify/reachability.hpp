@@ -11,24 +11,34 @@
 // a bottom SCC, so "every fair execution from C stabilises to output b" is
 // exactly "every bottom SCC reachable from C is a b-consensus SCC".
 //
-// Sparse-native since PR 6: successor enumeration walks the protocol's
-// non-silent-pair CSR (`pair_neighbors`/`self_pair` restricted to the
-// configuration's support) instead of probing every support × support pair
-// through the rule table, and the backward closure runs a round-structured
-// worklist over a flat reverse-CSR of the graph instead of a
-// vector-of-vectors BFS.  Both ports keep the seed-era dense formulation as
-// a swappable reference (`ClosureCompute::reference`, mirroring
-// sim/traps.hpp's TrapCompute) and are asserted result-identical on
-// exhaustive small-protocol sweeps in tests/analysis_sparse_test.cpp —
-// closures are sets, so unlike the trap fixpoint no order-replay discipline
-// is needed, but the identity is asserted rather than argued all the same.
+// Storage is one flat arena:
+//   * node rows — |Q| counts per node, node-major in a single vector, plus
+//     one cached hash per node;
+//   * an open-addressed table of uint32 node ids (linear probing, power-of-
+//     two size, load ≤ 0.5) that interns rows.  Node ids are insertion
+//     order, so the hash decides slot placement only — nothing observable
+//     depends on it;
+//   * adjacency as a CSR (offsets + one contiguous target array).  The BFS
+//     processes node ids in increasing order, so each node's sorted,
+//     deduplicated successor list is appended as soon as it is known.
+// Successors are fired in place on one scratch row: apply the transition's
+// Δ, probe the table, undo.  No Config is built per edge.
+//
+// Successor enumeration walks the protocol's non-silent-pair CSR
+// (`pair_neighbors`/`self_pair` restricted to the configuration's support)
+// instead of probing every support × support pair through the rule table,
+// and the backward closure runs a round-structured worklist over a flat
+// reverse CSR.  Both keep the dense formulation as a swappable reference
+// (`ClosureCompute::reference`, mirroring sim/traps.hpp's TrapCompute),
+// asserted result-identical in tests/analysis_sparse_test.cpp; the arena
+// itself is asserted node-for-node identical to a naive map-based BFS in
+// tests/reachability_arena_test.cpp.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -58,6 +68,9 @@ struct ReachabilityOptions {
 
 class ReachabilityGraph {
 public:
+    /// An empty graph: an arena to reexplore() into.
+    ReachabilityGraph() = default;
+
     /// Forward exploration from the given root configurations (all must
     /// have the same population size).
     static ReachabilityGraph explore(const Protocol& protocol, std::span<const Config> roots,
@@ -67,16 +80,37 @@ public:
     static ReachabilityGraph full_slice(const Protocol& protocol, AgentCount population,
                                         const ReachabilityOptions& options = {});
 
-    const Protocol& protocol() const noexcept { return *protocol_; }
-    std::size_t num_nodes() const noexcept { return configs_.size(); }
-    std::size_t num_edges() const noexcept;
+    /// explore() in place: afterwards this graph is node-for-node the graph
+    /// explore(protocol, roots, options) returns, but the arena keeps its
+    /// buffers, so a caller exploring many inputs (or many protocols) only
+    /// allocates when a graph outgrows every earlier one.  Any graph may be
+    /// re-explored, including one whose last exploration threw (a budget
+    /// abort leaves an unusable partial graph, never a corrupt arena).
+    /// Rows and successor spans handed out earlier are invalidated.
+    void reexplore(const Protocol& protocol, std::span<const Config> roots,
+                   const ReachabilityOptions& options = {});
 
-    const Config& config(NodeId node) const { return configs_.at(static_cast<std::size_t>(node)); }
+    /// The explored protocol (the graph keeps a pointer: the protocol must
+    /// outlive every use of the graph).
+    const Protocol& protocol() const noexcept { return *protocol_; }
+    std::size_t num_nodes() const noexcept { return hashes_.size(); }
+    std::size_t num_edges() const noexcept { return targets_.size(); }
+
+    /// The configuration of a node, materialised.  Throws std::out_of_range
+    /// on a bad id.  Hot loops read row() instead.
+    Config config(NodeId node) const;
+
+    /// The count row of a node: row(node)[q] agents in state q, |Q| entries.
+    std::span<const AgentCount> row(NodeId node) const {
+        PPSC_DASSERT(node >= 0 && static_cast<std::size_t>(node) < num_nodes());
+        return {rows_.data() + static_cast<std::size_t>(node) * width_, width_};
+    }
 
     /// Node of a configuration, if it was explored.
     std::optional<NodeId> find(const Config& config) const;
 
-    /// Outgoing successor nodes (deduplicated; silent self-loops omitted).
+    /// Outgoing successor nodes (sorted, deduplicated; silent self-loops
+    /// omitted).  Throws std::out_of_range on a bad id.
     std::span<const NodeId> successors(NodeId node) const;
 
     /// Nodes of the roots passed to explore() (empty for full_slice).
@@ -105,18 +139,38 @@ public:
                                        ClosureCompute compute = ClosureCompute::sparse) const;
 
 private:
-    ReachabilityGraph() = default;
+    static constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
 
-    NodeId intern(const Config& config, const ReachabilityOptions& options,
-                  std::vector<NodeId>& frontier);
-    void close(const ReachabilityOptions& options, std::vector<NodeId> frontier);
+    void reset(const Protocol& protocol);
+    /// Σ_q counts[q]·key(q) mod 2⁶⁴: linear, so firing a transition moves
+    /// the hash by four key terms.  Slots are placed by mix64 of it.
+    std::uint64_t hash_row(std::span<const AgentCount> counts) const noexcept;
+    /// The slot holding the node whose row is `key` (hashing to `hash`), or
+    /// the empty slot where it would be inserted.
+    std::size_t probe(std::span<const AgentCount> key, std::uint64_t hash) const noexcept;
+    /// Interns scratch_ (whose hash_row is `hash`): its existing node, or a
+    /// new node appended to the arena (throws std::length_error past the
+    /// node budget, before the table is touched).
+    NodeId intern(std::uint64_t hash, const ReachabilityOptions& options);
+    void grow_slots();
+    void close(const ReachabilityOptions& options);
+    std::span<const NodeId> out_edges(std::size_t node) const noexcept {
+        return {targets_.data() + offsets_[node], targets_.data() + offsets_[node + 1]};
+    }
     void build_reverse_edges() const;
     void build_reverse_csr() const;
 
     const Protocol* protocol_ = nullptr;
-    std::vector<Config> configs_;
-    std::unordered_map<Config, NodeId, ConfigHash> index_;
-    std::vector<std::vector<NodeId>> adjacency_;  // per-node successor lists
+    std::size_t width_ = 0;                // |Q|: the length of every row
+    std::vector<AgentCount> rows_;         // node-major, width_ counts per node
+    std::vector<std::uint64_t> state_keys_;  // odd per-state hash keys (grow only)
+    std::vector<std::uint64_t> hashes_;    // hash_row of each node's row
+    std::vector<std::uint32_t> slots_;     // open-addressed node ids / kEmptySlot
+    std::vector<AgentCount> scratch_;      // the row being fired or interned
+    std::vector<std::uint32_t> offsets_;   // CSR: node's successors are
+    std::vector<NodeId> targets_;          //   targets_[offsets_[n] .. offsets_[n+1])
+    std::vector<NodeId> out_;              // one node's successors before sorting
+    std::vector<StateId> support_;         // one node's support (reference enumeration)
     std::vector<NodeId> roots_;
 
     // Lazily built reverse edges, one per formulation: the reference keeps

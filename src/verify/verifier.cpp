@@ -9,12 +9,18 @@
 namespace ppsc {
 
 InputVerdict Verifier::verify_input(std::span<const AgentCount> input) const {
+    ReachabilityGraph arena;
+    return verify_input(input, arena);
+}
+
+InputVerdict Verifier::verify_input(std::span<const AgentCount> input,
+                                    ReachabilityGraph& arena) const {
     InputVerdict verdict;
     verdict.input.assign(input.begin(), input.end());
 
-    const Config root = protocol_.initial_config(input);
-    const Config roots[] = {root};
-    const ReachabilityGraph graph = ReachabilityGraph::explore(protocol_, roots, options_);
+    const Config roots[] = {protocol_.initial_config(input)};
+    arena.reexplore(protocol_, roots, options_);
+    const ReachabilityGraph& graph = arena;
     verdict.explored_nodes = graph.num_nodes();
 
     const auto scc = graph.compute_sccs();
@@ -24,8 +30,8 @@ InputVerdict Verifier::verify_input(std::span<const AgentCount> input) const {
     for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
         const auto component = static_cast<std::size_t>(scc.component_of[node]);
         if (!scc.is_bottom[component]) continue;
-        const std::optional<int> value = protocol_.consensus_output(graph.config(
-            static_cast<NodeId>(node)));
+        const std::optional<int> value =
+            protocol_.consensus_output(graph.row(static_cast<NodeId>(node)));
         const std::int8_t v = value ? static_cast<std::int8_t>(*value) : std::int8_t{-1};
         if (scc_value[component] == 2) {
             scc_value[component] = v;
@@ -77,10 +83,12 @@ PredicateCheck Verifier::check_predicate(const Predicate& predicate, AgentCount 
             "Verifier::check_predicate: protocol must have one input variable; use "
             "check_predicate_all_tuples");
     PredicateCheck check;
+    ReachabilityGraph arena;
     for (AgentCount i = std::max<AgentCount>(min_input, protocol_.is_leaderless() ? 2 : 0);
          i <= max_input; ++i) {
         if (protocol_.leaders().size() + i < 2) continue;
-        InputVerdict verdict = verify_input(i);
+        const AgentCount values[] = {i};
+        InputVerdict verdict = verify_input(values, arena);
         ++check.inputs_checked;
         check.total_nodes += verdict.explored_nodes;
         const bool expected = predicate.evaluate(i);
@@ -96,6 +104,7 @@ PredicateCheck Verifier::check_predicate_all_tuples(const Predicate& predicate,
                                                     AgentCount max_population) const {
     const std::size_t arity = protocol_.input_variables().size();
     PredicateCheck check;
+    ReachabilityGraph arena;
     std::vector<AgentCount> tuple(arity, 0);
     // Enumerate all tuples with component sum ≤ max_population.
     auto recurse = [&](auto&& self, std::size_t var, AgentCount remaining) -> void {
@@ -105,7 +114,7 @@ PredicateCheck Verifier::check_predicate_all_tuples(const Predicate& predicate,
                 AgentCount total = protocol_.leaders().size();
                 for (const AgentCount v : tuple) total += v;
                 if (total < 2) continue;
-                InputVerdict verdict = verify_input(tuple);
+                InputVerdict verdict = verify_input(tuple, arena);
                 ++check.inputs_checked;
                 check.total_nodes += verdict.explored_nodes;
                 const bool expected = predicate.evaluate(tuple);
@@ -127,13 +136,20 @@ PredicateCheck Verifier::check_predicate_all_tuples(const Predicate& predicate,
 }
 
 std::optional<AgentCount> Verifier::infer_threshold(AgentCount max_input) const {
+    ReachabilityGraph arena;
+    return infer_threshold(max_input, arena);
+}
+
+std::optional<AgentCount> Verifier::infer_threshold(AgentCount max_input,
+                                                    ReachabilityGraph& arena) const {
     if (protocol_.input_variables().size() != 1) return std::nullopt;
     std::optional<AgentCount> first_accept;
     const AgentCount start = protocol_.is_leaderless() ? 2 : std::max<AgentCount>(
         0, 2 - protocol_.leaders().size());
     for (AgentCount i = std::max<AgentCount>(start, 0); i <= max_input; ++i) {
         if (protocol_.leaders().size() + i < 2) continue;
-        const InputVerdict verdict = verify_input(i);
+        const AgentCount values[] = {i};
+        const InputVerdict verdict = verify_input(values, arena);
         if (!verdict.well_specified) return std::nullopt;
         if (*verdict.computed == 1) {
             if (!first_accept) first_accept = i;

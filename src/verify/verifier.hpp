@@ -109,7 +109,13 @@ public:
     /// η = 2 if everything accepted).  Returns nullopt if some input is
     /// ill-specified, the pattern is broken, or everything is rejected.
     /// This is the workhorse of the busy-beaver search (Definition 1).
+    /// All inputs are explored in one arena.
     std::optional<AgentCount> infer_threshold(AgentCount max_input) const;
+
+    /// infer_threshold exploring in the caller's arena, so a search over
+    /// many candidates reuses one set of buffers for all of them.
+    std::optional<AgentCount> infer_threshold(AgentCount max_input,
+                                              ReachabilityGraph& arena) const;
 
     /// Phase 1 of the two-phase mode: randomized falsification on the
     /// simulation fast path.  Returns true iff simulation *refuted*
@@ -130,6 +136,10 @@ public:
                                               const ScreeningOptions& screening) const;
 
 private:
+    /// verify_input explored in `arena` (see ReachabilityGraph::reexplore),
+    /// which afterwards holds the input's reachability graph.
+    InputVerdict verify_input(std::span<const AgentCount> input, ReachabilityGraph& arena) const;
+
     // Owned copy: the verifier may outlive a temporary the caller built
     // from (protocols are cheap values next to reachability graphs).
     Protocol protocol_;

@@ -1,9 +1,9 @@
-// Regression tests for the unordered-container audit: the tree's
-// unordered_map/unordered_set uses in trajectory-affecting code
-// (Protocol::pair_of in src/core/protocol.cpp, the `seen` dedup sets in
-// src/diophantine/pottier.cpp, ReachabilityGraph::index_ in
+// Regression tests for the unordered-container audit: the tree's hashed
+// lookups in trajectory-affecting code (Protocol::pair_of in
+// src/core/protocol.cpp, the `seen` dedup sets in
+// src/diophantine/pottier.cpp, the ReachabilityGraph slot table in
 // src/verify/reachability.hpp) are lookup- or dedup-only — nothing
-// observable may depend on libstdc++ bucket iteration order.  ppsc_lint
+// observable may depend on bucket or slot order.  ppsc_lint
 // rule R2 keeps new *iteration* out of these files; these tests pin the
 // behavioural half of the audit: permuting the order in which the keys are
 // *inserted* (transition order, root order, constraint-row order) must
@@ -81,7 +81,9 @@ TEST(OrderIndependence, PairLookupIgnoresTransitionInsertionOrder) {
     }
 }
 
-// --- ReachabilityGraph::index_ (lookup-only unordered_map) -----------------
+// --- ReachabilityGraph slot table (lookup-only open addressing) ------------
+//
+// Node ids are insertion (BFS) order; the row hash only places ids in slots.
 
 /// Reachability verdicts keyed by configuration (NodeIds are exploration-
 /// order-dependent and deliberately not compared).

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "protocols/double_exp_threshold.hpp"
 #include "protocols/families.hpp"
 #include "protocols/threshold.hpp"
 #include "verify/verifier.hpp"
@@ -60,6 +62,30 @@ TEST(ProtocolParser, RoundTripsThroughFormat) {
     }
 }
 
+// A large protocol (|Q| = 2¹⁵ + 3 = 32771) round-trips structurally: same
+// states, outputs, inputs, leaders and transitions in the same order.
+// State-name lookup is hashed, so this parse is linear in the file size.
+TEST(ProtocolParser, RoundTripsLargeProtocolStructurally) {
+    const Protocol original = protocols::double_exp_threshold(15);
+    ASSERT_EQ(original.num_states(), 32771u);
+    const Protocol reparsed = parse_protocol(format_protocol(original));
+    ASSERT_EQ(reparsed.num_states(), original.num_states());
+    for (std::size_t q = 0; q < original.num_states(); ++q) {
+        const auto id = static_cast<StateId>(q);
+        ASSERT_EQ(reparsed.state_name(id), original.state_name(id)) << q;
+        ASSERT_EQ(reparsed.output(id), original.output(id)) << q;
+        ASSERT_EQ(reparsed.leaders()[id], original.leaders()[id]) << q;
+    }
+    ASSERT_EQ(reparsed.input_variables().size(), original.input_variables().size());
+    for (std::size_t v = 0; v < original.input_variables().size(); ++v) {
+        EXPECT_EQ(reparsed.input_variables()[v], original.input_variables()[v]);
+        EXPECT_EQ(reparsed.input_state(v), original.input_state(v));
+    }
+    const auto a = original.transitions();
+    const auto b = reparsed.transitions();
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+}
+
 TEST(ProtocolParser, ErrorsCarryLineNumbers) {
     try {
         parse_protocol("state a 0\nstate b 2\n");
@@ -77,6 +103,17 @@ TEST(ProtocolParser, RejectsBrokenInputs) {
     EXPECT_THROW(parse_protocol("state a 0\n"), std::invalid_argument);  // no input
     EXPECT_THROW(parse_protocol("state a 0\nstate a 1\ninput x -> a\n"),
                  std::invalid_argument);  // duplicate state
+}
+
+TEST(ProtocolParser, UnknownStateIsTypedError) {
+    try {
+        parse_protocol("state a 0\nstate b 1\ninput x -> a\ntrans a zz -> b b\n");
+        FAIL() << "expected parse error";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+        EXPECT_NE(what.find("unknown state 'zz'"), std::string::npos) << what;
+    }
 }
 
 TEST(ProtocolParser, EmptyFileFailsCleanly) {

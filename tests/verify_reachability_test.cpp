@@ -142,6 +142,26 @@ TEST(ReachabilityGraph, NodeBudgetThrowsInsteadOfTruncating) {
     EXPECT_THROW(ReachabilityGraph::explore(p, roots, tight), std::length_error);
 }
 
+TEST(ReachabilityGraph, NodeBudgetBoundaryIsExact) {
+    // A graph of exactly max_nodes nodes fits; one node less throws — for
+    // forward exploration and for a full slice alike.
+    const Protocol p = protocols::unary_threshold(5);
+    const Config roots[] = {p.initial_config(6)};
+    const std::size_t size = ReachabilityGraph::explore(p, roots, {}).num_nodes();
+    ASSERT_GT(size, 3u);
+    ReachabilityOptions budget;
+    budget.max_nodes = size;
+    EXPECT_EQ(ReachabilityGraph::explore(p, roots, budget).num_nodes(), size);
+    budget.max_nodes = size - 1;
+    EXPECT_THROW(ReachabilityGraph::explore(p, roots, budget), std::length_error);
+
+    const std::size_t slice = ReachabilityGraph::full_slice(p, 4, {}).num_nodes();
+    budget.max_nodes = slice;
+    EXPECT_EQ(ReachabilityGraph::full_slice(p, 4, budget).num_nodes(), slice);
+    budget.max_nodes = slice - 1;
+    EXPECT_THROW(ReachabilityGraph::full_slice(p, 4, budget), std::length_error);
+}
+
 TEST(ReachabilityGraph, RootValidation) {
     const Protocol p = epidemic();
     EXPECT_THROW(ReachabilityGraph::explore(p, {}, {}), std::invalid_argument);
