@@ -39,7 +39,6 @@
 
 #include "analyze/analyze.hpp"
 #include "analyze/checker.hpp"
-#include "bounds/pumping.hpp"
 #include "diophantine/realisable.hpp"
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/families.hpp"
@@ -212,13 +211,11 @@ void BM_E11FiredStepScan(benchmark::State& state) {
 BENCHMARK(BM_E11FiredStepFenwick)->Args({8, 1 << 12})->Args({10, 1 << 14});
 BENCHMARK(BM_E11FiredStepScan)->Args({8, 1 << 12})->Args({10, 1 << 14});
 
-// The flagship tower under the sparse rule table: n = 13 (|Q| = 8195,
-// 33.6M triangular pairs) was out of reach for the dense table — the
-// acceptance row for the sparse representation.  n = 10 still resolves
-// dense, so the pair of rows compares the two lookups on the same family.
+// The flagship tower: n = 13 (|Q| = 8195, 33.6M triangular pairs) is out of
+// reach for a Θ(|Q|²) pair lookup; the hash-table lookup keeps the table at
+// Θ(#non-silent pairs).  The n = 10 row shows the step cost is flat in |Q|.
 void BM_E11FiredStepFlagship(benchmark::State& state) {
     const Protocol& protocol = e11_flagship_protocol(static_cast<int>(state.range(0)));
-    state.SetLabel(protocol.rule_table() == RuleTable::sparse ? "sparse" : "dense");
     e11_fired_step_bench(state, protocol, PairSelect::automatic);
 }
 BENCHMARK(BM_E11FiredStepFlagship)->Args({10, 1 << 14})->Args({13, 1 << 14});
@@ -479,10 +476,10 @@ BENCHMARK(BM_ExhaustiveVerification)->Arg(6)->Arg(10)->Arg(14);
 // --- Analysis stack (PR 6) --------------------------------------------------
 
 // Backward closure over a materialised slice: the round-structured worklist
-// on the flat reverse CSR against the seed-era per-node-vector reverse BFS.
-// The slice (unary_threshold(4), population = state.range(0)) has
-// C(pop + 4, 4) nodes; the seed set is Bad_1, the stable-set use.
-void backward_closure_bench(benchmark::State& state, ClosureCompute compute) {
+// on the flat reverse CSR.  The slice (unary_threshold(4), population =
+// state.range(0)) has C(pop + 4, 4) nodes; the seed set is Bad_1, the
+// stable-set use.
+void BM_BackwardClosureSparse(benchmark::State& state) {
     const Protocol protocol = protocols::unary_threshold(4);
     const auto population = static_cast<AgentCount>(state.range(0));
     const ReachabilityGraph graph = ReachabilityGraph::full_slice(protocol, population, {});
@@ -490,59 +487,35 @@ void backward_closure_bench(benchmark::State& state, ClosureCompute compute) {
     for (std::size_t node = 0; node < graph.num_nodes(); ++node)
         bad[node] = protocol.consensus_output(graph.config(static_cast<NodeId>(node))) != 1;
     for (auto _ : state) {
-        const std::vector<bool> closure = graph.backward_closure(bad, compute);
+        const std::vector<bool> closure = graph.backward_closure(bad);
         benchmark::DoNotOptimize(closure);
     }
     state.SetLabel("nodes=" + std::to_string(graph.num_nodes()));
 }
-void BM_BackwardClosureSparse(benchmark::State& state) {
-    backward_closure_bench(state, ClosureCompute::sparse);
-}
-void BM_BackwardClosureReference(benchmark::State& state) {
-    backward_closure_bench(state, ClosureCompute::reference);
-}
 BENCHMARK(BM_BackwardClosureSparse)->Arg(10)->Arg(14);
-BENCHMARK(BM_BackwardClosureReference)->Arg(10)->Arg(14);
 
-// The full stable-set pipeline (slice construction: sparse successor
-// enumeration vs. dense support² probing, plus both closure backends) on
-// the E11 tower base.
-void stable_flags_bench(benchmark::State& state, ClosureCompute compute) {
+// The full stable-set pipeline (slice construction by CSR successor
+// enumeration, plus the backward closures) on the E11 tower base.
+void BM_StableFlagsSparse(benchmark::State& state) {
     const Protocol protocol = protocols::double_exp_threshold(2);
     const auto max_population = static_cast<AgentCount>(state.range(0));
     for (auto _ : state) {
-        const StableAnalysis analysis(protocol, max_population, {}, compute);
+        const StableAnalysis analysis(protocol, max_population);
         benchmark::DoNotOptimize(analysis.stable_counts(1));
     }
 }
-void BM_StableFlagsSparse(benchmark::State& state) {
-    stable_flags_bench(state, ClosureCompute::sparse);
-}
-void BM_StableFlagsReference(benchmark::State& state) {
-    stable_flags_bench(state, ClosureCompute::reference);
-}
 BENCHMARK(BM_StableFlagsSparse)->Arg(6)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StableFlagsReference)->Arg(6)->Unit(benchmark::kMillisecond);
 
 // Corollary 5.7 basis computation: incremental-residual completion + O(|T|)
-// scatter row assembly against the recompute-everything reference.
-void realisable_basis_bench(benchmark::State& state, HilbertCompute compute) {
+// scatter row assembly.
+void BM_RealisableBasisSparse(benchmark::State& state) {
     const Protocol protocol = protocols::collector_threshold(static_cast<AgentCount>(state.range(0)));
-    HilbertOptions options;
-    options.compute = compute;
     for (auto _ : state) {
-        const RealisableBasis basis = realisable_multiset_basis(protocol, options);
+        const RealisableBasis basis = realisable_multiset_basis(protocol);
         benchmark::DoNotOptimize(basis.elements);
     }
 }
-void BM_RealisableBasisSparse(benchmark::State& state) {
-    realisable_basis_bench(state, HilbertCompute::sparse);
-}
-void BM_RealisableBasisReference(benchmark::State& state) {
-    realisable_basis_bench(state, HilbertCompute::reference);
-}
 BENCHMARK(BM_RealisableBasisSparse)->Arg(5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RealisableBasisReference)->Arg(5)->Unit(benchmark::kMillisecond);
 
 // The two-phase busy-beaver sweep at n = 5 — a state count whose sampled
 // sweep was infeasible for the seed code (every candidate, oscillators
@@ -730,9 +703,9 @@ int run_e11_smoke() {
     }
     std::printf("E11 smoke: reference trap computation forced on every instance\n");
     {
-        // Mirrors the forced-sparse leg below: the reference trap fixpoint
-        // must still build and drive the workload, and the worklist must
-        // produce identical traps and identical convergence rows.
+        // The reference trap fixpoint must still build and drive the
+        // workload, and the worklist must produce identical traps and
+        // identical convergence rows.
         const Protocol p = protocols::double_exp_threshold(3);
         const Simulator worklist(p, PairSelect::automatic, TrapCompute::worklist);
         const Simulator reference(p, PairSelect::automatic, TrapCompute::reference);
@@ -767,37 +740,6 @@ int run_e11_smoke() {
         for (const ThroughputRow& row : rows)
             complete = complete && row.interactions == tiny.interactions_per_row;
         check(complete, "forced-reference-trap rows complete");
-    }
-    std::printf("E11 smoke: sparse rule table forced on every instance\n");
-    {
-        E11Options tiny;
-        tiny.tower_ns = {4};
-        tiny.populations = {512};
-        tiny.interactions_per_row = 1 << 16;
-        tiny.rule_table = RuleTable::sparse;
-        const auto rows = e11_throughput_sweep(tiny);
-        bool complete = !rows.empty();
-        for (const ThroughputRow& row : rows) {
-            complete = complete && row.interactions == tiny.interactions_per_row &&
-                       row.rule_table == "sparse";
-        }
-        check(complete, "forced-sparse rows complete");
-
-        // Dense and sparse lookups must drive byte-identical trajectories.
-        const Protocol dense =
-            protocols::double_exp_threshold(4).with_rule_table(RuleTable::dense);
-        const Protocol sparse = dense.with_rule_table(RuleTable::sparse);
-        const Simulator sim_dense(dense), sim_sparse(sparse);
-        bool identical = true;
-        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-            Config a = dense.initial_config(512), b = sparse.initial_config(512);
-            Rng rng_a(seed), rng_b(seed);
-            identical = identical &&
-                        sim_dense.run_batch(a, rng_a, 1 << 14) ==
-                            sim_sparse.run_batch(b, rng_b, 1 << 14) &&
-                        a == b;
-        }
-        check(identical, "dense/sparse trajectories identical per seed");
     }
     std::printf("E11 smoke: %s\n", ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;
@@ -898,125 +840,6 @@ int run_epoch_smoke() {
     return ok ? 0 : 1;
 }
 
-// Analysis-stack smoke (PR 6): every ported layer run under both the sparse
-// default and the forced dense reference on E11-family members, asserting
-// result identity end to end.  Exits non-zero on any disagreement — the CI
-// entry point for the verification stack (the deep sweeps live in
-// tests/analysis_sparse_test.cpp).
-int run_analysis_smoke() {
-    bool ok = true;
-    const auto check = [&ok](bool condition, const char* what) {
-        std::printf("  %-60s %s\n", what, condition ? "ok" : "FAIL");
-        ok = ok && condition;
-    };
-    const auto options_for = [](ClosureCompute compute) {
-        ReachabilityOptions options;
-        options.compute = compute;
-        return options;
-    };
-
-    std::printf("analysis smoke: reachability slices, sparse vs reference\n");
-    {
-        const Protocol p = protocols::double_exp_threshold(2);
-        const ReachabilityGraph sparse =
-            ReachabilityGraph::full_slice(p, 4, options_for(ClosureCompute::sparse));
-        const ReachabilityGraph reference =
-            ReachabilityGraph::full_slice(p, 4, options_for(ClosureCompute::reference));
-        bool identical = sparse.num_nodes() == reference.num_nodes() &&
-                         sparse.num_edges() == reference.num_edges();
-        for (std::size_t node = 0; identical && node < sparse.num_nodes(); ++node) {
-            const auto id = static_cast<NodeId>(node);
-            const auto a = sparse.successors(id);
-            const auto b = reference.successors(id);
-            identical = sparse.config(id) == reference.config(id) &&
-                        std::equal(a.begin(), a.end(), b.begin(), b.end());
-        }
-        check(identical, "double_exp(2) population-4 slice identical");
-
-        std::vector<bool> bad(sparse.num_nodes(), false);
-        for (std::size_t node = 0; node < sparse.num_nodes(); ++node)
-            bad[node] = p.consensus_output(sparse.config(static_cast<NodeId>(node))) != 1;
-        check(sparse.backward_closure(bad, ClosureCompute::sparse) ==
-                  sparse.backward_closure(bad, ClosureCompute::reference),
-              "backward closure of Bad_1 identical");
-    }
-    std::printf("analysis smoke: stable sets\n");
-    {
-        const Protocol p = protocols::double_exp_threshold(2);
-        const StableAnalysis sparse(p, 4, {}, ClosureCompute::sparse);
-        const StableAnalysis reference(p, 4, {}, ClosureCompute::reference);
-        bool identical = true;
-        for (AgentCount population = 2; population <= 4; ++population)
-            for (int b = 0; b < 2; ++b)
-                identical = identical && sparse.stable_configs(population, b) ==
-                                             reference.stable_configs(population, b);
-        check(identical, "double_exp(2) stable sets identical on sizes 2..4");
-    }
-    std::printf("analysis smoke: verifier verdicts and two-phase threshold\n");
-    {
-        const Protocol p = protocols::unary_threshold(3);
-        const Verifier sparse(p, options_for(ClosureCompute::sparse));
-        const Verifier reference(p, options_for(ClosureCompute::reference));
-        bool identical = true;
-        for (AgentCount i = 2; i <= 8; ++i) {
-            const InputVerdict a = sparse.verify_input(i);
-            const InputVerdict b = reference.verify_input(i);
-            identical = identical && a.well_specified == b.well_specified &&
-                        a.computed == b.computed && a.explored_nodes == b.explored_nodes;
-        }
-        check(identical, "unary_threshold(3) verdicts identical on inputs 2..8");
-        check(sparse.infer_threshold(8) == AgentCount{3}, "exact threshold is 3");
-        ScreeningOptions screening;
-        screening.max_interactions = 4'000;
-        check(sparse.infer_threshold(8, screening) == sparse.infer_threshold(8),
-              "two-phase threshold identical to exact");
-    }
-    std::printf("analysis smoke: diophantine bases\n");
-    {
-        for (const AgentCount eta : {AgentCount{2}, AgentCount{3}}) {
-            const Protocol p = protocols::collector_threshold(eta);
-            HilbertOptions sparse, reference;
-            sparse.compute = HilbertCompute::sparse;
-            reference.compute = HilbertCompute::reference;
-            const RealisableBasis a = realisable_multiset_basis(p, sparse);
-            const RealisableBasis b = realisable_multiset_basis(p, reference);
-            char what[96];
-            std::snprintf(what, sizeof what, "collector(%lld) realisable basis identical",
-                          static_cast<long long>(eta));
-            check(a.elements == b.elements && a.inputs == b.inputs && a.results == b.results,
-                  what);
-        }
-    }
-    std::printf("analysis smoke: pumping selections\n");
-    {
-        const Protocol p = protocols::unary_threshold(3);
-        bool identical = true;
-        for (AgentCount input = 2; input <= 6; ++input)
-            identical = identical &&
-                        bounds::stable_configuration_for_input(p, input, {},
-                                                               ClosureCompute::sparse) ==
-                            bounds::stable_configuration_for_input(p, input, {},
-                                                                   ClosureCompute::reference);
-        check(identical, "unary_threshold(3) stable configurations identical");
-    }
-    std::printf("analysis smoke: screened busy-beaver sweep\n");
-    {
-        search::SearchOptions exact;
-        exact.max_input = 6;
-        search::SearchOptions screened = exact;
-        screened.screen = true;
-        screened.screening.max_interactions = 2'000;
-        const auto a = search::busy_beaver_search(2, exact);
-        const auto b = search::busy_beaver_search(2, screened);
-        check(a.best_eta == b.best_eta && a.threshold_protocols == b.threshold_protocols &&
-                  a.eta_histogram == b.eta_histogram,
-              "screened n=2 sweep result-identical to exact");
-        check(b.screened_out > 0, "screening absorbed some candidates");
-    }
-    std::printf("analysis smoke: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-}
-
 // Static-analyzer smoke: run analyze_protocol over *every* registered
 // protocol family (built from its documented example parameters), require
 // the independent checker to accept every emitted certificate and the
@@ -1062,7 +885,6 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--e11-smoke") == 0) return run_e11_smoke();
         if (std::strcmp(argv[i], "--epoch-smoke") == 0) return run_epoch_smoke();
-        if (std::strcmp(argv[i], "--analysis-smoke") == 0) return run_analysis_smoke();
         if (std::strcmp(argv[i], "--analyze-smoke") == 0) return run_analyze_smoke();
     }
     benchmark::Initialize(&argc, argv);
@@ -1117,20 +939,20 @@ int main(int argc, char** argv) {
                 "more states.\n");
 
     std::printf("\n=== E11: double-exponential thresholds (Czerner 2022 regime) ===\n\n");
-    std::printf("%22s %8s %12s %7s %10s %12s %10s %14s\n", "protocol", "|Q|", "pairs", "table",
-                "tbl KiB", "trap setup s", "population", "interactions/s");
+    std::printf("%22s %8s %12s %10s %12s %10s %14s\n", "protocol", "|Q|", "pairs", "tbl KiB",
+                "trap setup s", "population", "interactions/s");
     E11Options e11;
-    // n = 13 (flagship only: |Q| = 8195) needs the sparse rule table; n = 17
-    // (|Q| = 131075) additionally needs the worklist trap fixpoint — the
-    // reference pass structure costs ~5·10¹⁰ transition checks there, which
-    // is what used to make the sweep buildable but not runnable past n = 13.
+    // n = 13 (flagship only: |Q| = 8195) needs a rule table of Θ(#non-silent
+    // pairs); n = 17 (|Q| = 131075) additionally needs the worklist trap
+    // fixpoint — the reference pass structure costs ~5·10¹⁰ transition
+    // checks there.
     e11.tower_ns = {6, 8, 10, 13, 17};
     e11.max_dense_n = 10;
     e11.populations = {1 << 12, 1 << 16};
     e11.interactions_per_row = 1 << 22;
     for (const ThroughputRow& row : e11_throughput_sweep(e11)) {
-        std::printf("%22s %8zu %12zu %7s %10.1f %12.4f %10lld %14.3g\n", row.protocol.c_str(),
-                    row.num_states, row.nonsilent_pairs, row.rule_table.c_str(),
+        std::printf("%22s %8zu %12zu %10.1f %12.4f %10lld %14.3g\n", row.protocol.c_str(),
+                    row.num_states, row.nonsilent_pairs,
                     static_cast<double>(row.rule_table_bytes) / 1024.0, row.trap_setup_seconds,
                     static_cast<long long>(row.population), row.interactions_per_sec);
     }
@@ -1138,11 +960,10 @@ int main(int argc, char** argv) {
                 "small factor — fired-step work is O(log #pairs) via the pair-weight\n"
                 "Fenwick tree (the BM_E11FiredStep* microbenchmarks above isolate the\n"
                 "selection step against the O(#pairs) reference scan).  Rule-table\n"
-                "memory switches from Θ(|Q|²) (dense) to Θ(#non-silent pairs) (sparse)\n"
-                "past ~4k states, which is what admits the n = 13 flagship rows, and\n"
-                "trap setup stays O(|T|) via the worklist fixpoint (trap setup s\n"
-                "column; BM_ComputeOutputTraps* isolates it against the reference),\n"
-                "which is what admits the n = 17 rows.\n");
+                "memory is Θ(#non-silent pairs), not Θ(|Q|²), which is what admits the\n"
+                "n = 13 flagship rows, and trap setup stays O(|T|) via the worklist\n"
+                "fixpoint (trap setup s column; BM_ComputeOutputTraps* isolates it\n"
+                "against the reference), which is what admits the n = 17 rows.\n");
 
     std::printf("\n=== E11e: epoch-batched stepping, population 2^40 ===\n\n");
     std::printf("%22s %10s %12s %16s %16s %14s %14s\n", "protocol", "mode", "population",

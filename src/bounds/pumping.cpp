@@ -7,76 +7,39 @@
 
 namespace ppsc::bounds {
 
-namespace {
-
-/// True iff every configuration of `component` is a b-consensus for a
-/// single shared b; returns that b.
-std::optional<int> component_consensus(const ReachabilityGraph& graph,
-                                       const ReachabilityGraph::SccResult& scc,
-                                       std::int32_t component) {
-    std::optional<int> verdict;
-    for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
-        if (scc.component_of[node] != component) continue;
-        const auto value = graph.protocol().consensus_output(graph.row(static_cast<NodeId>(node)));
-        if (!value) return std::nullopt;
-        if (!verdict) verdict = value;
-        if (*verdict != *value) return std::nullopt;
-    }
-    return verdict;
-}
-
-}  // namespace
-
 std::optional<Config> stable_configuration_for_input(const Protocol& protocol, AgentCount input,
-                                                     const ReachabilityOptions& options,
-                                                     ClosureCompute compute) {
+                                                     const ReachabilityOptions& options) {
     const Config roots[] = {protocol.initial_config(input)};
     const ReachabilityGraph graph = ReachabilityGraph::explore(protocol, roots, options);
     const auto scc = graph.compute_sccs();
 
     // Deterministic choice: the least component id that is a consensus
     // bottom SCC, then the lexicographically least member configuration.
-    if (compute == ClosureCompute::sparse) {
-        // One pass over the nodes aggregates, per bottom component, both
-        // the consensus verdict (2 = no member seen, −1 = mixed or
-        // non-consensus, 0/1 = agreed so far) and the lexicographically
-        // least member — instead of the reference's per-component rescans,
-        // which are Θ(components · nodes) on graphs with many bottom SCCs.
-        constexpr NodeId kNoNode = -1;
-        std::vector<std::int8_t> value(static_cast<std::size_t>(scc.num_components), 2);
-        std::vector<NodeId> least(static_cast<std::size_t>(scc.num_components), kNoNode);
-        for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
-            const auto component = static_cast<std::size_t>(scc.component_of[node]);
-            if (!scc.is_bottom[component]) continue;
-            const std::span<const AgentCount> counts = graph.row(static_cast<NodeId>(node));
-            const std::optional<int> member = graph.protocol().consensus_output(counts);
-            const std::int8_t v = member ? static_cast<std::int8_t>(*member) : std::int8_t{-1};
-            if (value[component] == 2)
-                value[component] = v;
-            else if (value[component] != v)
-                value[component] = -1;
-            if (least[component] == kNoNode ||
-                std::ranges::lexicographical_compare(counts, graph.row(least[component])))
-                least[component] = static_cast<NodeId>(node);
-        }
-        for (std::int32_t component = 0; component < scc.num_components; ++component) {
-            const auto c = static_cast<std::size_t>(component);
-            if (!scc.is_bottom[c] || value[c] < 0 || value[c] == 2) continue;
-            return graph.config(least[c]);
-        }
-        return std::nullopt;
+    // One pass over the nodes aggregates, per bottom component, both the
+    // consensus verdict (2 = no member seen, −1 = mixed or non-consensus,
+    // 0/1 = agreed so far) and the lexicographically least member, so the
+    // selection is Θ(nodes) even on graphs with many bottom SCCs.
+    constexpr NodeId kNoNode = -1;
+    std::vector<std::int8_t> value(static_cast<std::size_t>(scc.num_components), 2);
+    std::vector<NodeId> least(static_cast<std::size_t>(scc.num_components), kNoNode);
+    for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
+        const auto component = static_cast<std::size_t>(scc.component_of[node]);
+        if (!scc.is_bottom[component]) continue;
+        const std::span<const AgentCount> counts = graph.row(static_cast<NodeId>(node));
+        const std::optional<int> member = graph.protocol().consensus_output(counts);
+        const std::int8_t v = member ? static_cast<std::int8_t>(*member) : std::int8_t{-1};
+        if (value[component] == 2)
+            value[component] = v;
+        else if (value[component] != v)
+            value[component] = -1;
+        if (least[component] == kNoNode ||
+            std::ranges::lexicographical_compare(counts, graph.row(least[component])))
+            least[component] = static_cast<NodeId>(node);
     }
-
     for (std::int32_t component = 0; component < scc.num_components; ++component) {
-        if (!scc.is_bottom[static_cast<std::size_t>(component)]) continue;
-        if (!component_consensus(graph, scc, component)) continue;
-        std::optional<Config> best;
-        for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
-            if (scc.component_of[node] != component) continue;
-            const Config& config = graph.config(static_cast<NodeId>(node));
-            if (!best || config.counts() < best->counts()) best = config;
-        }
-        return best;
+        const auto c = static_cast<std::size_t>(component);
+        if (!scc.is_bottom[c] || value[c] < 0 || value[c] == 2) continue;
+        return graph.config(least[c]);
     }
     return std::nullopt;
 }
@@ -94,7 +57,7 @@ std::optional<PumpingCertificate> find_pumping_certificate(const Protocol& proto
                                  : std::max<AgentCount>(0, 2 - protocol.leaders().size());
     for (AgentCount i = start; i <= options.max_input; ++i) {
         const auto stable =
-            stable_configuration_for_input(protocol, i, options.reachability, options.compute);
+            stable_configuration_for_input(protocol, i, options.reachability);
         if (stable) stable_sequence.emplace_back(i, *stable);
     }
 
@@ -129,8 +92,8 @@ std::optional<PumpingCertificate> find_pumping_certificate(const Protocol& proto
             bool verified = true;
             for (AgentCount lambda = 1; lambda <= lambdas && verified; ++lambda) {
                 const AgentCount pumped = i + lambda * period;
-                const auto stable = stable_configuration_for_input(
-                    protocol, pumped, options.reachability, options.compute);
+                const auto stable =
+                    stable_configuration_for_input(protocol, pumped, options.reachability);
                 if (!stable || protocol.consensus_output(*stable) != *verdict_low)
                     verified = false;
             }

@@ -42,12 +42,6 @@ struct PumpingOptions {
     AgentCount max_input = 16;       ///< horizon for the C_i sequence
     int check_lambdas = 2;           ///< how many pumped inputs to re-verify
     ReachabilityOptions reachability;
-    /// Backend for the stable-configuration selection (and, via
-    /// `reachability.compute`, the graph construction itself): `sparse`
-    /// aggregates per-component consensus and least member in one pass over
-    /// the nodes; `reference` is the seed-era per-component rescan.  Both
-    /// are result-identical (asserted in tests/analysis_sparse_test.cpp).
-    ClosureCompute compute = ClosureCompute::sparse;
 };
 
 /// Runs the pipeline.  Returns nullopt if no ordered pair of stable
@@ -63,7 +57,6 @@ std::optional<PumpingCertificate> find_pumping_certificate(const Protocol& proto
 /// bottom SCC reachable from IC(i); nullopt if no bottom SCC is a
 /// consensus (ill-specified input).
 std::optional<Config> stable_configuration_for_input(const Protocol& protocol, AgentCount input,
-                                                     const ReachabilityOptions& options = {},
-                                                     ClosureCompute compute = ClosureCompute::sparse);
+                                                     const ReachabilityOptions& options = {});
 
 }  // namespace ppsc::bounds

@@ -18,49 +18,10 @@ void sort_pair(StateId& a, StateId& b) noexcept {
 
 }  // namespace
 
-std::size_t Protocol::pair_index(StateId p, StateId q) noexcept {
-    // p ≤ q required; index into the triangular pair table.
-    return static_cast<std::size_t>(q) * (static_cast<std::size_t>(q) + 1) / 2 +
-           static_cast<std::size_t>(p);
-}
-
-void Protocol::build_pair_lookup(RuleTable kind) {
-    const std::size_t n = names_.size();
-    const std::size_t num_pairs = n * (n + 1) / 2;
-    if (kind == RuleTable::automatic)
-        kind = num_pairs <= kDenseRuleTablePairCap ? RuleTable::dense : RuleTable::sparse;
-    rule_table_ = kind;
-    if (kind == RuleTable::dense) {
-        sparse_pair_to_id_ = DenseIndexMap();
-        dense_pair_to_id_.assign(num_pairs, kNoPair);
-        for (std::size_t i = 0; i < nonsilent_pairs_.size(); ++i) {
-            const auto [p, q] = nonsilent_pairs_[i];
-            dense_pair_to_id_[pair_index(p, q)] = static_cast<PairId>(i);
-        }
-    } else {
-        dense_pair_to_id_.clear();
-        dense_pair_to_id_.shrink_to_fit();
-        std::vector<std::uint64_t> keys;
-        keys.reserve(nonsilent_pairs_.size());
-        for (const auto& [p, q] : nonsilent_pairs_) keys.push_back(pack_pair(p, q));
-        sparse_pair_to_id_.assign(keys);
-    }
-}
-
 std::size_t Protocol::rule_table_bytes() const noexcept {
-    const std::size_t shared = rule_offsets_.capacity() * sizeof(std::uint32_t) +
-                               pair_rule_ids_.capacity() * sizeof(TransitionId) +
-                               nonsilent_pairs_.capacity() * sizeof(nonsilent_pairs_[0]);
-    const std::size_t lookup = rule_table_ == RuleTable::dense
-                                   ? dense_pair_to_id_.capacity() * sizeof(PairId)
-                                   : sparse_pair_to_id_.memory_bytes();
-    return shared + lookup;
-}
-
-Protocol Protocol::with_rule_table(RuleTable kind) const {
-    Protocol copy = *this;
-    copy.build_pair_lookup(kind);
-    return copy;
+    return rule_offsets_.capacity() * sizeof(std::uint32_t) +
+           pair_rule_ids_.capacity() * sizeof(TransitionId) +
+           nonsilent_pairs_.capacity() * sizeof(nonsilent_pairs_[0]) + pair_to_id_.memory_bytes();
 }
 
 std::optional<StateId> Protocol::find_state(std::string_view name) const {
@@ -275,7 +236,7 @@ Protocol ProtocolBuilder::build() && {
     p.self_pair_.assign(n, Protocol::kNoPair);
     std::vector<std::uint32_t> degree(n, 0);
     // Build-time only: pre-pair key → PairId (the persistent lookup is
-    // built by build_pair_lookup in the chosen representation below).
+    // pair_to_id_, assigned below).
     std::unordered_map<std::uint64_t, Protocol::PairId> pair_of;
     pair_of.reserve(p.transitions_.size());
     for (const Transition& t : p.transitions_) {
@@ -295,8 +256,7 @@ Protocol ProtocolBuilder::build() && {
 
     // Compact CSR rule table keyed by PairId: count rules per pair,
     // prefix-sum into offsets, then fill.  TransitionIds stay ordered
-    // within a pair (fill order follows transition order), matching the
-    // retired triangular layout rule for rule.
+    // within a pair (fill order follows transition order).
     const std::size_t num_pairs = p.nonsilent_pairs_.size();
     p.rule_offsets_.assign(num_pairs + 1, 0);
     for (const Transition& t : p.transitions_)
@@ -311,7 +271,10 @@ Protocol ProtocolBuilder::build() && {
             static_cast<TransitionId>(i);
     }
 
-    p.build_pair_lookup(rule_table_);
+    std::vector<std::uint64_t> keys;
+    keys.reserve(num_pairs);
+    for (const auto& [q1, q2] : p.nonsilent_pairs_) keys.push_back(Protocol::pack_pair(q1, q2));
+    p.pair_to_id_.assign(keys);
 
     p.neighbor_offsets_.assign(n + 1, 0);
     for (std::size_t q = 0; q < n; ++q)

@@ -47,26 +47,6 @@ struct Transition {
 
 using TransitionId = std::int32_t;
 
-/// Representation of the pair → rules lookup (see Protocol::pair_id).
-///
-///   dense  — a triangular array indexed by the packed pair, Θ(|Q|²)
-///            memory but a two-read lookup; the right choice while the
-///            table fits comfortably in memory.
-///   sparse — an open-addressed hash map keyed only on the pairs that
-///            actually carry non-silent rules, Θ(#non-silent pairs)
-///            memory; unlocks |Q| ≥ 10⁵ for rule-sparse protocols (the
-///            flagship double-exponential family has Θ(|Q|) rules).
-///
-/// `automatic` (the default) picks dense below kDenseRuleTablePairCap
-/// triangular pairs and sparse above.  Both representations expose
-/// identical lookups over identical PairIds, so everything downstream —
-/// simulators included — behaves identically per seed.
-enum class RuleTable { automatic, dense, sparse };
-
-/// Triangular-pair-count threshold for RuleTable::automatic: 2²³ pairs keep
-/// the dense array at 32 MiB (4 bytes per pair), i.e. dense up to |Q| ≈ 4095.
-inline constexpr std::size_t kDenseRuleTablePairCap = std::size_t{1} << 23;
-
 class ProtocolBuilder;
 
 class Protocol {
@@ -92,22 +72,17 @@ public:
     static constexpr PairId kNoPair = static_cast<PairId>(-1);
 
     /// PairId of the unordered pair {p, q}, or kNoPair if the pair is
-    /// silent.  The hot-path lookup: a two-read triangular-array access
-    /// under the dense rule table, one open-addressed hash probe under the
-    /// sparse one.
+    /// silent.  The hot-path lookup: one open-addressed hash probe over the
+    /// non-silent pairs only, so the table is Θ(#non-silent pairs) rather
+    /// than Θ(|Q|²) and rule-sparse protocols scale past |Q| = 10⁵.
     PairId pair_id(StateId p, StateId q) const {
         if (p > q) std::swap(p, q);
-        if (rule_table_ == RuleTable::dense) {
-            const std::size_t idx = pair_index(p, q);
-            PPSC_DASSERT(idx < dense_pair_to_id_.size());
-            return dense_pair_to_id_[idx];
-        }
-        return sparse_pair_to_id_.find(pack_pair(p, q));
+        return pair_to_id_.find(pack_pair(p, q));
     }
 
     /// The rules of the non-silent pair `id` as indices into transitions(),
     /// in transition-declaration order: a compact CSR keyed by PairId, so
-    /// it costs Θ(#non-silent pairs) regardless of the rule-table kind.
+    /// it costs Θ(#non-silent pairs).
     std::span<const TransitionId> rules_for_pair_id(PairId id) const {
         PPSC_DASSERT(static_cast<std::size_t>(id) + 1 < rule_offsets_.size());
         const std::uint32_t begin = rule_offsets_[id];
@@ -126,19 +101,10 @@ public:
     /// True iff {p,q} has no non-silent rule.  O(1).
     bool pair_is_silent(StateId p, StateId q) const { return pair_id(p, q) == kNoPair; }
 
-    /// The rule-table representation in use (automatic already resolved).
-    RuleTable rule_table() const noexcept { return rule_table_; }
-
-    /// Heap bytes held by the pair → rules lookup structures (the dense
-    /// triangular array or the sparse hash table, plus the shared compact
-    /// CSR) — the quantity the sparse representation shrinks from Θ(|Q|²)
-    /// to Θ(#non-silent pairs).
+    /// Heap bytes held by the pair → rules lookup structures (the hash
+    /// table plus the compact CSR): Θ(#non-silent pairs), independent of
+    /// |Q|².
     std::size_t rule_table_bytes() const noexcept;
-
-    /// A copy of this protocol with the pair → rules lookup rebuilt in the
-    /// requested representation (automatic re-resolves by size).  PairIds,
-    /// rule order, and therefore all simulation trajectories are unchanged.
-    Protocol with_rule_table(RuleTable kind) const;
 
     /// The distinct non-silent unordered pre-pairs {p, q} (canonical p ≤ q),
     /// in a stable order — the index of a pair in this span is its PairId.
@@ -234,33 +200,22 @@ private:
     friend class ProtocolBuilder;
     Protocol() : leaders_(0) {}
 
-    static std::size_t pair_index(StateId p, StateId q) noexcept;
-
-    /// Packs the canonical pair p ≤ q into the sparse lookup key.
+    /// Packs the canonical pair p ≤ q into the pair lookup key.
     static std::uint64_t pack_pair(StateId p, StateId q) noexcept {
         return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)) << 32) |
                static_cast<std::uint32_t>(q);
     }
-
-    /// (Re)builds the pair → PairId lookup from nonsilent_pairs_ in the
-    /// requested representation; `automatic` resolves by triangular size.
-    void build_pair_lookup(RuleTable kind);
 
     std::vector<std::string> names_;
     std::vector<std::uint8_t> outputs_;
     std::vector<Transition> transitions_;
     // Compact CSR rule table keyed by PairId: the rules of non-silent pair
     // id are pair_rule_ids_[rule_offsets_[id] .. rule_offsets_[id+1]).
-    // Θ(#non-silent pairs) in every representation.
     std::vector<std::uint32_t> rule_offsets_;
     std::vector<TransitionId> pair_rule_ids_;
-    // Pair → PairId lookup, in one of two representations (rule_table_):
-    // the dense triangular array (Θ(|Q|²) entries, kNoPair ⇔ silent) or the
-    // open-addressed hash map over the non-silent pairs only (a miss ⇔
-    // silent).
-    RuleTable rule_table_ = RuleTable::dense;
-    std::vector<PairId> dense_pair_to_id_;
-    DenseIndexMap sparse_pair_to_id_;
+    // Pair → PairId lookup: an open-addressed hash map over the non-silent
+    // pairs only (a miss ⇔ silent).
+    DenseIndexMap pair_to_id_;
     // Sparse non-silent pair structure (see nonsilent_pairs()/pair_neighbors).
     std::vector<std::pair<StateId, StateId>> nonsilent_pairs_;
     std::vector<std::uint32_t> neighbor_offsets_;  // size |Q|+1
@@ -307,10 +262,6 @@ public:
     /// Adds `count` leader agents in `state`.
     void add_leaders(StateId state, AgentCount count);
 
-    /// Chooses the pair → rules lookup representation of the built
-    /// protocol (default: automatic, resolved by |Q|).
-    void set_rule_table(RuleTable kind) noexcept { rule_table_ = kind; }
-
     std::size_t num_states() const noexcept { return names_.size(); }
 
     /// Finalises the protocol. Throws std::invalid_argument if no states or
@@ -338,7 +289,6 @@ private:
     std::vector<StateId> input_states_;
     std::vector<std::pair<StateId, AgentCount>> leaders_;
     std::unordered_map<std::string, StateId> name_to_state_;
-    RuleTable rule_table_ = RuleTable::automatic;
 };
 
 }  // namespace ppsc

@@ -42,17 +42,6 @@ bool leq(const Vec& a, const Vec& b) {
     return true;
 }
 
-Vec residual(const HomogeneousSystem& system, const Vec& y) {
-    Vec r(system.rows.size(), 0);
-    for (std::size_t i = 0; i < system.rows.size(); ++i) {
-        const auto& row = system.rows[i];
-        std::int64_t sum = 0;
-        for (std::size_t j = 0; j < row.size(); ++j) sum += row[j] * y[j];
-        r[i] = sum;
-    }
-    return r;
-}
-
 bool is_zero(const Vec& v) {
     return std::all_of(v.begin(), v.end(), [](std::int64_t x) { return x == 0; });
 }
@@ -78,41 +67,31 @@ std::vector<Vec> hilbert_basis_equalities(const HomogeneousSystem& system,
     if (v == 0) return {};
 
     // Column images A·e_j, used by the Contejean–Devie descent rule.
-    std::vector<Vec> column(v);
-    for (std::size_t j = 0; j < v; ++j) {
-        Vec unit(v, 0);
-        unit[j] = 1;
-        column[j] = residual(system, unit);
-    }
-
-    const bool incremental = options.compute == HilbertCompute::sparse;
+    std::vector<Vec> column(v, Vec(system.rows.size(), 0));
+    for (std::size_t i = 0; i < system.rows.size(); ++i)
+        for (std::size_t j = 0; j < v; ++j) column[j][i] = system.rows[i][j];
 
     std::vector<Vec> basis;
     std::vector<Vec> frontier;
-    // Sparse backend: residuals[k] = A·frontier[k], carried along instead of
-    // recomputed.  A unit vector's residual is its column image, and a
-    // child's residual is r + A·e_j — one Θ(e) column add per candidate
-    // instead of the reference's Θ(e·v) recomputation per examination.  The
-    // arithmetic is exact either way, so the frontier — and the basis — are
-    // identical.
+    // residuals[k] = A·frontier[k], carried along instead of recomputed: a
+    // unit vector's residual is its column image, and a child's residual is
+    // r + A·e_j — one Θ(e) column add per candidate.
     std::vector<Vec> residuals;
     std::unordered_set<Vec, VecHash> seen;
     for (std::size_t j = 0; j < v; ++j) {
         Vec unit(v, 0);
         unit[j] = 1;
         frontier.push_back(unit);
-        if (incremental) residuals.push_back(column[j]);
+        residuals.push_back(column[j]);
         seen.insert(std::move(unit));
     }
 
-    Vec recomputed;
     while (!frontier.empty()) {
         std::vector<Vec> next;
         std::vector<Vec> next_residuals;
         for (std::size_t k = 0; k < frontier.size(); ++k) {
             const Vec& t = frontier[k];
-            if (!incremental) recomputed = residual(system, t);
-            const Vec& r = incremental ? residuals[k] : recomputed;
+            const Vec& r = residuals[k];
             if (is_zero(r)) {
                 // Minimal by construction: any smaller solution would have
                 // pruned t before it entered the frontier.
@@ -137,12 +116,10 @@ std::vector<Vec> hilbert_basis_equalities(const HomogeneousSystem& system,
                 }
                 if (dominated) continue;
                 if (seen.insert(candidate).second) {
-                    if (incremental) {
-                        Vec child_residual = r;
-                        for (std::size_t i = 0; i < child_residual.size(); ++i)
-                            child_residual[i] += column[j][i];
-                        next_residuals.push_back(std::move(child_residual));
-                    }
+                    Vec child_residual = r;
+                    for (std::size_t i = 0; i < child_residual.size(); ++i)
+                        child_residual[i] += column[j][i];
+                    next_residuals.push_back(std::move(child_residual));
                     next.push_back(std::move(candidate));
                 }
             }
@@ -239,38 +216,6 @@ InhomogeneousBasis solve_inhomogeneous(const HomogeneousSystem& system,
     }
     result.particular = std::move(minimal);
     return result;
-}
-
-std::vector<Vec> brute_force_minimal_equalities(const HomogeneousSystem& system,
-                                                std::int64_t cap) {
-    system.validate();
-    std::vector<Vec> solutions;
-    Vec y(system.num_vars, 0);
-    auto recurse = [&](auto&& self, std::size_t j) -> void {
-        if (j == system.num_vars) {
-            if (!is_zero(y) && is_zero(residual(system, y))) solutions.push_back(y);
-            return;
-        }
-        for (std::int64_t c = 0; c <= cap; ++c) {
-            y[j] = c;
-            self(self, j + 1);
-        }
-        y[j] = 0;
-    };
-    recurse(recurse, 0);
-
-    std::vector<Vec> minimal;
-    for (const Vec& candidate : solutions) {
-        bool dominated = false;
-        for (const Vec& other : solutions) {
-            if (other != candidate && leq(other, candidate)) {
-                dominated = true;
-                break;
-            }
-        }
-        if (!dominated) minimal.push_back(candidate);
-    }
-    return minimal;
 }
 
 }  // namespace ppsc

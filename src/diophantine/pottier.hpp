@@ -17,14 +17,11 @@
 // The Pottier bound itself is computed as an exact BigNat so experiments
 // can quote the slack between theory and practice.
 //
-// Two completion backends (PR 6, mirroring sim/traps.hpp's TrapCompute):
-// the seed-era `reference` recomputes the full residual A·t of every
-// frontier vector from scratch — Θ(e·v) per examination — while `sparse`
-// carries each frontier vector's residual along and derives a child's
-// residual incrementally as r + A·e_j (one column add, Θ(e)).  Both walk
-// the identical frontier in the identical order over exact integer
-// arithmetic, so the computed bases are identical — asserted, not argued,
-// on exhaustive small-protocol sweeps in tests/analysis_sparse_test.cpp.
+// The completion carries each frontier vector's residual A·t along and
+// derives a child's residual incrementally as r + A·e_j (one column add,
+// Θ(e)) rather than recomputing it (Θ(e·v)).  The bases are checked against
+// a brute-force enumeration of minimal solutions up to the Pottier bound in
+// tests/diophantine_test.cpp and tests/analysis_sparse_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -47,21 +44,12 @@ struct HomogeneousSystem {
 /// Theorem 5.6 right-hand side: (1 + max_i Σ_j |a_ij|)^e.
 BigNat pottier_bound(const HomogeneousSystem& system);
 
-/// Which formulation runs the Contejean–Devie completion (and, in
-/// diophantine/realisable.hpp, how the constraint rows are assembled).
-/// Both produce identical bases; `reference` is the seed-era
-/// recompute-everything formulation kept for equivalence tests and
-/// benchmarks, `sparse` (the default) carries residuals incrementally.
-enum class HilbertCompute { sparse, reference };
-
 struct HilbertOptions {
     /// Abort (std::length_error) if a candidate's 1-norm exceeds this; the
     /// Pottier bound guarantees termination below it for sane systems.
     std::int64_t max_norm1 = 1 << 20;
     /// Abort if the frontier grows beyond this many vectors.
     std::size_t max_frontier = 4'000'000;
-    /// Completion backend (see HilbertCompute).
-    HilbertCompute compute = HilbertCompute::sparse;
 };
 
 /// Hilbert basis of {y ∈ N^v ∖ {0} : A·y = 0}: all ≤-minimal solutions.
@@ -73,11 +61,6 @@ std::vector<std::vector<std::int64_t>> hilbert_basis_equalities(
 /// every solution is a finite N-sum of returned vectors.
 std::vector<std::vector<std::int64_t>> generating_basis_inequalities(
     const HomogeneousSystem& system, const HilbertOptions& options = {});
-
-/// Oracle for tests: all ≤-minimal non-zero solutions of A·y = 0 with
-/// ∥y∥∞ ≤ cap, by brute-force enumeration.
-std::vector<std::vector<std::int64_t>> brute_force_minimal_equalities(
-    const HomogeneousSystem& system, std::int64_t cap);
 
 /// Solutions of the *inhomogeneous* system A·y ≥ b: the solution set is
 /// P + M where P is a finite set of ≤-minimal particular solutions and M

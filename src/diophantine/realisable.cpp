@@ -23,40 +23,21 @@ RealisableBasis realisable_multiset_basis(const Protocol& protocol,
     const StateId input = protocol.input_state(0);
     HomogeneousSystem system;
     system.num_vars = protocol.num_transitions();
-    if (options.compute == HilbertCompute::sparse) {
-        // Scatter assembly: one O(|T|) pass over transition endpoints fills
-        // every row at once, instead of the reference's |Q|·|T| scan that
-        // interrogates all four endpoints of every transition once per
-        // state.  Row order (states ascending, input skipped) matches the
-        // reference exactly, so downstream bases are identical.
-        std::vector<std::vector<std::int64_t>> delta(
-            protocol.num_states(), std::vector<std::int64_t>(system.num_vars, 0));
-        for (std::size_t t = 0; t < system.num_vars; ++t) {
-            const Transition& transition = protocol.transitions()[t];
-            ++delta[static_cast<std::size_t>(transition.post1)][t];
-            ++delta[static_cast<std::size_t>(transition.post2)][t];
-            --delta[static_cast<std::size_t>(transition.pre1)][t];
-            --delta[static_cast<std::size_t>(transition.pre2)][t];
-        }
-        for (std::size_t q = 0; q < protocol.num_states(); ++q) {
-            if (static_cast<StateId>(q) == input) continue;
-            system.rows.push_back(std::move(delta[q]));
-        }
-    } else {
-        for (std::size_t q = 0; q < protocol.num_states(); ++q) {
-            if (static_cast<StateId>(q) == input) continue;
-            std::vector<std::int64_t> row(system.num_vars, 0);
-            for (std::size_t t = 0; t < system.num_vars; ++t) {
-                const Transition& transition = protocol.transitions()[t];
-                std::int64_t delta = 0;
-                if (static_cast<std::size_t>(transition.post1) == q) ++delta;
-                if (static_cast<std::size_t>(transition.post2) == q) ++delta;
-                if (static_cast<std::size_t>(transition.pre1) == q) --delta;
-                if (static_cast<std::size_t>(transition.pre2) == q) --delta;
-                row[t] = delta;
-            }
-            system.rows.push_back(std::move(row));
-        }
+    // One O(|T|) pass over transition endpoints fills every row at once:
+    // row q is the q-th coordinate of the displacements Δt, states
+    // ascending, the input state skipped.
+    std::vector<std::vector<std::int64_t>> delta(protocol.num_states(),
+                                                 std::vector<std::int64_t>(system.num_vars, 0));
+    for (std::size_t t = 0; t < system.num_vars; ++t) {
+        const Transition& transition = protocol.transitions()[t];
+        ++delta[static_cast<std::size_t>(transition.post1)][t];
+        ++delta[static_cast<std::size_t>(transition.post2)][t];
+        --delta[static_cast<std::size_t>(transition.pre1)][t];
+        --delta[static_cast<std::size_t>(transition.pre2)][t];
+    }
+    for (std::size_t q = 0; q < protocol.num_states(); ++q) {
+        if (static_cast<StateId>(q) == input) continue;
+        system.rows.push_back(std::move(delta[q]));
     }
 
     RealisableBasis basis;

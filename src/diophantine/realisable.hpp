@@ -44,9 +44,6 @@ BigNat pottier_constant(const Protocol& protocol);
 /// Computes the realisable-multiset basis.  Throws std::invalid_argument
 /// for protocols with leaders or with more than one input variable (the
 /// system is only homogeneous in the leaderless single-input case).
-/// `options.compute` selects both the row-assembly strategy here (sparse:
-/// one O(|T|) endpoint scatter; reference: the seed-era |Q|·|T| scan) and
-/// the completion backend in pottier.hpp; both choices are result-identical.
 RealisableBasis realisable_multiset_basis(const Protocol& protocol,
                                           const HilbertOptions& options = {});
 

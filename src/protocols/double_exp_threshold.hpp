@@ -28,9 +28,8 @@
 
 namespace ppsc::protocols {
 
-/// Hard cap on η's binary size.  The sparse rule table (RuleTable::sparse,
-/// picked automatically past ~4k states) removed the Θ(|Q|²) memory wall
-/// that used to cap this at ~8k bits; what remains is construction cost —
+/// Hard cap on η's binary size.  The rule table is Θ(#non-silent pairs), so
+/// there is no Θ(|Q|²) memory wall; what caps this is construction cost —
 /// the builder emits Θ(k · #collectors) transitions, which for bit-dense η
 /// is quadratic in the bit length.  2¹⁷ + 1 bits admits the flagship
 /// double_exp_threshold(17) with |Q| = 2¹⁷ + 3 > 10⁵ states (exact powers

@@ -175,7 +175,10 @@ std::uint64_t protocol_fingerprint(const Protocol& protocol) {
     }
     for (std::size_t q = 0; q < protocol.num_states(); ++q)
         h = mix(h, static_cast<std::uint64_t>(protocol.leaders()[static_cast<StateId>(q)]));
-    h = mix(h, static_cast<std::uint64_t>(protocol.rule_table()));
+    // Tag of the retired dense/sparse rule-table switch, kept so checkpoints
+    // written before it was removed still match.
+    const std::uint64_t n = protocol.num_states();
+    h = mix(h, n * (n + 1) / 2 <= (std::uint64_t{1} << 23) ? 1 : 2);
     return h;
 }
 

@@ -18,9 +18,8 @@
 //        8     4  format version (u32)
 //       12     4  reserved (0)
 //       16     8  protocol fingerprint (u64) — hash of states, outputs,
-//                 transitions, inputs, leaders, and rule-table kind, so a
-//                 checkpoint cannot silently load against the wrong
-//                 protocol
+//                 transitions, inputs and leaders, so a checkpoint
+//                 cannot silently load against the wrong protocol
 //       24     8  num_states (u64)
 //       32     8  support size S (u64)
 //       40   12S  sparse counts: (state u32, count u64) per supported
@@ -86,9 +85,9 @@ struct Checkpoint {
 };
 
 /// Structural hash of a protocol: state names and outputs, transitions,
-/// input mapping, leaders, and the resolved rule-table kind.  Two protocols
-/// drive identical trajectories from identical seeds iff this matches, so a
-/// checkpoint is only resumed into a simulator with the same fingerprint.
+/// input mapping and leaders.  Two protocols drive identical trajectories
+/// from identical seeds iff this matches, so a checkpoint is only resumed
+/// into a simulator with the same fingerprint.
 std::uint64_t protocol_fingerprint(const Protocol& protocol);
 
 /// Order-independent-of-nothing digest of a configuration's counts (CRC-64

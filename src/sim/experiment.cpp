@@ -173,10 +173,6 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
             variants.push_back({"double_exp_dense(" + std::to_string(n) + ")",
                                 protocols::double_exp_threshold_dense(n)});
         }
-        if (options.rule_table != RuleTable::automatic) {
-            for (Variant& variant : variants)
-                variant.protocol = variant.protocol.with_rule_table(options.rule_table);
-        }
         for (const Variant& variant : variants) {
             const Simulator simulator(variant.protocol, options.selection,
                                       options.trap_compute);
@@ -212,8 +208,6 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                 row.protocol = variant.label;
                 row.num_states = variant.protocol.num_states();
                 row.nonsilent_pairs = variant.protocol.nonsilent_pairs().size();
-                row.rule_table =
-                    variant.protocol.rule_table() == RuleTable::dense ? "dense" : "sparse";
                 row.rule_table_bytes = variant.protocol.rule_table_bytes();
                 row.trap_setup_seconds = simulator.trap_setup_seconds();
                 row.population = population;

@@ -82,7 +82,6 @@ struct ThroughputRow {
     std::string protocol;             ///< family instance, e.g. "double_exp(8)"
     std::size_t num_states = 0;
     std::size_t nonsilent_pairs = 0;
-    std::string rule_table;           ///< "dense" or "sparse" (resolved kind)
     std::size_t rule_table_bytes = 0; ///< Protocol::rule_table_bytes()
     /// Seconds the row's Simulator spent computing its output traps — the
     /// stable-consensus setup cost the worklist fixpoint collapses from
@@ -112,22 +111,16 @@ struct E11Options {
     std::uint64_t seed = 0xE11;
     bool include_dense = true;
     /// Dense variants stop here: their Θ(4^n) construction is what makes
-    /// the flagship-only n ≥ 13 rows (sparse rule table, |Q| > 8000)
-    /// worth sweeping separately.
+    /// the flagship-only n ≥ 13 rows (|Q| > 8000) worth sweeping
+    /// separately.
     int max_dense_n = 10;
     /// Fired-step pair selection of the simulators driven by the sweep —
     /// sweeping both values benchmarks the pair-weight Fenwick against the
     /// reference scan on identical trajectories.
     PairSelect selection = PairSelect::fenwick;
-    /// Rule-table representation of the swept protocols: `automatic` (the
-    /// default) resolves per instance; forcing `sparse` runs every row —
-    /// small instances included — through the hash-table lookup, which is
-    /// how the CI smoke covers the sparse path end to end.
-    RuleTable rule_table = RuleTable::automatic;
     /// Trap-computation algorithm of the swept simulators (identical traps
-    /// either way; the forced-`reference` CI smoke leg mirrors the
-    /// forced-sparse one).  `trap_setup_seconds` makes the difference
-    /// visible as a column.
+    /// either way; the CI smoke runs a forced-`reference` leg).
+    /// `trap_setup_seconds` makes the difference visible as a column.
     TrapCompute trap_compute = TrapCompute::worklist;
     /// Stepping mode of the swept simulators: `epoch` batches the fired
     /// interactions of the merge frontier into multinomial draws

@@ -38,9 +38,8 @@ Simulator::Simulator(const Protocol& protocol, PairSelect pair_select, TrapCompu
     : protocol_(protocol), pair_select_(pair_select), trap_compute_(trap_compute) {
     if (pair_select_ == PairSelect::automatic) {
         // The heuristic is keyed on the PairId universe (#non-silent pairs),
-        // not on |Q|² — so it resolves identically under the dense and the
-        // sparse rule table, and a sparse-table protocol with |Q| ≥ 10⁵ but
-        // a handful of rule-bearing pairs still gets the cheaper scan.
+        // not on |Q|² — so a protocol with |Q| ≥ 10⁵ but a handful of
+        // rule-bearing pairs still gets the cheaper scan.
         pair_select_ = protocol_.nonsilent_pairs().size() >= kFenwickPairThreshold
                            ? PairSelect::fenwick
                            : PairSelect::scan;
@@ -360,8 +359,8 @@ std::optional<TransitionId> Simulator::advance(StepContextT<W>& ctx, Config& con
         PPSC_CHECK_MSG(chosen_pair != Protocol::kNoPair,
                        "active pair weight out of sync with counts");
     }
-    // The PairId indexes the compact CSR directly — no pair lookup (dense
-    // array or sparse hash probe) on the fired-step path at all.
+    // The PairId indexes the compact CSR directly — no pair lookup on the
+    // fired-step path at all.
     const auto rules = protocol_.rules_for_pair_id(chosen_pair);
     PPSC_DASSERT(!rules.empty());
     const TransitionId chosen = choose_rule(rules, rng);

@@ -50,10 +50,9 @@
 //      tests/support_stats/ and docs/ARCHITECTURE.md).
 //
 // All encounter resolution goes through Protocol::pair_id — PairIds over
-// the non-silent pairs only — so the engine is agnostic to the protocol's
-// rule-table representation (dense triangular array vs. the sparse hash
-// table that unlocks |Q| ≥ 10⁵; see RuleTable in core/protocol.hpp) and
-// produces identical per-seed trajectories under either.
+// the non-silent pairs only, looked up in a hash table of Θ(#non-silent
+// pairs) entries — so no per-step structure grows with |Q|², which is what
+// lets the engine run rule-sparse protocols with |Q| ≥ 10⁵.
 //
 // Convergence detection.  True stabilisation ("no reachable configuration
 // changes the output") is undecidable to detect locally, so the simulator

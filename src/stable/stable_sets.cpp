@@ -14,14 +14,10 @@ AgentCount BasisElement::norm() const noexcept {
 }
 
 StableAnalysis::StableAnalysis(const Protocol& protocol, AgentCount max_population,
-                               ReachabilityOptions options, ClosureCompute compute)
-    : protocol_(protocol), max_population_(max_population), options_(options),
-      compute_(compute) {
+                               ReachabilityOptions options)
+    : protocol_(protocol), max_population_(max_population), options_(options) {
     if (max_population < 2)
         throw std::invalid_argument("StableAnalysis: max_population must be >= 2");
-    // Successor enumeration inside the slices follows the analysis-wide
-    // compute kind, whatever the caller left in `options`.
-    options_.compute = compute_;
 }
 
 void StableAnalysis::ensure_slice(AgentCount population) const {
@@ -46,7 +42,7 @@ void StableAnalysis::ensure_slice(AgentCount population) const {
 
     std::vector<Stability> slice_flags(graph.num_nodes(), Stability::kNeither);
     for (int b = 0; b < 2; ++b) {
-        const std::vector<bool> can_reach_bad = graph.backward_closure(bad[b], compute_);
+        const std::vector<bool> can_reach_bad = graph.backward_closure(bad[b]);
         for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
             if (!can_reach_bad[node]) {
                 PPSC_CHECK(slice_flags[node] == Stability::kNeither);

@@ -9,10 +9,9 @@
 // outputs ¬b } — one backward reachability from Bad_b per slice, then
 // complement.  Bad_b is seeded from each node's count row in the graph
 // arena (an agent outside O⁻¹(b) is a nonzero count), and the backward
-// reachability runs the ClosureCompute machinery of verify/reachability.hpp
-// — sparse reverse-CSR worklist by default, the seed-era dense formulation
-// as a swappable reference asserted identical in
-// tests/analysis_sparse_test.cpp.
+// reachability is ReachabilityGraph::backward_closure's reverse-CSR
+// worklist (asserted identical to a deque-BFS oracle in
+// tests/analysis_sparse_test.cpp).
 //
 // Lemma 3.1 says SC_b is downward closed; Lemma 3.2 says it has a basis
 // (B,S) — finitely many "seed plus pumpable directions" pieces — of norm at
@@ -64,16 +63,11 @@ class StableAnalysis {
 public:
     /// Validates the inputs; no slice is built until first use.  Queries
     /// throw std::length_error if a slice exceeds the node budget.
-    /// `compute` selects the closure machinery for every slice this
-    /// analysis builds: successor enumeration and backward closure both run
-    /// sparse (CSR) or both run the dense reference.
     StableAnalysis(const Protocol& protocol, AgentCount max_population,
-                   ReachabilityOptions options = {},
-                   ClosureCompute compute = ClosureCompute::sparse);
+                   ReachabilityOptions options = {});
 
     const Protocol& protocol() const noexcept { return protocol_; }
     AgentCount max_population() const noexcept { return max_population_; }
-    ClosureCompute compute() const noexcept { return compute_; }
 
     /// Stability of a configuration with 2 ≤ |C| ≤ max_population.
     /// Throws std::invalid_argument outside that range.
@@ -116,7 +110,6 @@ private:
     Protocol protocol_;
     AgentCount max_population_;
     ReachabilityOptions options_;
-    ClosureCompute compute_;
     // Lazy caches, keyed by population size (see the class comment for the
     // memory bound).
     mutable std::map<AgentCount, ReachabilityGraph> slices_;

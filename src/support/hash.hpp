@@ -28,9 +28,9 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
 }
 
 /// Open-addressed hash map from 64-bit keys to dense 32-bit indices: key
-/// `keys[i]` maps to `i`.  Built once, then read-only — the sparse rule-table
-/// lookup of Protocol (packed state pair → PairId), sized by the number of
-/// *non-silent* pairs instead of the Θ(|Q|²) triangular table.
+/// `keys[i]` maps to `i`.  Built once, then read-only — the rule-table lookup
+/// of Protocol (packed state pair → PairId), sized by the number of
+/// *non-silent* pairs instead of a Θ(|Q|²) triangular table.
 ///
 /// Linear probing over a power-of-two table at load factor ≤ 0.5, so a
 /// lookup is one mix + a short probe run in two parallel flat arrays.  Keys

@@ -51,7 +51,6 @@ void ReachabilityGraph::reset(const Protocol& protocol) {
     offsets_.assign(1, 0);
     targets_.clear();
     roots_.clear();
-    reverse_adjacency_.clear();
     reverse_offsets_.clear();
     reverse_targets_.clear();
 }
@@ -134,42 +133,25 @@ void ReachabilityGraph::close(const ReachabilityOptions& options) {
         std::copy(current.begin(), current.end(), scratch);  // rows_ may grow below
         node_hash = hashes_[static_cast<std::size_t>(node)];
         out_.clear();
-        if (options.compute == ClosureCompute::sparse) {
-            // Walk the non-silent-pair CSR restricted to the support: every
-            // enabled pair with at least one rule is reached through the
-            // neighbour lists of its (occupied) endpoints, each unordered
-            // pair exactly once (self pairs via self_pair, non-self pairs
-            // from their lower endpoint).  Silent support pairs are never
-            // touched, so the cost is Σ_{q ∈ supp} deg(q) + rules fired,
-            // independent of the rule-table kind.
-            for (StateId q = 0; static_cast<std::size_t>(q) < width_; ++q) {
-                if (scratch[q] == 0) continue;
-                if (scratch[q] >= 2) {
-                    const Protocol::PairId self = protocol_->self_pair(q);
-                    if (self != Protocol::kNoPair) {
-                        for (const TransitionId rule : protocol_->rules_for_pair_id(self))
-                            fire_rule(rule);
-                    }
-                }
-                for (const Protocol::PairNeighbor& neighbor : protocol_->pair_neighbors(q)) {
-                    if (neighbor.partner < q || scratch[neighbor.partner] == 0) continue;
-                    for (const TransitionId rule : protocol_->rules_for_pair_id(neighbor.pair))
+        // Walk the non-silent-pair CSR restricted to the support: every
+        // enabled pair with at least one rule is reached through the
+        // neighbour lists of its (occupied) endpoints, each unordered pair
+        // exactly once (self pairs via self_pair, non-self pairs from their
+        // lower endpoint).  Silent support pairs are never touched, so the
+        // cost is Σ_{q ∈ supp} deg(q) + rules fired.
+        for (StateId q = 0; static_cast<std::size_t>(q) < width_; ++q) {
+            if (scratch[q] == 0) continue;
+            if (scratch[q] >= 2) {
+                const Protocol::PairId self = protocol_->self_pair(q);
+                if (self != Protocol::kNoPair) {
+                    for (const TransitionId rule : protocol_->rules_for_pair_id(self))
                         fire_rule(rule);
                 }
             }
-        } else {
-            // Reference: probe every support × support pair through the rule
-            // table (the seed formulation).
-            support_.clear();
-            for (StateId q = 0; static_cast<std::size_t>(q) < width_; ++q)
-                if (scratch[q] > 0) support_.push_back(q);
-            for (std::size_t i = 0; i < support_.size(); ++i) {
-                for (std::size_t j = i; j < support_.size(); ++j) {
-                    if (i == j && scratch[support_[i]] < 2) continue;
-                    for (const TransitionId rule :
-                         protocol_->rules_for_pair(support_[i], support_[j]))
-                        fire_rule(rule);
-                }
+            for (const Protocol::PairNeighbor& neighbor : protocol_->pair_neighbors(q)) {
+                if (neighbor.partner < q || scratch[neighbor.partner] == 0) continue;
+                for (const TransitionId rule : protocol_->rules_for_pair_id(neighbor.pair))
+                    fire_rule(rule);
             }
         }
         std::sort(out_.begin(), out_.end());
@@ -340,16 +322,6 @@ std::vector<bool> ReachabilityGraph::forward_closure(NodeId start) const {
     return visited;
 }
 
-void ReachabilityGraph::build_reverse_edges() const {
-    if (!reverse_adjacency_.empty() || num_nodes() == 0) return;
-    reverse_adjacency_.resize(num_nodes());
-    for (std::size_t node = 0; node < num_nodes(); ++node) {
-        for (const NodeId target : out_edges(node))
-            reverse_adjacency_[static_cast<std::size_t>(target)].push_back(
-                static_cast<NodeId>(node));
-    }
-}
-
 void ReachabilityGraph::build_reverse_csr() const {
     if (!reverse_offsets_.empty() || num_nodes() == 0) return;
     // Counting sort of the edge list by target: two passes over the forward
@@ -367,35 +339,13 @@ void ReachabilityGraph::build_reverse_csr() const {
     }
 }
 
-std::vector<bool> ReachabilityGraph::backward_closure(const std::vector<bool>& targets,
-                                                      ClosureCompute compute) const {
+std::vector<bool> ReachabilityGraph::backward_closure(const std::vector<bool>& targets) const {
     if (targets.size() != num_nodes())
         throw std::invalid_argument("ReachabilityGraph::backward_closure: size mismatch");
 
-    if (compute == ClosureCompute::reference) {
-        build_reverse_edges();
-        std::vector<bool> visited = targets;
-        std::deque<NodeId> queue;
-        for (std::size_t node = 0; node < targets.size(); ++node) {
-            if (targets[node]) queue.push_back(static_cast<NodeId>(node));
-        }
-        while (!queue.empty()) {
-            const NodeId node = queue.front();
-            queue.pop_front();
-            for (const NodeId prev : reverse_adjacency_[static_cast<std::size_t>(node)]) {
-                if (!visited[static_cast<std::size_t>(prev)]) {
-                    visited[static_cast<std::size_t>(prev)] = true;
-                    queue.push_back(prev);
-                }
-            }
-        }
-        return visited;
-    }
-
-    // Sparse: round-structured worklist over the flat reverse CSR, seeded
-    // from the target set (in stable-set use, Bad_b — itself seeded from
-    // sparse support scans).  Rounds are BFS levels; the closure is a set,
-    // so the result is identical to the reference BFS.
+    // Round-structured worklist over the flat reverse CSR, seeded from the
+    // target set (in stable-set use, Bad_b — itself seeded from sparse
+    // support scans).  Rounds are BFS levels.
     build_reverse_csr();
     std::vector<bool> visited = targets;
     std::vector<NodeId> round;

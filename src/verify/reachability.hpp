@@ -26,13 +26,12 @@
 //
 // Successor enumeration walks the protocol's non-silent-pair CSR
 // (`pair_neighbors`/`self_pair` restricted to the configuration's support)
-// instead of probing every support × support pair through the rule table,
-// and the backward closure runs a round-structured worklist over a flat
-// reverse CSR.  Both keep the dense formulation as a swappable reference
-// (`ClosureCompute::reference`, mirroring sim/traps.hpp's TrapCompute),
-// asserted result-identical in tests/analysis_sparse_test.cpp; the arena
-// itself is asserted node-for-node identical to a naive map-based BFS in
-// tests/reachability_arena_test.cpp.
+// instead of probing every support × support pair, and the backward closure
+// runs a round-structured worklist over a flat reverse CSR.  The seed-era
+// formulations of both live on as test oracles (tests/oracle/): the arena
+// is asserted node-for-node identical to a naive map-based BFS in
+// tests/reachability_arena_test.cpp, and the closure set-identical to a
+// deque BFS in tests/analysis_sparse_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -48,22 +47,11 @@ namespace ppsc {
 
 using NodeId = std::int32_t;
 
-/// Which formulation computes graph closures (successor enumeration and
-/// backward closure).  Both produce identical graphs and closure sets;
-/// `reference` is the seed-era dense formulation kept for equivalence tests,
-/// CI legs and benchmarks, `sparse` (the default) iterates the protocol/
-/// graph CSR structures only.
-enum class ClosureCompute { sparse, reference };
-
 struct ReachabilityOptions {
     /// Hard cap on the number of distinct configurations explored; larger
     /// graphs throw std::length_error (verification must never silently
     /// truncate — a wrong verdict is worse than no verdict).
     std::size_t max_nodes = 2'000'000;
-    /// How successors are enumerated while the graph is built: `sparse`
-    /// walks the non-silent neighbour CSR of each support state, `reference`
-    /// probes every support × support pair through the rule table.
-    ClosureCompute compute = ClosureCompute::sparse;
 };
 
 class ReachabilityGraph {
@@ -129,14 +117,10 @@ public:
     /// All nodes reachable from `start` (forward BFS over the graph).
     std::vector<bool> forward_closure(NodeId start) const;
 
-    /// All nodes that can reach some node in `targets`.  `sparse` runs a
-    /// round-structured worklist over a lazily built flat reverse CSR
-    /// (offsets + one contiguous predecessor array); `reference` is the
-    /// seed-era vector-of-vectors reverse adjacency + deque BFS.  The
-    /// closure is a set, so both are exactly identical (asserted in
-    /// tests/analysis_sparse_test.cpp).
-    std::vector<bool> backward_closure(const std::vector<bool>& targets,
-                                       ClosureCompute compute = ClosureCompute::sparse) const;
+    /// All nodes that can reach some node in `targets`: a round-structured
+    /// worklist over a lazily built flat reverse CSR (offsets + one
+    /// contiguous predecessor array).
+    std::vector<bool> backward_closure(const std::vector<bool>& targets) const;
 
 private:
     static constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
@@ -157,7 +141,6 @@ private:
     std::span<const NodeId> out_edges(std::size_t node) const noexcept {
         return {targets_.data() + offsets_[node], targets_.data() + offsets_[node + 1]};
     }
-    void build_reverse_edges() const;
     void build_reverse_csr() const;
 
     const Protocol* protocol_ = nullptr;
@@ -170,15 +153,12 @@ private:
     std::vector<std::uint32_t> offsets_;   // CSR: node's successors are
     std::vector<NodeId> targets_;          //   targets_[offsets_[n] .. offsets_[n+1])
     std::vector<NodeId> out_;              // one node's successors before sorting
-    std::vector<StateId> support_;         // one node's support (reference enumeration)
     std::vector<NodeId> roots_;
 
-    // Lazily built reverse edges, one per formulation: the reference keeps
-    // the seed-era vector-of-vectors, the sparse path a flat CSR
-    // (Θ(nodes + edges) in two contiguous arrays, no per-node allocation).
-    mutable std::vector<std::vector<NodeId>> reverse_adjacency_;  // reference
-    mutable std::vector<std::uint32_t> reverse_offsets_;          // sparse CSR
-    mutable std::vector<NodeId> reverse_targets_;                 // sparse CSR
+    // Lazily built reverse edges as a flat CSR (Θ(nodes + edges) in two
+    // contiguous arrays, no per-node allocation).
+    mutable std::vector<std::uint32_t> reverse_offsets_;
+    mutable std::vector<NodeId> reverse_targets_;
 };
 
 }  // namespace ppsc

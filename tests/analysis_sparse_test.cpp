@@ -1,31 +1,23 @@
-// Sparse ≡ reference identity for the analysis stack (PR 6).
-//
-// Every ported layer keeps its seed-era dense formulation as a swappable
-// reference (mirroring sim/traps.hpp's TrapCompute), and this file asserts
-// the two backends *agree* — exhaustively over small protocols, randomly
-// over larger ones, and on a hand-built graph whose backward closure has a
-// non-trivial BFS round structure.  Covered contracts:
-//
-//   * ReachabilityGraph successor enumeration (ClosureCompute in explore /
-//     full_slice) — identical node sets, edges and SCC structure;
-//   * ReachabilityGraph::backward_closure — worklist vs reverse-BFS;
-//   * StableAnalysis — identical stable sets under either backend;
-//   * Verifier::infer_threshold — identical verdicts end to end, and the
-//     screening phase is sound: a refuted candidate's exact threshold is
-//     always nullopt;
-//   * hilbert_basis_equalities / realisable_multiset_basis — identical
-//     bases from the incremental-residual and recompute backends;
-//   * bounds::stable_configuration_for_input — identical selections from
-//     the one-pass and per-component-rescan aggregations.
+// The analysis stack against its test oracles (tests/oracle/):
+// exhaustively over small protocols, randomly over larger ones, and on a
+// hand-built graph whose backward closure has a non-trivial BFS round
+// structure.  Covered: full_slice against the support × support BFS,
+// backward_closure against a deque BFS, StableAnalysis, the pumping
+// selection against the per-component rescan, hilbert_basis_equalities
+// against brute force up to the Pottier bound, realisable_multiset_basis
+// against the displacement-built system — and screening soundness: a
+// candidate the simulation phase refutes has no exact threshold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bounds/pumping.hpp"
 #include "diophantine/realisable.hpp"
+#include "oracle/graph.hpp"
+#include "oracle/hilbert.hpp"
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/threshold.hpp"
 #include "stable/stable_sets.hpp"
@@ -36,102 +28,93 @@
 namespace ppsc {
 namespace {
 
-ReachabilityOptions with_compute(ClosureCompute compute) {
-    ReachabilityOptions options;
-    options.compute = compute;
-    return options;
-}
-
-/// Asserts the two successor-enumeration backends build the same graph.
 /// full_slice interns every configuration of the slice up front (in
-/// enumeration order) and close() sorts each node's out-list, so the two
-/// graphs must match node for node, edge for edge.
-void expect_slices_identical(const Protocol& protocol, AgentCount population,
-                             const std::string& what) {
-    const ReachabilityGraph sparse =
-        ReachabilityGraph::full_slice(protocol, population, with_compute(ClosureCompute::sparse));
-    const ReachabilityGraph reference = ReachabilityGraph::full_slice(
-        protocol, population, with_compute(ClosureCompute::reference));
-    ASSERT_EQ(sparse.num_nodes(), reference.num_nodes()) << what;
-    for (std::size_t node = 0; node < sparse.num_nodes(); ++node) {
-        const auto id = static_cast<NodeId>(node);
-        ASSERT_EQ(sparse.config(id), reference.config(id)) << what << ", node " << node;
-        const auto sparse_out = sparse.successors(id);
-        const auto reference_out = reference.successors(id);
-        ASSERT_EQ(std::vector<NodeId>(sparse_out.begin(), sparse_out.end()),
-                  std::vector<NodeId>(reference_out.begin(), reference_out.end()))
-            << what << ", node " << node;
+/// enumeration order) and close() sorts each node's out-list, so node ids
+/// do not depend on how successors are enumerated: the slice must match
+/// the support × support oracle node for node, edge for edge.
+void expect_slice_matches_oracle(const Protocol& protocol, AgentCount population,
+                                 const std::string& what) {
+    const ReachabilityGraph slice = ReachabilityGraph::full_slice(protocol, population);
+    const oracle::NaiveGraph naive =
+        oracle::naive_graph(protocol, oracle::slice_configs(protocol.num_states(), population),
+                            false, oracle::rules_over_support_pairs);
+    ASSERT_EQ(slice.num_nodes(), naive.rows.size()) << what;
+    for (std::size_t node = 0; node < slice.num_nodes(); ++node) {
+        const auto out = slice.successors(static_cast<NodeId>(node));
+        ASSERT_EQ(slice.config(static_cast<NodeId>(node)).counts(), naive.rows[node]) << what;
+        ASSERT_EQ(std::vector<NodeId>(out.begin(), out.end()), naive.successors[node]) << what;
     }
 
-    // Backward closures on the shared graph: seed from each output class
-    // (the stable-set use) and compare the worklist against the reference
-    // reverse-BFS.
+    // Backward closures from Bad_b, the stable-set use.
     for (int b = 0; b < 2; ++b) {
-        std::vector<bool> targets(sparse.num_nodes(), false);
-        for (std::size_t node = 0; node < sparse.num_nodes(); ++node)
-            targets[node] = sparse.protocol().consensus_output(
-                                sparse.config(static_cast<NodeId>(node))) == b;
-        EXPECT_EQ(sparse.backward_closure(targets, ClosureCompute::sparse),
-                  sparse.backward_closure(targets, ClosureCompute::reference))
+        std::vector<bool> bad(slice.num_nodes(), false);
+        for (std::size_t node = 0; node < slice.num_nodes(); ++node)
+            bad[node] = protocol.consensus_output(slice.row(static_cast<NodeId>(node))) != b;
+        EXPECT_EQ(slice.backward_closure(bad), oracle::backward_closure(slice, bad))
             << what << ", b = " << b;
     }
 }
 
-void expect_layers_identical(const Protocol& protocol, AgentCount max_population,
-                             const std::string& what) {
-    expect_slices_identical(protocol, max_population, what);
+/// A·y − s = 0: the slack form generating_basis_inequalities completes.
+HomogeneousSystem slack_form(const HomogeneousSystem& system) {
+    HomogeneousSystem slack{system.num_vars + system.rows.size(), {}};
+    for (std::size_t i = 0; i < system.rows.size(); ++i) {
+        std::vector<std::int64_t> row = system.rows[i];
+        row.resize(slack.num_vars, 0);
+        row[system.num_vars + i] = -1;
+        slack.rows.push_back(std::move(row));
+    }
+    return slack;
+}
 
-    // Stable sets: identical classifications under either backend.
-    const StableAnalysis sparse(protocol, max_population, {}, ClosureCompute::sparse);
-    const StableAnalysis reference(protocol, max_population, {}, ClosureCompute::reference);
+/// The completion against the exact Hilbert basis, when the Pottier box
+/// has at most `max_points` points; returns whether the system was checked.
+bool expect_hilbert_matches_oracle(const HomogeneousSystem& system, std::uint64_t max_points,
+                                   const std::string& what) {
+    const auto exact = oracle::exact_hilbert_basis(system, max_points);
+    if (!exact) return false;
+    auto basis = hilbert_basis_equalities(system);
+    std::sort(basis.begin(), basis.end());
+    EXPECT_EQ(basis, *exact) << what;
+    return true;
+}
+
+void expect_layers_match_oracles(const Protocol& protocol, AgentCount max_population,
+                                 const std::string& what) {
+    expect_slice_matches_oracle(protocol, max_population, what);
+
+    const StableAnalysis analysis(protocol, max_population);
     for (AgentCount population = 2; population <= max_population; ++population) {
         for (int b = 0; b < 2; ++b) {
-            EXPECT_EQ(sparse.stable_configs(population, b),
-                      reference.stable_configs(population, b))
+            EXPECT_EQ(analysis.stable_configs(population, b),
+                      oracle::stable_configs(protocol, population, b))
                 << what << ", population " << population << ", b = " << b;
         }
     }
 
-    // End-to-end verdicts: the threshold inference must not depend on the
-    // backend that built its reachability graphs.
-    const Verifier sparse_verifier(protocol, with_compute(ClosureCompute::sparse));
-    const Verifier reference_verifier(protocol, with_compute(ClosureCompute::reference));
-    EXPECT_EQ(sparse_verifier.infer_threshold(max_population),
-              reference_verifier.infer_threshold(max_population))
-        << what;
-
     // Pumping's stable-configuration selection.
     for (AgentCount input = 2; input <= max_population; ++input) {
-        EXPECT_EQ(bounds::stable_configuration_for_input(protocol, input, {},
-                                                         ClosureCompute::sparse),
-                  bounds::stable_configuration_for_input(protocol, input, {},
-                                                         ClosureCompute::reference))
+        EXPECT_EQ(bounds::stable_configuration_for_input(protocol, input),
+                  oracle::stable_configuration_for_input(protocol, input))
             << what << ", input " << input;
     }
 
-    // Diophantine: incremental-residual completion and scatter row assembly
-    // against the recompute-everything reference.  The backends walk the
-    // identical frontier, so a budget abort (possible for the nastier
-    // random systems) must also strike both or neither.
-    HilbertOptions sparse_hilbert, reference_hilbert;
-    sparse_hilbert.compute = HilbertCompute::sparse;
-    reference_hilbert.compute = HilbertCompute::reference;
-    sparse_hilbert.max_frontier = reference_hilbert.max_frontier = 200'000;
-    std::optional<RealisableBasis> basis_sparse, basis_reference;
+    // Diophantine: the realisable basis is the basis of the displacement
+    // system, and — where the box is small — the completion of its slack
+    // form is the exact Hilbert basis.  A budget abort (possible for the
+    // nastier random systems) must strike both or neither.
+    HilbertOptions hilbert;
+    hilbert.max_frontier = 200'000;
+    const HomogeneousSystem system = oracle::realisable_system(protocol);
+    RealisableBasis basis;
     try {
-        basis_sparse = realisable_multiset_basis(protocol, sparse_hilbert);
+        basis = realisable_multiset_basis(protocol, hilbert);
     } catch (const std::length_error&) {
+        EXPECT_THROW(generating_basis_inequalities(system, hilbert), std::length_error) << what;
+        return;
     }
-    try {
-        basis_reference = realisable_multiset_basis(protocol, reference_hilbert);
-    } catch (const std::length_error&) {
-    }
-    ASSERT_EQ(basis_sparse.has_value(), basis_reference.has_value()) << what;
-    if (basis_sparse) {
-        EXPECT_EQ(basis_sparse->elements, basis_reference->elements) << what;
-        EXPECT_EQ(basis_sparse->inputs, basis_reference->inputs) << what;
-        EXPECT_EQ(basis_sparse->results, basis_reference->results) << what;
-    }
+    EXPECT_EQ(basis.elements, generating_basis_inequalities(system, hilbert)) << what;
+    expect_hilbert_matches_oracle(slack_form(system), 20'000, what);
 }
 
 // Every protocol over 3 states with at most two non-silent transitions and
@@ -160,7 +143,7 @@ TEST(AnalysisSparse, ExhaustiveThreeStateSweep) {
             b.set_input("x", 0);
             for (const Candidate& t : transitions) b.add_transition(t.p, t.q, t.p2, t.q2);
             const Protocol protocol = std::move(b).build();
-            expect_layers_identical(protocol, 4, "outputs mask " + std::to_string(outputs));
+            expect_layers_match_oracles(protocol, 4, "outputs mask " + std::to_string(outputs));
             ++checked;
         }
     };
@@ -175,8 +158,8 @@ TEST(AnalysisSparse, ExhaustiveThreeStateSweep) {
 }
 
 // Randomised protocols over 5 states with up to 8 transitions: multi-rule
-// pairs, dead states, and graphs big enough that the sparse and reference
-// enumerations take genuinely different paths.
+// pairs, dead states, and graphs big enough that the CSR walk and the
+// support × support probe take genuinely different paths.
 TEST(AnalysisSparse, RandomisedFiveStateSweep) {
     Rng rng(0x7a9);
     for (int round = 0; round < 60; ++round) {
@@ -191,19 +174,20 @@ TEST(AnalysisSparse, RandomisedFiveStateSweep) {
                              static_cast<StateId>(rng.below(5)));
         }
         const Protocol protocol = std::move(b).build();
-        expect_layers_identical(protocol, 4, "random round " + std::to_string(round));
+        expect_layers_match_oracles(protocol, 4, "random round " + std::to_string(round));
     }
 }
 
 // The paper's families, where the sparse paths matter most.
 TEST(AnalysisSparse, FamiliesAgree) {
-    expect_slices_identical(protocols::unary_threshold(3), 5, "unary(3)");
-    expect_slices_identical(protocols::collector_threshold(5), 4, "collector(5)");
-    expect_slices_identical(protocols::double_exp_threshold(4), 4, "double_exp(4)");
-    expect_slices_identical(protocols::double_exp_threshold_dense(2), 4, "double_exp_dense(2)");
+    expect_slice_matches_oracle(protocols::unary_threshold(3), 5, "unary(3)");
+    expect_slice_matches_oracle(protocols::collector_threshold(5), 4, "collector(5)");
+    expect_slice_matches_oracle(protocols::double_exp_threshold(4), 4, "double_exp(4)");
+    expect_slice_matches_oracle(protocols::double_exp_threshold_dense(2), 4,
+                                "double_exp_dense(2)");
 }
 
-// Regression pinning the round structure of the sparse backward closure:
+// Regression pinning the round structure of the backward closure:
 // a three-level chain with a diamond.  The closure is a *set*, so unlike
 // the trap fixpoint no order discipline is needed — but the exact expected
 // sets are pinned here so a future worklist rewrite that drops nodes (e.g.
@@ -235,12 +219,10 @@ TEST(AnalysisSparse, BackwardClosureRegressionOnDiamondChain) {
 
     std::vector<bool> root_only(graph.num_nodes(), false);
     root_only[static_cast<std::size_t>(graph.roots()[0])] = true;
-    const auto from_root_sparse = graph.backward_closure(root_only, ClosureCompute::sparse);
-    const auto from_root_reference =
-        graph.backward_closure(root_only, ClosureCompute::reference);
-    EXPECT_EQ(from_root_sparse, from_root_reference);
+    const auto from_root = graph.backward_closure(root_only);
+    EXPECT_EQ(from_root, oracle::backward_closure(graph, root_only));
     // The root has no predecessors: its backward closure is itself.
-    EXPECT_EQ(std::count(from_root_sparse.begin(), from_root_sparse.end(), true), 1);
+    EXPECT_EQ(std::count(from_root.begin(), from_root.end(), true), 1);
 
     // Seeding from every node with no successors (the sinks) must reach
     // every node: the graph is a finite DAG-plus-cycles where each node
@@ -248,8 +230,8 @@ TEST(AnalysisSparse, BackwardClosureRegressionOnDiamondChain) {
     std::vector<bool> sinks(graph.num_nodes(), false);
     for (std::size_t node = 0; node < graph.num_nodes(); ++node)
         sinks[node] = graph.successors(static_cast<NodeId>(node)).empty();
-    const auto from_sinks = graph.backward_closure(sinks, ClosureCompute::sparse);
-    EXPECT_EQ(from_sinks, graph.backward_closure(sinks, ClosureCompute::reference));
+    const auto from_sinks = graph.backward_closure(sinks);
+    EXPECT_EQ(from_sinks, oracle::backward_closure(graph, sinks));
     EXPECT_EQ(std::count(from_sinks.begin(), from_sinks.end(), true),
               static_cast<std::ptrdiff_t>(graph.num_nodes()));
 }
@@ -323,27 +305,21 @@ TEST(AnalysisSparse, ScreeningIsSoundOnExhaustiveThreeStateSweep) {
     EXPECT_GT(screened, 0u);
 }
 
-// Hilbert backends on raw systems (not just protocol-shaped ones),
-// including a system whose completion takes several frontier generations.
-TEST(AnalysisSparse, HilbertBackendsAgreeOnRawSystems) {
-    const auto both = [](const HomogeneousSystem& system) {
-        HilbertOptions sparse, reference;
-        sparse.compute = HilbertCompute::sparse;
-        reference.compute = HilbertCompute::reference;
-        EXPECT_EQ(hilbert_basis_equalities(system, sparse),
-                  hilbert_basis_equalities(system, reference));
-        EXPECT_EQ(generating_basis_inequalities(system, sparse),
-                  generating_basis_inequalities(system, reference));
+// The completion on raw systems (not just protocol-shaped ones), including
+// a system whose completion takes several frontier generations, against
+// brute force up to the Pottier bound — for the system and its slack form.
+TEST(AnalysisSparse, HilbertMatchesBruteForceOnRawSystems) {
+    std::size_t checked = 0;
+    const auto check = [&](const HomogeneousSystem& system, const std::string& what) {
+        checked += expect_hilbert_matches_oracle(system, 200'000, what);
+        checked += expect_hilbert_matches_oracle(slack_form(system), 200'000, what + " slack");
     };
 
-    // x = y.
-    both({2, {{1, -1}}});
-    // 2x = 3y: minimal solution (3, 2), several generations out.
-    both({2, {{2, -3}}});
-    // x + y = 2z with a redundant doubled row.
-    both({3, {{1, 1, -2}, {2, 2, -4}}});
-    // Empty system: every unit vector is minimal.
-    both({3, {}});
+    check({2, {{1, -1}}}, "x = y");
+    check({2, {{2, -3}}}, "2x = 3y");  // minimal solution (3, 2), several generations out
+    check({3, {{1, 1, -2}, {2, 2, -4}}}, "x + y = 2z, doubled");
+    check({3, {}}, "empty");  // every unit vector is minimal
+    EXPECT_EQ(checked, 6u);
 
     Rng rng(0xd10);
     for (int round = 0; round < 40; ++round) {
@@ -355,8 +331,9 @@ TEST(AnalysisSparse, HilbertBackendsAgreeOnRawSystems) {
             for (auto& a : row) a = static_cast<std::int64_t>(rng.below(5)) - 2;
             system.rows.push_back(std::move(row));
         }
-        both(system);
+        check(system, "random round " + std::to_string(round));
     }
+    EXPECT_GT(checked, 6u + 20u);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
-// The sparse rule table (RuleTable::sparse): the open-addressed pair → id
-// map against the dense triangular reference, edge cases (no non-silent
-// pairs, a single self pair), automatic representation selection at the
-// dense cap, trajectory identity between the two representations — per
-// seed on long batches and exhaustively on the 4995-config sweep — and the
-// |Q| ≥ 10⁵ regime the sparse table unlocks.
+// The rule table: the open-addressed pair → id map, edge cases (no
+// non-silent pairs, a single self pair), memory that scales with the
+// non-silent pairs rather than |Q|², and the |Q| ≥ 10⁵ regime that buys.
+// Protocol.CsrRuleTableMatchesNaiveMapExhaustively (core_protocol_test)
+// checks every lookup against a naive map.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,7 +18,7 @@ namespace {
 
 // Token-merge chain with `num_states` states: c_i,c_i -> z,c_{i+1}, all
 // outputs 0.  Θ(|Q|) non-silent pairs (all self pairs), cheap to build at
-// any size — the shape the sparse table exists for.
+// any size — the shape the hash-table lookup exists for.
 Protocol merge_chain(std::size_t num_states) {
     ProtocolBuilder b;
     const StateId z = b.add_state("z", 0);
@@ -31,23 +29,6 @@ Protocol merge_chain(std::size_t num_states) {
     for (std::size_t i = 0; i + 2 < num_states; ++i)
         b.add_transition(chain[i], chain[i], z, chain[i + 1]);
     return std::move(b).build();
-}
-
-// Every pair lookup of `a` and `b` agrees: pair ids, silence, and the rule
-// spans over all unordered state pairs.
-void expect_identical_lookups(const Protocol& a, const Protocol& b) {
-    ASSERT_EQ(a.num_states(), b.num_states());
-    for (std::size_t p = 0; p < a.num_states(); ++p) {
-        for (std::size_t q = p; q < a.num_states(); ++q) {
-            const auto sp = static_cast<StateId>(p), sq = static_cast<StateId>(q);
-            ASSERT_EQ(a.pair_id(sp, sq), b.pair_id(sp, sq)) << p << "," << q;
-            const auto rules_a = a.rules_for_pair(sp, sq);
-            const auto rules_b = b.rules_for_pair(sp, sq);
-            ASSERT_EQ(rules_a.size(), rules_b.size()) << p << "," << q;
-            for (std::size_t i = 0; i < rules_a.size(); ++i)
-                EXPECT_EQ(rules_a[i], rules_b[i]) << p << "," << q;
-        }
-    }
 }
 
 TEST(DenseIndexMap, FindsEveryKeyAndMissesOthers) {
@@ -68,152 +49,76 @@ TEST(DenseIndexMap, FindsEveryKeyAndMissesOthers) {
     EXPECT_EQ(map.find(0), DenseIndexMap::kMissing);
 }
 
-TEST(SparseRuleTable, ZeroNonsilentPairs) {
-    // A protocol whose every pair is silent: both representations must
-    // report kNoPair everywhere, and a simulation is silent from the start.
-    for (const RuleTable kind : {RuleTable::dense, RuleTable::sparse}) {
-        ProtocolBuilder b;
-        const StateId a = b.add_state("a", 0);
-        b.add_state("b", 1);
-        b.set_input("x", a);
-        b.set_rule_table(kind);
-        const Protocol p = std::move(b).build();
-        EXPECT_EQ(p.rule_table(), kind);
-        EXPECT_TRUE(p.nonsilent_pairs().empty());
-        for (StateId s = 0; s < 2; ++s) {
-            for (StateId t = s; t < 2; ++t) {
-                EXPECT_EQ(p.pair_id(s, t), Protocol::kNoPair);
-                EXPECT_TRUE(p.rules_for_pair(s, t).empty());
-            }
-        }
-        const Simulator simulator(p);
-        Rng rng(1);
-        const SimulationResult result = simulator.run_input(5, rng);
-        EXPECT_TRUE(result.converged);
-        EXPECT_EQ(result.interactions, 0u);
-    }
-}
-
-TEST(SparseRuleTable, SingleSelfPair) {
-    for (const RuleTable kind : {RuleTable::dense, RuleTable::sparse}) {
-        ProtocolBuilder b;
-        const StateId a = b.add_state("a", 0);
-        const StateId t = b.add_state("t", 1);
-        b.set_input("x", a);
-        b.add_transition(a, a, t, t);
-        b.set_rule_table(kind);
-        const Protocol p = std::move(b).build();
-        EXPECT_EQ(p.pair_id(a, a), 0u);
-        EXPECT_EQ(p.self_pair(a), 0u);
-        EXPECT_EQ(p.pair_id(a, t), Protocol::kNoPair);
-        EXPECT_EQ(p.pair_id(t, t), Protocol::kNoPair);
-        EXPECT_TRUE(p.pair_neighbors(a).empty());
-        ASSERT_EQ(p.rules_for_pair_id(0).size(), 1u);
-
-        const Simulator simulator(p);
-        Config config = p.initial_config(2);
-        Rng rng(7);
-        std::uint64_t consumed = 0;
-        const auto fired = simulator.fired_step(config, rng, std::uint64_t{1} << 30, &consumed);
-        ASSERT_TRUE(fired.has_value());
-        EXPECT_EQ(config[t], 2);  // a,a -> t,t fired; now silent
-        EXPECT_FALSE(simulator.fired_step(config, rng, std::uint64_t{1} << 30, &consumed));
-    }
-}
-
-TEST(SparseRuleTable, AutomaticResolvesByTriangularSize) {
-    // 4100 states sit just past kDenseRuleTablePairCap (2²³ triangular
-    // pairs at |Q| = 4096); 4000 sit below it.
-    const Protocol small = merge_chain(4000);
-    EXPECT_EQ(small.rule_table(), RuleTable::dense);
-    const Protocol large = merge_chain(4100);
-    EXPECT_EQ(large.rule_table(), RuleTable::sparse);
-    // Sparse memory is keyed on the ~4k non-silent pairs, not the 8.4M
-    // triangular slots (4 bytes each) the dense array would need.
-    EXPECT_LT(large.rule_table_bytes(), std::size_t{1} << 20);
-    expect_identical_lookups(large, large.with_rule_table(RuleTable::dense));
-}
-
-TEST(SparseRuleTable, PastTheOldDenseCapTrajectoriesMatchDensePerSeed) {
-    // |Q| just past the old practical dense cap (~2·10⁴ states ≈ 800 MB of
-    // triangular offsets): the sparse table runs it in kilobytes, and the
-    // forced-dense rebuild must produce byte-identical trajectories.
-    const Protocol sparse = merge_chain(20'005);
-    ASSERT_EQ(sparse.rule_table(), RuleTable::sparse);
-    EXPECT_LT(sparse.rule_table_bytes(), std::size_t{1} << 21);
-    const Protocol dense = sparse.with_rule_table(RuleTable::dense);
-    ASSERT_EQ(dense.rule_table(), RuleTable::dense);
-    EXPECT_GT(dense.rule_table_bytes(), std::size_t{200'000'000} * 4);
-
-    const Simulator sim_sparse(sparse), sim_dense(dense);
-    EXPECT_EQ(sim_sparse.pair_selection(), sim_dense.pair_selection());
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        Config a = sparse.initial_config(1 << 12);
-        Config b = dense.initial_config(1 << 12);
-        Rng rng_a(seed), rng_b(seed);
-        for (int chunk = 0; chunk < 8; ++chunk) {
-            const std::uint64_t done_a = sim_sparse.run_batch(a, rng_a, 2000);
-            const std::uint64_t done_b = sim_dense.run_batch(b, rng_b, 2000);
-            ASSERT_EQ(done_a, done_b) << "seed " << seed << " chunk " << chunk;
-            ASSERT_TRUE(a == b) << "seed " << seed << " chunk " << chunk;
-            if (done_a < 2000) break;  // silent
+TEST(PairLookup, ZeroNonsilentPairs) {
+    // A protocol whose every pair is silent: kNoPair everywhere, and a
+    // simulation is silent from the start.
+    ProtocolBuilder b;
+    const StateId a = b.add_state("a", 0);
+    b.add_state("b", 1);
+    b.set_input("x", a);
+    const Protocol p = std::move(b).build();
+    EXPECT_TRUE(p.nonsilent_pairs().empty());
+    for (StateId s = 0; s < 2; ++s) {
+        for (StateId t = s; t < 2; ++t) {
+            EXPECT_EQ(p.pair_id(s, t), Protocol::kNoPair);
+            EXPECT_TRUE(p.rules_for_pair(s, t).empty());
         }
     }
+    const Simulator simulator(p);
+    Rng rng(1);
+    const SimulationResult result = simulator.run_input(5, rng);
+    EXPECT_TRUE(result.converged);
+    EXPECT_EQ(result.interactions, 0u);
 }
 
-TEST(SparseRuleTable, DenseSparseIdentityOnTheExhaustive4995ConfigSweep) {
-    // The existing exhaustive sweep (sim_pair_fenwick_test) pinned Fenwick
-    // vs. scan selection; this one pins dense vs. sparse rule tables on the
-    // same 4995 configurations: every configuration of up to 6 agents of
-    // double_exp_threshold_dense(2) must consume the random stream
-    // identically under both representations.
-    const Protocol dense_table = protocols::double_exp_threshold_dense(2);
-    ASSERT_EQ(dense_table.rule_table(), RuleTable::dense);  // 9 states: automatic = dense
-    const Protocol sparse_table = dense_table.with_rule_table(RuleTable::sparse);
-    expect_identical_lookups(dense_table, sparse_table);
-    const std::size_t num_states = dense_table.num_states();
-    const Simulator sim_dense(dense_table), sim_sparse(sparse_table);
+TEST(PairLookup, SingleSelfPair) {
+    ProtocolBuilder b;
+    const StateId a = b.add_state("a", 0);
+    const StateId t = b.add_state("t", 1);
+    b.set_input("x", a);
+    b.add_transition(a, a, t, t);
+    const Protocol p = std::move(b).build();
+    EXPECT_EQ(p.pair_id(a, a), 0u);
+    EXPECT_EQ(p.self_pair(a), 0u);
+    EXPECT_EQ(p.pair_id(a, t), Protocol::kNoPair);
+    EXPECT_EQ(p.pair_id(t, t), Protocol::kNoPair);
+    EXPECT_TRUE(p.pair_neighbors(a).empty());
+    ASSERT_EQ(p.rules_for_pair_id(0).size(), 1u);
 
-    std::vector<AgentCount> counts(num_states, 0);
-    std::uint64_t seed = 0;
-    std::size_t checked = 0;
-    const std::function<void(std::size_t, AgentCount)> enumerate = [&](std::size_t q,
-                                                                       AgentCount left) {
-        if (q + 1 == num_states) {
-            counts[q] = left;
-            const Config base = Config::from_counts(counts);
-            if (base.size() >= 2) {
-                Config a = base, b = base;
-                Rng rng_a(++seed), rng_b(seed);
-                std::uint64_t consumed_a = 0, consumed_b = 0;
-                const auto fired_a = sim_dense.fired_step(a, rng_a, 64, &consumed_a);
-                const auto fired_b = sim_sparse.fired_step(b, rng_b, 64, &consumed_b);
-                ASSERT_EQ(fired_a, fired_b) << base.to_string(dense_table.state_names());
-                ASSERT_EQ(consumed_a, consumed_b) << base.to_string(dense_table.state_names());
-                ASSERT_TRUE(a == b) << base.to_string(dense_table.state_names());
-                ++checked;
-            }
-            counts[q] = 0;
-            return;
-        }
-        for (AgentCount c = 0; c <= left; ++c) {
-            counts[q] = c;
-            enumerate(q + 1, left - c);
-        }
-        counts[q] = 0;
-    };
-    for (AgentCount population = 2; population <= 6; ++population) enumerate(0, population);
-    EXPECT_EQ(checked, 4'995u);  // Σ_{m=2..6} C(m+8, 8) — genuinely exhaustive
+    const Simulator simulator(p);
+    Config config = p.initial_config(2);
+    Rng rng(7);
+    std::uint64_t consumed = 0;
+    const auto fired = simulator.fired_step(config, rng, std::uint64_t{1} << 30, &consumed);
+    ASSERT_TRUE(fired.has_value());
+    EXPECT_EQ(config[t], 2);  // a,a -> t,t fired; now silent
+    EXPECT_FALSE(simulator.fired_step(config, rng, std::uint64_t{1} << 30, &consumed));
 }
 
-TEST(SparseRuleTable, UnlocksHundredThousandStates) {
-    // double_exp_threshold(17): |Q| = 2¹⁷ + 3 = 131075 > 10⁵.  The dense
-    // triangular lookup would need 8.6G pair slots (~34 GB); the sparse
-    // table is keyed on the ~2.6·10⁵ non-silent pairs.
+TEST(PairLookup, MemoryScalesWithNonsilentPairsNotStates) {
+    // 4095 states and a single rule: a triangular pair array would hold
+    // 2²³ entries (32 MiB); the table holds one pair.
+    ProtocolBuilder b;
+    for (int q = 0; q < 4095; ++q) b.add_state("q" + std::to_string(q), 0);
+    b.set_input("x", 0);
+    b.add_transition(0, 0, 1, 1);
+    const Protocol one_rule = std::move(b).build();
+    EXPECT_LT(one_rule.rule_table_bytes(), std::size_t{1} << 10);
+    EXPECT_EQ(one_rule.pair_id(0, 0), 0u);
+    EXPECT_EQ(one_rule.pair_id(4094, 4094), Protocol::kNoPair);
+
+    // ~2·10⁴ states with Θ(|Q|) rules fit in kilobytes, where triangular
+    // offsets would need ~800 MB.
+    EXPECT_LT(merge_chain(20'005).rule_table_bytes(), std::size_t{1} << 21);
+}
+
+TEST(PairLookup, UnlocksHundredThousandStates) {
+    // double_exp_threshold(17): |Q| = 2¹⁷ + 3 = 131075 > 10⁵.  A triangular
+    // lookup would need 8.6G pair slots (~34 GB); the table is keyed on the
+    // ~2.6·10⁵ non-silent pairs.
     const Protocol p = protocols::double_exp_threshold(17);
     EXPECT_EQ(p.num_states(), (std::size_t{1} << 17) + 3);
-    EXPECT_EQ(p.rule_table(), RuleTable::sparse);
-    EXPECT_LT(p.rule_table_bytes(), std::size_t{1} << 25);  // ≪ the 34 GB dense table
+    EXPECT_LT(p.rule_table_bytes(), std::size_t{1} << 25);  // ≪ the 34 GB triangle
 
     // Structure spot-checks across the whole id range: the token-merge
     // self pairs and the accepting epidemic must resolve; unrelated token

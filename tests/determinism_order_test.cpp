@@ -18,6 +18,7 @@
 
 #include "core/protocol.hpp"
 #include "diophantine/pottier.hpp"
+#include "oracle/hilbert.hpp"
 #include "verify/reachability.hpp"
 
 namespace ppsc {
@@ -65,18 +66,12 @@ TEST(OrderIndependence, PairLookupIgnoresTransitionInsertionOrder) {
     ASSERT_EQ(forward.num_states(), backward.num_states());
     ASSERT_EQ(forward.num_transitions(), backward.num_transitions());
 
-    // Both insertion orders and both rule-table representations must agree
-    // on the rules of every pair.
+    // Both insertion orders must agree on the rules of every pair.
     const auto n = static_cast<StateId>(forward.num_states());
-    for (const RuleTable kind : {RuleTable::dense, RuleTable::sparse}) {
-        const Protocol f = forward.with_rule_table(kind);
-        const Protocol r = backward.with_rule_table(kind);
-        for (StateId p = 0; p < n; ++p) {
-            for (StateId q = p; q < n; ++q) {
-                EXPECT_EQ(pair_rules(f, p, q), pair_rules(r, p, q))
-                    << "pair (" << static_cast<int>(p) << ", " << static_cast<int>(q)
-                    << ") table " << static_cast<int>(kind);
-            }
+    for (StateId p = 0; p < n; ++p) {
+        for (StateId q = p; q < n; ++q) {
+            EXPECT_EQ(pair_rules(forward, p, q), pair_rules(backward, p, q))
+                << "pair (" << static_cast<int>(p) << ", " << static_cast<int>(q) << ")";
         }
     }
 }
@@ -165,25 +160,21 @@ TEST(OrderIndependence, HilbertBasisIgnoresRowOrderAndIsRepeatable) {
     backward.num_vars = 4;
     backward.rows = {{1, 1, -1, -1}, {2, 1, -2, 0}};
 
-    for (const HilbertCompute compute : {HilbertCompute::sparse, HilbertCompute::reference}) {
-        HilbertOptions options;
-        options.compute = compute;
+    // Identical input twice: the dedup sets must not leak bucket order into
+    // the result — the output must be byte-identical, not merely set-equal.
+    const auto once = hilbert_basis_equalities(forward);
+    const auto twice = hilbert_basis_equalities(forward);
+    EXPECT_EQ(once, twice);
 
-        // Identical input twice: the dedup sets must not leak bucket order
-        // into the result — the output must be byte-identical, not merely
-        // set-equal.
-        const auto once = hilbert_basis_equalities(forward, options);
-        const auto twice = hilbert_basis_equalities(forward, options);
-        EXPECT_EQ(once, twice) << "compute " << static_cast<int>(compute);
-
-        // Permuted constraint rows: same solution set.
-        auto of_forward = hilbert_basis_equalities(forward, options);
-        auto of_backward = hilbert_basis_equalities(backward, options);
-        std::sort(of_forward.begin(), of_forward.end());
-        std::sort(of_backward.begin(), of_backward.end());
-        EXPECT_EQ(of_forward, of_backward) << "compute " << static_cast<int>(compute);
-        EXPECT_FALSE(of_forward.empty());
-    }
+    // Permuted constraint rows: same solution set, and it is the exact
+    // Hilbert basis (brute force up to the Pottier bound).
+    auto of_forward = hilbert_basis_equalities(forward);
+    auto of_backward = hilbert_basis_equalities(backward);
+    std::sort(of_forward.begin(), of_forward.end());
+    std::sort(of_backward.begin(), of_backward.end());
+    EXPECT_EQ(of_forward, of_backward);
+    EXPECT_FALSE(of_forward.empty());
+    EXPECT_EQ(of_forward, oracle::exact_hilbert_basis(forward, 10'000'000));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "diophantine/pottier.hpp"
 #include "diophantine/realisable.hpp"
+#include "oracle/hilbert.hpp"
 #include "protocols/threshold.hpp"
 
 namespace ppsc {
@@ -75,7 +76,7 @@ TEST(HilbertBasis, MatchesBruteForceOnRandomSmallSystems) {
     };
     for (const auto& system : systems) {
         auto fast = hilbert_basis_equalities(system);
-        auto slow = brute_force_minimal_equalities(system, 6);
+        auto slow = oracle::brute_force_minimal_equalities(system, 6);
         std::sort(fast.begin(), fast.end());
         std::sort(slow.begin(), slow.end());
         // Oracle only sees solutions with ∥y∥∞ ≤ 6; every oracle solution
@@ -100,21 +101,21 @@ TEST(HilbertBasis, ElementsRespectPottierBound) {
     }
 }
 
-TEST(HilbertBasis, ReferenceBackendMatchesOnClassicExamples) {
-    // The incremental-residual backend (the default) against the seed-era
-    // recompute-everything formulation; the deep sweeps live in
-    // analysis_sparse_test.cpp.
+TEST(HilbertBasis, MatchesBruteForceUpToPottierBoundOnClassicExamples) {
+    // With the oracle's cap at the Pottier bound, its box holds every
+    // minimal solution, so the two bases must be equal; the deep sweeps live
+    // in analysis_sparse_test.cpp.
     const std::vector<HomogeneousSystem> systems = {
         {2, {{2, -3}}},
         {3, {{1, 1, -2}}},
         {4, {{1, -1, 2, -2}, {0, 1, -1, 0}}},
     };
     for (const auto& system : systems) {
-        HilbertOptions reference;
-        reference.compute = HilbertCompute::reference;
-        EXPECT_EQ(hilbert_basis_equalities(system), hilbert_basis_equalities(system, reference));
-        EXPECT_EQ(generating_basis_inequalities(system),
-                  generating_basis_inequalities(system, reference));
+        const auto exact = oracle::exact_hilbert_basis(system, 10'000'000);
+        ASSERT_TRUE(exact.has_value());
+        auto basis = hilbert_basis_equalities(system);
+        std::sort(basis.begin(), basis.end());
+        EXPECT_EQ(basis, *exact);
     }
 }
 
@@ -232,6 +233,14 @@ TEST(RealisableBasis, EveryFiringSequenceParikhDecomposes) {
     const RealisableBasis basis = realisable_multiset_basis(p);
     EXPECT_FALSE(basis.elements.empty());
     EXPECT_GT(basis.max_size, 0);
+}
+
+TEST(RealisableBasis, SolvesTheDisplacementSystem) {
+    // The constraint rows, rebuilt from Protocol::displacement, give the
+    // same basis.
+    for (const Protocol& p : {protocols::unary_threshold(2), protocols::collector_threshold(3)})
+        EXPECT_EQ(realisable_multiset_basis(p).elements,
+                  generating_basis_inequalities(oracle::realisable_system(p)));
 }
 
 TEST(RealisableBasis, RejectsLeadersAndMultiVariable) {

@@ -19,6 +19,7 @@
 
 #include "core/parikh.hpp"
 #include "diophantine/pottier.hpp"
+#include "oracle/hilbert.hpp"
 #include "sim/simulator.hpp"
 #include "stable/stable_sets.hpp"
 #include "support/rng.hpp"
@@ -175,7 +176,7 @@ TEST_P(RandomProtocolTest, P6_HilbertBasisMatchesBruteForce) {
         } catch (const std::length_error&) {
             continue;  // pathological random system; budget is the contract
         }
-        auto slow = brute_force_minimal_equalities(system, 5);
+        auto slow = oracle::brute_force_minimal_equalities(system, 5);
         for (const auto& y : slow) {
             EXPECT_NE(std::find(fast.begin(), fast.end(), y), fast.end())
                 << "missing minimal solution";

@@ -1,22 +1,21 @@
 // The flat-arena ReachabilityGraph against a naive oracle, and arena reuse.
 //
-// The oracle is the textbook BFS: std::map interning of count vectors and
-// Config-level firing through Protocol::fire.  It enumerates successors in
-// the same order as the arena (per ClosureCompute), so the two must agree
-// node for node — ids, rows, sorted successor lists and roots — not just up
-// to isomorphism.  Reuse: ReachabilityGraph::reexplore into an arena that
-// held anything before (an aborted graph, a larger graph, a protocol with a
-// different |Q|) must give exactly the graph a fresh explore gives.
+// The oracle (tests/oracle/graph.hpp) is the textbook std::map BFS.  In the
+// arena's enumeration order it must agree with explore() and full_slice()
+// node for node — ids, rows, sorted successor lists and roots — and slices
+// must also match the support × support enumeration.  Reuse:
+// ReachabilityGraph::reexplore into an arena that held anything before (an
+// aborted graph, a larger graph, a protocol with a different |Q|) must give
+// exactly the graph a fresh explore gives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "oracle/graph.hpp"
 #include "protocols/threshold.hpp"
 #include "support/rng.hpp"
 #include "verify/reachability.hpp"
@@ -24,78 +23,7 @@
 namespace ppsc {
 namespace {
 
-struct NaiveGraph {
-    std::vector<std::vector<AgentCount>> rows;
-    std::vector<std::vector<NodeId>> successors;
-    std::vector<NodeId> roots;
-};
-
-/// Interns `seeds` in order, then closes the graph by BFS.
-NaiveGraph naive_graph(const Protocol& p, const std::vector<Config>& seeds, bool seeds_are_roots,
-                       ClosureCompute compute) {
-    NaiveGraph g;
-    std::map<std::vector<AgentCount>, NodeId> index;
-    const auto intern = [&](const Config& c) {
-        const auto [it, inserted] = index.try_emplace(c.counts(), static_cast<NodeId>(g.rows.size()));
-        if (inserted) g.rows.push_back(c.counts());
-        return it->second;
-    };
-    for (const Config& seed : seeds) {
-        const NodeId id = intern(seed);
-        if (seeds_are_roots) g.roots.push_back(id);
-    }
-    for (std::size_t node = 0; node < g.rows.size(); ++node) {
-        const Config current = Config::from_counts(g.rows[node]);
-        // The rules enabled at `current`, in the arena's enumeration order.
-        std::vector<TransitionId> rules;
-        const auto add = [&](std::span<const TransitionId> ids) {
-            rules.insert(rules.end(), ids.begin(), ids.end());
-        };
-        const std::vector<StateId> support = current.support();
-        for (std::size_t i = 0; i < support.size(); ++i) {
-            const StateId q = support[i];
-            if (compute == ClosureCompute::reference) {
-                for (std::size_t j = i; j < support.size(); ++j)
-                    if (j > i || current[q] >= 2) add(p.rules_for_pair(q, support[j]));
-                continue;
-            }
-            if (current[q] >= 2 && p.self_pair(q) != Protocol::kNoPair)
-                add(p.rules_for_pair_id(p.self_pair(q)));
-            for (const Protocol::PairNeighbor& n : p.pair_neighbors(q))
-                if (n.partner > q && current[n.partner] > 0) add(p.rules_for_pair_id(n.pair));
-        }
-        std::vector<NodeId> out;
-        for (const TransitionId rule : rules) {
-            const NodeId target =
-                intern(p.fire(current, p.transitions()[static_cast<std::size_t>(rule)]));
-            if (target != static_cast<NodeId>(node)) out.push_back(target);
-        }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-        g.successors.push_back(std::move(out));
-    }
-    return g;
-}
-
-/// Every configuration of `population` agents, in full_slice's order (the
-/// count of state 0 descending, then recursively).
-std::vector<Config> slice_configs(std::size_t num_states, AgentCount population) {
-    std::vector<Config> configs;
-    std::vector<AgentCount> counts(num_states, 0);
-    const auto recurse = [&](const auto& self, std::size_t state, AgentCount remaining) -> void {
-        if (state + 1 == num_states) {
-            counts[state] = remaining;
-            configs.push_back(Config::from_counts(counts));
-            return;
-        }
-        for (AgentCount c = remaining; c >= 0; --c) {
-            counts[state] = c;
-            self(self, state + 1, remaining - c);
-        }
-    };
-    recurse(recurse, 0, population);
-    return configs;
-}
+using oracle::NaiveGraph;
 
 void expect_matches_oracle(const ReachabilityGraph& graph, const NaiveGraph& oracle,
                            const std::string& what) {
@@ -141,35 +69,29 @@ void expect_same_graph(const ReachabilityGraph& a, const ReachabilityGraph& b,
     EXPECT_EQ(a.backward_closure(targets), b.backward_closure(targets)) << what;
 }
 
-ReachabilityOptions options_for(ClosureCompute compute, std::size_t max_nodes = 2'000'000) {
-    ReachabilityOptions options;
-    options.compute = compute;
-    options.max_nodes = max_nodes;
-    return options;
-}
-
-/// Both constructors and both enumeration orders against the oracle; the
-/// explore cases run through one reused arena.
+/// Both constructors against the oracle (slices under both enumeration
+/// orders); the explore cases run through one reused arena.
 void check_protocol(const Protocol& p, AgentCount max_input, AgentCount max_slice,
                     ReachabilityGraph& arena, const std::string& what) {
-    for (const ClosureCompute compute : {ClosureCompute::sparse, ClosureCompute::reference}) {
-        const std::string mode = compute == ClosureCompute::sparse ? " sparse" : " reference";
-        for (AgentCount input = 2; input <= max_input; ++input) {
-            // A duplicate root and a second, unrelated root of the same size.
-            const std::vector<Config> roots = {
-                p.initial_config(input), Config::single(p.num_states(), 1, input),
-                p.initial_config(input)};
-            arena.reexplore(p, roots, options_for(compute));
-            expect_matches_oracle(arena, naive_graph(p, roots, true, compute),
-                                  what + mode + ", input " + std::to_string(input));
-        }
-        for (AgentCount population = 2; population <= max_slice; ++population) {
-            const ReachabilityGraph slice =
-                ReachabilityGraph::full_slice(p, population, options_for(compute));
-            expect_matches_oracle(
-                slice, naive_graph(p, slice_configs(p.num_states(), population), false, compute),
-                what + mode + ", slice " + std::to_string(population));
-        }
+    for (AgentCount input = 2; input <= max_input; ++input) {
+        // A duplicate root and a second, unrelated root of the same size.
+        const std::vector<Config> roots = {p.initial_config(input),
+                                           Config::single(p.num_states(), 1, input),
+                                           p.initial_config(input)};
+        arena.reexplore(p, roots);
+        expect_matches_oracle(arena, oracle::naive_graph(p, roots, true, oracle::rules_in_arena_order),
+                              what + ", input " + std::to_string(input));
+    }
+    for (AgentCount population = 2; population <= max_slice; ++population) {
+        const ReachabilityGraph slice = ReachabilityGraph::full_slice(p, population);
+        const std::vector<Config> configs = oracle::slice_configs(p.num_states(), population);
+        const std::string at = what + ", slice " + std::to_string(population);
+        expect_matches_oracle(slice,
+                              oracle::naive_graph(p, configs, false, oracle::rules_in_arena_order),
+                              at + " (arena order)");
+        expect_matches_oracle(
+            slice, oracle::naive_graph(p, configs, false, oracle::rules_over_support_pairs),
+            at + " (support pairs)");
     }
 }
 
@@ -231,9 +153,9 @@ TEST(ReachabilityArena, MatchesOracleOnSampledBusyBeaverCandidates) {
         const Protocol p = sampled_candidate(rng);
         for (AgentCount input = 2; input <= 24; ++input) {
             const Config roots[] = {p.initial_config(input)};
-            arena.reexplore(p, roots, options_for(ClosureCompute::sparse, 60'000));
+            arena.reexplore(p, roots, {.max_nodes = 60'000});
             expect_matches_oracle(
-                arena, naive_graph(p, {roots[0]}, true, ClosureCompute::sparse),
+                arena, oracle::naive_graph(p, {roots[0]}, true, oracle::rules_in_arena_order),
                 "candidate " + std::to_string(candidate) + ", input " + std::to_string(input));
         }
         check_protocol(p, 8, 8, arena, "candidate " + std::to_string(candidate));
@@ -245,8 +167,7 @@ TEST(ReachabilityArena, ReuseAfterBudgetAbortMatchesFreshExplore) {
     const Config big[] = {p.initial_config(12)};
     const Config small[] = {p.initial_config(6)};
     ReachabilityGraph arena;
-    EXPECT_THROW(arena.reexplore(p, big, options_for(ClosureCompute::sparse, 20)),
-                 std::length_error);
+    EXPECT_THROW(arena.reexplore(p, big, {.max_nodes = 20}), std::length_error);
     // The budget is checked before a row is inserted: the aborted arena
     // holds exactly the budget's nodes, and its table indexes exactly them.
     ASSERT_EQ(arena.num_nodes(), 20u);

@@ -245,17 +245,22 @@ TEST(Checkpoint, MissingDirectoryLoadsEmpty) {
 
 // --- fingerprints and digests ----------------------------------------------
 
-TEST(Checkpoint, FingerprintSeparatesProtocolsAndRuleTables) {
+TEST(Checkpoint, FingerprintSeparatesProtocols) {
     const Protocol a = protocols::collector_threshold(9);
     const Protocol b = protocols::collector_threshold(10);
     const Protocol c = protocols::double_exp_threshold(4);
     EXPECT_NE(protocol_fingerprint(a), protocol_fingerprint(b));
     EXPECT_NE(protocol_fingerprint(a), protocol_fingerprint(c));
     EXPECT_EQ(protocol_fingerprint(a), protocol_fingerprint(protocols::collector_threshold(9)));
-    // The resolved rule-table kind participates: a dense-table simulator
-    // must not resume a sparse-table run.
-    EXPECT_NE(protocol_fingerprint(c.with_rule_table(RuleTable::dense)),
-              protocol_fingerprint(c.with_rule_table(RuleTable::sparse)));
+}
+
+TEST(Checkpoint, FingerprintsOfExistingCheckpointsAreStable) {
+    // Checkpoints already on disk carry these values; a fingerprint change
+    // would refuse to resume them.  double_exp(13) has |Q| = 8195, past
+    // 2²³ triangular pairs, so it pins the other rule-table tag.
+    EXPECT_EQ(protocol_fingerprint(protocols::collector_threshold(9)), 0xba80048cc10a32f1ull);
+    EXPECT_EQ(protocol_fingerprint(protocols::double_exp_threshold(4)), 0x9b852c91e1c15d0cull);
+    EXPECT_EQ(protocol_fingerprint(protocols::double_exp_threshold(13)), 0x120b8cf4ed2507b2ull);
 }
 
 TEST(Checkpoint, ConfigDigestSeesEveryCount) {
@@ -283,7 +288,7 @@ TrajectoryEnd finish(const Simulator& sim, Config config, Rng rng, std::uint64_t
     return {base_done + got, base_fired + fired, rng.state(), config_digest(config)};
 }
 
-TEST(Checkpoint, KillAndResumeIsByteIdenticalAcrossFamiliesAndRuleTables) {
+TEST(Checkpoint, KillAndResumeIsByteIdenticalAcrossFamilies) {
     struct Variant {
         std::string label;
         Protocol protocol;
@@ -292,16 +297,9 @@ TEST(Checkpoint, KillAndResumeIsByteIdenticalAcrossFamiliesAndRuleTables) {
     std::vector<Variant> variants;
     // E10 family: collector threshold.  E11 family: double-exponential
     // threshold, succinct and dense constructions.
-    for (const RuleTable table : {RuleTable::dense, RuleTable::sparse}) {
-        const std::string suffix = table == RuleTable::dense ? "/dense" : "/sparse";
-        variants.push_back({"collector(9)" + suffix,
-                            protocols::collector_threshold(9).with_rule_table(table), 400});
-        variants.push_back({"double_exp(4)" + suffix,
-                            protocols::double_exp_threshold(4).with_rule_table(table), 600});
-        variants.push_back({"double_exp_dense(3)" + suffix,
-                            protocols::double_exp_threshold_dense(3).with_rule_table(table),
-                            500});
-    }
+    variants.push_back({"collector(9)", protocols::collector_threshold(9), 400});
+    variants.push_back({"double_exp(4)", protocols::double_exp_threshold(4), 600});
+    variants.push_back({"double_exp_dense(3)", protocols::double_exp_threshold_dense(3), 500});
     constexpr std::uint64_t kBudget = 120'000;
     constexpr std::uint64_t kEvery = 2'000;
     for (const Variant& variant : variants) {

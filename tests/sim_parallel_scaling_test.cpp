@@ -3,9 +3,12 @@
 // documented contract — and on machines with ≥ 4 hardware threads a
 // 4-worker sweep must actually run measurably faster than the serial one.
 // The wall-clock test self-skips on smaller machines (CI containers and
-// the dev box often expose a single core).
+// the dev box often expose a single core) and on hosts that cannot run
+// four threads at once even on a pure spin loop (throttled or shared
+// machines).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -28,6 +31,40 @@ ConvergenceSweepOptions sweep_options(unsigned parallelism, StepMode step_mode) 
 }
 
 std::vector<AgentCount> populations() { return {1 << 11, 1 << 12}; }
+
+/// Best-of-3 wall-clock seconds of `run`: robust against one-off scheduler
+/// hiccups without averaging away a genuine lack of scaling.
+template <typename Run>
+double best_of_3(Run run) {
+    double best = 1e300;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        run();
+        const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+        best = std::min(best, elapsed.count());
+    }
+    return best;
+}
+
+/// Seconds for `threads` threads to share a fixed CPU-bound workload: an
+/// LCG spin with no memory traffic, so the ratio of the 1- and 4-thread
+/// times is the parallelism the host actually grants.
+double spin_seconds(unsigned threads) {
+    constexpr std::uint64_t kIterations = std::uint64_t{1} << 26;
+    return best_of_3([threads] {
+        std::vector<std::thread> workers;
+        for (unsigned t = 0; t < threads; ++t) {
+            workers.emplace_back([t, threads] {
+                std::uint64_t x = t + 1;
+                for (std::uint64_t i = 0; i < kIterations / threads; ++i)
+                    x = x * 6364136223846793005ull + 1442695040888963407ull;
+                volatile std::uint64_t sink = x;
+                (void)sink;
+            });
+        }
+        for (std::thread& worker : workers) worker.join();
+    });
+}
 
 void expect_rows_equal(const std::vector<ConvergenceRow>& a,
                        const std::vector<ConvergenceRow>& b) {
@@ -68,23 +105,20 @@ TEST(ParallelScaling, FourWorkersBeatSerialWallClock) {
     if (std::thread::hardware_concurrency() < 4)
         GTEST_SKIP() << "needs >= 4 hardware threads, have "
                      << std::thread::hardware_concurrency();
+    const double spin_serial = spin_seconds(1);
+    const double spin_parallel = spin_seconds(4);
+    if (spin_serial / spin_parallel < 2.0)
+        GTEST_SKIP() << "host delivers < 2x on a 4-thread spin loop: 1 thread " << spin_serial
+                     << " s vs 4 threads " << spin_parallel << " s";
 
     const Protocol protocol = protocols::double_exp_threshold(2);
     const auto expected = [](AgentCount) { return 1; };
     const auto timed = [&](unsigned parallelism) {
-        // Best of 3: robust against one-off scheduler hiccups without
-        // averaging away a genuine lack of scaling.
-        double best = 1e300;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto start = std::chrono::steady_clock::now();
+        return best_of_3([&] {
             const auto rows = convergence_sweep(protocol, populations(), expected,
                                                 sweep_options(parallelism, StepMode::per_step));
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - start;
             for (const ConvergenceRow& row : rows) EXPECT_EQ(row.converged_runs, row.runs);
-            best = std::min(best, elapsed.count());
-        }
-        return best;
+        });
     };
 
     const double serial = timed(1);

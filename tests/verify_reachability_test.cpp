@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/graph.hpp"
 #include "protocols/threshold.hpp"
 
 namespace ppsc {
@@ -118,20 +119,20 @@ TEST(ReachabilityGraph, ForwardAndBackwardClosures) {
     EXPECT_EQ(std::count(backward.begin(), backward.end(), true), 3);
 }
 
-TEST(ReachabilityGraph, ComputeModesAgreeOnClosures) {
+TEST(ReachabilityGraph, SliceAndClosureMatchOracles) {
     const Protocol p = protocols::unary_threshold(2);
-    ReachabilityOptions reference;
-    reference.compute = ClosureCompute::reference;
-    const ReachabilityGraph sparse = ReachabilityGraph::full_slice(p, 4, {});
-    const ReachabilityGraph dense = ReachabilityGraph::full_slice(p, 4, reference);
-    ASSERT_EQ(sparse.num_nodes(), dense.num_nodes());
-    EXPECT_EQ(sparse.num_edges(), dense.num_edges());
+    const ReachabilityGraph slice = ReachabilityGraph::full_slice(p, 4, {});
+    const oracle::NaiveGraph naive = oracle::naive_graph(
+        p, oracle::slice_configs(p.num_states(), 4), false, oracle::rules_over_support_pairs);
+    ASSERT_EQ(slice.num_nodes(), naive.rows.size());
+    std::size_t edges = 0;
+    for (const auto& out : naive.successors) edges += out.size();
+    EXPECT_EQ(slice.num_edges(), edges);
 
-    std::vector<bool> targets(sparse.num_nodes(), false);
+    std::vector<bool> targets(slice.num_nodes(), false);
     targets[0] = true;
-    targets[sparse.num_nodes() / 2] = true;
-    EXPECT_EQ(sparse.backward_closure(targets, ClosureCompute::sparse),
-              sparse.backward_closure(targets, ClosureCompute::reference));
+    targets[slice.num_nodes() / 2] = true;
+    EXPECT_EQ(slice.backward_closure(targets), oracle::backward_closure(slice, targets));
 }
 
 TEST(ReachabilityGraph, NodeBudgetThrowsInsteadOfTruncating) {
