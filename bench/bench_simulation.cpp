@@ -522,7 +522,9 @@ BENCHMARK(BM_RealisableBasisSparse)->Arg(5)->Unit(benchmark::kMillisecond);
 // included, paid for exact reachability graphs on all inputs; screening
 // rejects most candidates after a few thousand simulated interactions).
 // Items = candidates processed; the screened_out counter reports how much
-// of the sample the fast path absorbed.
+// of the sample the fast path absorbed.  The search verifies candidates on
+// one worker per hardware thread (SearchOptions::parallelism = 0), so the
+// rows are timed, and items counted, in wall-clock time.
 void busy_beaver_sweep_bench(benchmark::State& state, bool screen, bool static_screen = false) {
     search::SearchOptions options;
     // The horizon is where the cost asymmetry lives: exact verification
@@ -571,9 +573,9 @@ void BM_BusyBeaverSweepExact(benchmark::State& state) {
 void BM_BusyBeaverSweepStaticScreened(benchmark::State& state) {
     busy_beaver_sweep_bench(state, true, true);
 }
-BENCHMARK(BM_BusyBeaverSweepScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BusyBeaverSweepExact)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BusyBeaverSweepStaticScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BusyBeaverSweepScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_BusyBeaverSweepExact)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_BusyBeaverSweepStaticScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Exact exploration alone, as the busy-beaver search drives it: a fixed
 // seeded set of 4 random deterministic 5-state tables, every input 2..24,

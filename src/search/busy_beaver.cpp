@@ -9,6 +9,7 @@
 
 #include "analyze/analyze.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace ppsc::search {
@@ -104,6 +105,81 @@ Protocol build_protocol(const Encoding& encoding) {
     return std::move(b).build();
 }
 
+/// Candidates drawn per block.  The sampling stream and the enumeration stay
+/// sequential; only verification runs on the pool, and a block is large
+/// enough that one long candidate rarely leaves workers idle.
+constexpr std::size_t kBlockSize = 4096;
+
+/// What one candidate contributes to the outcome.
+enum class Verdict : std::uint8_t {
+    non_canonical,
+    static_refuted,
+    screened_out,
+    budget_skipped,
+    no_threshold,
+    threshold,
+};
+
+struct CandidateResult {
+    Verdict verdict = Verdict::non_canonical;
+    AgentCount eta = 0;  ///< the verified threshold, when verdict == threshold
+};
+
+/// Canonicity, the optional screens, and exact verification of one
+/// candidate, exploring its graphs in `arena`.  Depends on nothing but its
+/// arguments, so candidates can be verified in any order on any thread.
+CandidateResult verify_candidate(const Encoding& encoding, const SearchOptions& options,
+                                 const ReachabilityOptions& reach, ReachabilityGraph& arena) {
+    if (!is_canonical(encoding)) return {Verdict::non_canonical};
+    const Protocol protocol = build_protocol(encoding);
+    // Phase 0 (optional): the StaticScreen stage — zero-simulation
+    // refutation by certificate.  If every output-1 state is proven
+    // unreachable, every reachable configuration has consensus 0, so
+    // the exact infer_threshold below would return nullopt; dropping
+    // the candidate here changes cost, never verdicts.
+    if (options.static_screen) {
+        // Linear-time analysis only (no cone completion): the candidates
+        // are leaderless, where every invariant claim is subsumed by the
+        // closure certificate anyway — the cone would add per-candidate
+        // Hilbert cost and zero extra refutations.
+        analyze::AnalysisOptions screen_options;
+        screen_options.cone_state_cap = 0;
+        if (analyze::analyze_protocol(protocol, screen_options).consensus_refuted[1])
+            return {Verdict::static_refuted};
+    }
+    const Verifier verifier(protocol, reach);
+    // Phase 1 (optional): cheap randomized falsification.  Sound — a
+    // refuted candidate's exact infer_threshold is guaranteed nullopt
+    // (verify/verifier.hpp), so skipping it changes nothing but cost.
+    if (options.screen &&
+        verifier.screening_refutes_threshold(options.max_input, options.screening))
+        return {Verdict::screened_out};
+    std::optional<AgentCount> eta;
+    try {
+        eta = verifier.infer_threshold(options.max_input, arena);
+    } catch (const std::length_error&) {
+        return {Verdict::budget_skipped};
+    }
+    // x >= eta must stay accepted up to the horizon, which
+    // infer_threshold guarantees; thresholds at the very horizon are
+    // indistinguishable from "accept nothing below max_input+1", so
+    // only count eta strictly below the horizon.
+    if (!eta || *eta >= options.max_input) return {Verdict::no_threshold};
+    return {Verdict::threshold, *eta};
+}
+
+/// min(cap, C(m, k)): C(population + |Q| − 1, |Q| − 1) is the size of a
+/// population slice, the largest graph an input of that size can produce.
+std::size_t capped_binomial(std::size_t m, std::size_t k, std::size_t cap) {
+    std::size_t c = 1;  // C(m − k + i, i) after step i, nondecreasing in i
+    for (std::size_t i = 1; i <= k && c < cap; ++i) {
+        const std::size_t factor = m - k + i;
+        if (c > std::numeric_limits<std::size_t>::max() / factor) return cap;
+        c = c * factor / i;
+    }
+    return std::min(c, cap);
+}
+
 }  // namespace
 
 SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
@@ -127,96 +203,95 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
     ReachabilityOptions reach;
     reach.max_nodes = options.max_nodes_per_graph;
 
-    std::map<AgentCount, std::uint64_t> histogram;
-    // One reachability arena for every graph of the search: it only
-    // allocates when a graph outgrows all earlier ones.
-    ReachabilityGraph arena;
-
-    auto consider = [&](const Encoding& encoding) {
-        ++outcome.enumerated;
-        if (!is_canonical(encoding)) return;
-        ++outcome.canonical;
-        const Protocol protocol = build_protocol(encoding);
-        // Phase 0 (optional): the StaticScreen stage — zero-simulation
-        // refutation by certificate.  If every output-1 state is proven
-        // unreachable, every reachable configuration has consensus 0, so
-        // the exact infer_threshold below would return nullopt; dropping
-        // the candidate here changes cost, never verdicts.
-        if (options.static_screen) {
-            // Linear-time analysis only (no cone completion): the candidates
-            // are leaderless, where every invariant claim is subsumed by the
-            // closure certificate anyway — the cone would add per-candidate
-            // Hilbert cost and zero extra refutations.
-            analyze::AnalysisOptions screen_options;
-            screen_options.cone_state_cap = 0;
-            const analyze::Analysis analysis =
-                analyze::analyze_protocol(protocol, screen_options);
-            if (analysis.consensus_refuted[1]) {
-                ++outcome.static_refuted;
-                return;
-            }
-        }
-        const Verifier verifier(protocol, reach);
-        // Phase 1 (optional): cheap randomized falsification.  Sound — a
-        // refuted candidate's exact infer_threshold is guaranteed nullopt
-        // (verify/verifier.hpp), so skipping it changes nothing but cost.
-        if (options.screen &&
-            verifier.screening_refutes_threshold(options.max_input, options.screening)) {
-            ++outcome.screened_out;
-            return;
-        }
-        std::optional<AgentCount> eta;
-        try {
-            eta = verifier.infer_threshold(options.max_input, arena);
-        } catch (const std::length_error&) {
-            ++outcome.budget_skipped;
-            return;
-        }
-        if (!eta) return;
-        // x >= eta must stay accepted up to the horizon, which
-        // infer_threshold guarantees; thresholds at the very horizon are
-        // indistinguishable from "accept nothing below max_input+1", so
-        // only count eta strictly below the horizon.
-        if (*eta >= options.max_input) return;
-        ++outcome.threshold_protocols;
-        ++histogram[*eta];
-        if (*eta > outcome.best_eta) {
-            outcome.best_eta = *eta;
-            outcome.best_protocol_text = protocol.to_text();
-        }
-    };
-
-    if (outcome.exhaustive) {
-        // All output masks except all-0 / all-1 (those accept or reject
-        // everything and cannot realise a threshold >= 2 anyway... all-1
-        // realises "x >= 2" trivially: keep it, drop only all-0).
-        std::uint64_t total_tables = 1;
+    // Candidate encodings in search order.  Exhaustive: all output masks
+    // except all-0 (which accepts nothing; all-1 realises "x >= 2"
+    // trivially, so it stays), each with every table code.  Sampled: one
+    // seeded stream, output mask first, then the table entries.
+    std::uint64_t total_tables = 1;
+    if (outcome.exhaustive)
         for (std::size_t i = 0; i < num_pairs; ++i) total_tables *= num_pairs;
-        for (std::uint32_t outputs = 1; outputs < (1u << n); ++outputs) {
-            Encoding encoding;
-            encoding.n = n;
+    const std::uint64_t total = outcome.exhaustive
+                                    ? ((std::uint64_t{1} << n) - 1) * total_tables
+                                    : options.sample_limit;
+    std::uint32_t outputs = 1;
+    std::uint64_t code = 0;
+    std::uint64_t drawn = 0;
+    Rng rng(options.seed);
+    const auto draw = [&](Encoding& encoding) {
+        if (drawn == total) return false;
+        ++drawn;
+        encoding.n = n;
+        encoding.table.resize(num_pairs);
+        if (outcome.exhaustive) {
             encoding.outputs = outputs;
-            encoding.table.assign(num_pairs, 0);
-            for (std::uint64_t code = 0; code < total_tables; ++code) {
-                std::uint64_t rest = code;
-                for (std::size_t i = 0; i < num_pairs; ++i) {
-                    encoding.table[i] = static_cast<std::uint16_t>(rest % num_pairs);
-                    rest /= num_pairs;
-                }
-                consider(encoding);
+            std::uint64_t rest = code;
+            for (std::size_t i = 0; i < num_pairs; ++i) {
+                encoding.table[i] = static_cast<std::uint16_t>(rest % num_pairs);
+                rest /= num_pairs;
             }
-        }
-    } else {
-        Rng rng(options.seed);
-        for (std::uint64_t trial = 0; trial < options.sample_limit; ++trial) {
-            Encoding encoding;
-            encoding.n = n;
+            if (++code == total_tables) {
+                code = 0;
+                ++outputs;
+            }
+        } else {
             encoding.outputs =
                 static_cast<std::uint32_t>(1 + rng.below((1u << n) - 1));  // not all-0
-            encoding.table.resize(num_pairs);
             for (std::size_t i = 0; i < num_pairs; ++i)
                 encoding.table[i] = static_cast<std::uint16_t>(rng.below(num_pairs));
-            consider(encoding);
+        }
+        return true;
+    };
+
+    // One arena per worker, reserved once for the largest graph the search
+    // can build (a full slice at the horizon, or the node budget), so the
+    // arena's buffers are never regrown and copied during the search.
+    const auto block_size = static_cast<std::size_t>(std::min<std::uint64_t>(total, kBlockSize));
+    const unsigned workers = worker_count(options.parallelism, block_size);
+    const std::size_t horizon = static_cast<std::size_t>(std::max<AgentCount>(options.max_input, 0));
+    const std::size_t max_nodes = capped_binomial(horizon + n - 1, n - 1, reach.max_nodes);
+    std::vector<ReachabilityGraph> arenas(workers);
+    for (ReachabilityGraph& arena : arenas) arena.reserve(n, max_nodes, max_nodes * num_pairs);
+
+    std::map<AgentCount, std::uint64_t> histogram;
+    std::vector<Encoding> block(block_size);
+    std::vector<CandidateResult> results(block_size);
+    while (true) {
+        std::size_t size = 0;
+        while (size < block_size && draw(block[size])) ++size;
+        if (size == 0) break;
+        parallel_for(size, worker_count(options.parallelism, size),
+                     [&](unsigned worker, std::size_t i) {
+                         results[i] = verify_candidate(block[i], options, reach, arenas[worker]);
+                     });
+        // The fold runs in candidate order, so the outcome — the witness
+        // included: the first candidate to reach the strict maximum — is
+        // the serial search's.
+        for (std::size_t i = 0; i < size; ++i) {
+            const CandidateResult& result = results[i];
+            ++outcome.enumerated;
+            if (result.verdict != Verdict::non_canonical) ++outcome.canonical;
+            switch (result.verdict) {
+                case Verdict::non_canonical:
+                case Verdict::no_threshold:
+                    break;
+                case Verdict::static_refuted:
+                    ++outcome.static_refuted;
+                    break;
+                case Verdict::screened_out:
+                    ++outcome.screened_out;
+                    break;
+                case Verdict::budget_skipped:
+                    ++outcome.budget_skipped;
+                    break;
+                case Verdict::threshold:
+                    ++outcome.threshold_protocols;
+                    ++histogram[result.eta];
+                    if (result.eta > outcome.best_eta) {
+                        outcome.best_eta = result.eta;
+                        outcome.best_protocol_text = build_protocol(block[i]).to_text();
+                    }
+                    break;
+            }
         }
     }
 

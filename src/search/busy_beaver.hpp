@@ -55,6 +55,9 @@ struct SearchOptions {
     /// guaranteed nullopt and verdicts/histogram/witness are identical to
     /// an unscreened run (asserted in tests/analyze_test.cpp).
     bool static_screen = false;
+    /// Worker threads verifying candidates: 1 = serial, 0 = one per
+    /// hardware thread.  The outcome does not depend on this setting.
+    unsigned parallelism = 0;
 };
 
 struct SearchOutcome {
@@ -75,6 +78,14 @@ struct SearchOutcome {
 /// Runs the search for n-state protocols.  Throws std::invalid_argument if
 /// n < 2, or if n > 3 with sample_limit == 0 (exhaustive enumeration above
 /// n = 3 is astronomically infeasible and surely a caller mistake).
+///
+/// Candidates are drawn serially in fixed-size blocks (the sampling stream
+/// and the exhaustive enumeration order are those of a serial search); the
+/// workers of each block verify candidates independently, each in its own
+/// reachability arena, and record one result per candidate, which are then
+/// folded in candidate order.  Every outcome field, including the witness
+/// (the first candidate reaching the strict maximum), is therefore the
+/// serial search's.
 SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options = {});
 
 }  // namespace ppsc::search

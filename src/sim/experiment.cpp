@@ -1,17 +1,15 @@
 #include "sim/experiment.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <filesystem>
 #include <functional>
 #include <optional>
-#include <thread>
 
 #include "protocols/double_exp_threshold.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/stats.hpp"
+#include "support/parallel.hpp"
 
 namespace ppsc {
 
@@ -100,35 +98,9 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
         trials[index] = {result.converged, result.parallel_time, result.output};
     };
 
-    unsigned workers = options.parallelism != 0
-                           ? options.parallelism
-                           : std::max(1u, std::thread::hardware_concurrency());
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(workers, std::max<std::size_t>(total_trials, 1)));
-
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < total_trials && !stop_requested(); ++i) run_trial(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors(workers);
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                try {
-                    for (std::size_t i = next.fetch_add(1);
-                         i < total_trials && !stop_requested(); i = next.fetch_add(1))
-                        run_trial(i);
-                } catch (...) {
-                    errors[w] = std::current_exception();
-                }
-            });
-        }
-        for (std::thread& t : pool) t.join();
-        for (const std::exception_ptr& e : errors) {
-            if (e) std::rethrow_exception(e);
-        }
-    }
+    parallel_for(
+        total_trials, worker_count(options.parallelism, total_trials),
+        [&](unsigned, std::size_t index) { run_trial(index); }, stop_requested);
 
     std::vector<ConvergenceRow> rows;
     rows.reserve(populations.size());

@@ -1,6 +1,7 @@
 #include "verify/reachability.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <stdexcept>
 
@@ -187,6 +188,21 @@ void ReachabilityGraph::reexplore(const Protocol& protocol, std::span<const Conf
     close(options);
 }
 
+void ReachabilityGraph::reserve(std::size_t width, std::size_t nodes, std::size_t edges) {
+    rows_.reserve(nodes * width);
+    hashes_.reserve(nodes);
+    // intern() doubles the table while 2·nodes exceeds it.
+    slots_.reserve(std::bit_ceil(std::max(kInitialSlots, 2 * nodes)));
+    scratch_.reserve(width);
+    state_keys_.reserve(width);
+    offsets_.reserve(nodes + 1);
+    targets_.reserve(edges);
+    scc_index_.reserve(nodes);
+    scc_lowlink_.reserve(nodes);
+    scc_stack_.reserve(nodes);
+    scc_frames_.reserve(nodes);
+}
+
 ReachabilityGraph ReachabilityGraph::explore(const Protocol& protocol,
                                              std::span<const Config> roots,
                                              const ReachabilityOptions& options) {
@@ -240,16 +256,16 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
     // A visited node is on the Tarjan stack exactly until its component is
     // assigned, so component_of < 0 doubles as the on-stack flag.
     constexpr std::int32_t kUnvisited = -1;
-    std::vector<std::int32_t> index(n, kUnvisited);
-    std::vector<std::int32_t> lowlink(n, 0);
-    std::vector<NodeId> stack;
+    std::vector<std::int32_t>& index = scc_index_;
+    std::vector<std::int32_t>& lowlink = scc_lowlink_;
+    std::vector<NodeId>& stack = scc_stack_;
+    std::vector<SccFrame>& call_stack = scc_frames_;
+    index.assign(n, kUnvisited);
+    lowlink.assign(n, 0);
+    stack.clear();
+    call_stack.clear();
     std::int32_t next_index = 0;
 
-    struct Frame {
-        NodeId node;
-        std::uint32_t edge;  // next CSR slot of node's successor list
-    };
-    std::vector<Frame> call_stack;
     const auto visit = [&](std::size_t v) {
         index[v] = lowlink[v] = next_index++;
         stack.push_back(static_cast<NodeId>(v));
@@ -260,7 +276,7 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
         if (index[start] != kUnvisited) continue;
         visit(start);
         while (!call_stack.empty()) {
-            Frame& frame = call_stack.back();
+            SccFrame& frame = call_stack.back();
             const auto node = static_cast<std::size_t>(frame.node);
             const std::uint32_t end = offsets_[node + 1];
             bool descended = false;

@@ -78,6 +78,14 @@ public:
     void reexplore(const Protocol& protocol, std::span<const Config> roots,
                    const ReachabilityOptions& options = {});
 
+    /// Sizes the arena once for every later graph of at most `nodes` nodes
+    /// and `edges` edges over `width` states: rows, hashes, slot table, CSR
+    /// and the compute_sccs scratch get that capacity now, so no
+    /// reexplore() or compute_sccs() within the bounds reallocates.  Only
+    /// capacity changes — the graph held is untouched — and a larger graph
+    /// later still works, growing the buffers as usual.
+    void reserve(std::size_t width, std::size_t nodes, std::size_t edges);
+
     /// The explored protocol (the graph keeps a pointer: the protocol must
     /// outlive every use of the graph).
     const Protocol& protocol() const noexcept { return *protocol_; }
@@ -112,6 +120,8 @@ public:
         std::int32_t num_components = 0;
         std::vector<bool> is_bottom;  // component id -> bottom SCC?
     };
+    /// Tarjan's working stacks live in the arena (like the reverse CSR), so
+    /// one graph must not run this on two threads at once.
     SccResult compute_sccs() const;
 
     /// All nodes reachable from `start` (forward BFS over the graph).
@@ -159,6 +169,17 @@ private:
     // contiguous arrays, no per-node allocation).
     mutable std::vector<std::uint32_t> reverse_offsets_;
     mutable std::vector<NodeId> reverse_targets_;
+
+    // compute_sccs scratch, kept across calls: Tarjan index and lowlink per
+    // node, the component stack, and the explicit DFS call stack.
+    struct SccFrame {
+        NodeId node;
+        std::uint32_t edge;  // next CSR slot of node's successor list
+    };
+    mutable std::vector<std::int32_t> scc_index_;
+    mutable std::vector<std::int32_t> scc_lowlink_;
+    mutable std::vector<NodeId> scc_stack_;
+    mutable std::vector<SccFrame> scc_frames_;
 };
 
 }  // namespace ppsc

@@ -6,7 +6,8 @@
 // must also match the support × support enumeration.  Reuse:
 // ReachabilityGraph::reexplore into an arena that held anything before (an
 // aborted graph, a larger graph, a protocol with a different |Q|) must give
-// exactly the graph a fresh explore gives.
+// exactly the graph a fresh explore gives, whatever the arena reserved
+// beforehand.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,6 +160,55 @@ TEST(ReachabilityArena, MatchesOracleOnSampledBusyBeaverCandidates) {
                 "candidate " + std::to_string(candidate) + ", input " + std::to_string(input));
         }
         check_protocol(p, 8, 8, arena, "candidate " + std::to_string(candidate));
+    }
+}
+
+void expect_same_sccs(const ReachabilityGraph::SccResult& a,
+                      const ReachabilityGraph::SccResult& b, const std::string& what) {
+    EXPECT_EQ(a.num_components, b.num_components) << what;
+    EXPECT_EQ(a.component_of, b.component_of) << what;
+    EXPECT_EQ(a.is_bottom, b.is_bottom) << what;
+}
+
+TEST(ReachabilityArena, ReservedArenaMatchesOracleAndFreshSccs) {
+    // busy_beaver_search reserves each worker's arena once, for the largest
+    // graph of the search.  Whatever the reservation — too narrow, too few
+    // nodes or edges, exact, or far too large — reexplore() must still give
+    // the oracle's graph node for node, and compute_sccs() on the reused
+    // arena (its Tarjan scratch kept from the previous graph) must give the
+    // components a fresh graph gives.
+    constexpr AgentCount kMaxInput = 12;
+    constexpr std::size_t kSlice = 1820;  // C(12 + 4, 4): the n = 5 slice at 12
+    struct Reservation {
+        std::size_t width, nodes, edges;
+    };
+    const Reservation reservations[] = {
+        {1, 1, 1}, {5, 40, 100}, {5, kSlice, kSlice * 15}, {8, 8 * kSlice, 8 * kSlice * 15}};
+    Rng rng(0x5e7e);
+    for (int candidate = 0; candidate < 3; ++candidate) {
+        const Protocol p = sampled_candidate(rng);
+        for (const Reservation& r : reservations) {
+            ReachabilityGraph arena;
+            arena.reserve(r.width, r.nodes, r.edges);
+            for (AgentCount input = 2; input <= kMaxInput; ++input) {
+                const std::string what = "candidate " + std::to_string(candidate) +
+                                         ", reserved nodes " + std::to_string(r.nodes) +
+                                         ", input " + std::to_string(input);
+                const Config roots[] = {p.initial_config(input)};
+                arena.reexplore(p, roots);
+                expect_matches_oracle(
+                    arena, oracle::naive_graph(p, {roots[0]}, true, oracle::rules_in_arena_order),
+                    what);
+                const ReachabilityGraph fresh = ReachabilityGraph::explore(p, roots);
+                const ReachabilityGraph::SccResult reused = arena.compute_sccs();
+                expect_same_sccs(reused, fresh.compute_sccs(), what);
+                expect_same_sccs(arena.compute_sccs(), reused, what + " (second call)");
+            }
+            // Reserving again changes capacity only: the graph held stays.
+            arena.reserve(r.width, 2 * r.nodes, 2 * r.edges);
+            const Config last[] = {p.initial_config(kMaxInput)};
+            expect_same_graph(arena, ReachabilityGraph::explore(p, last), "after re-reserve");
+        }
     }
 }
 

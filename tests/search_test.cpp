@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace ppsc {
 namespace {
 
@@ -74,6 +77,74 @@ TEST(BusyBeaverSearch, ScreeningPreservesResultsExactly) {
     // The 2-state space is full of oscillators; screening must catch some
     // or the fast path is dead code.
     EXPECT_GT(b.screened_out, 0u);
+}
+
+void expect_same_outcome(const search::SearchOutcome& a, const search::SearchOutcome& b,
+                         const std::string& what) {
+    EXPECT_EQ(a.n, b.n) << what;
+    EXPECT_EQ(a.enumerated, b.enumerated) << what;
+    EXPECT_EQ(a.canonical, b.canonical) << what;
+    EXPECT_EQ(a.threshold_protocols, b.threshold_protocols) << what;
+    EXPECT_EQ(a.budget_skipped, b.budget_skipped) << what;
+    EXPECT_EQ(a.static_refuted, b.static_refuted) << what;
+    EXPECT_EQ(a.screened_out, b.screened_out) << what;
+    EXPECT_EQ(a.best_eta, b.best_eta) << what;
+    EXPECT_EQ(a.best_protocol_text, b.best_protocol_text) << what;
+    EXPECT_EQ(a.eta_histogram, b.eta_histogram) << what;
+    EXPECT_EQ(a.exhaustive, b.exhaustive) << what;
+}
+
+TEST(BusyBeaverSearch, ParallelismDoesNotChangeTheOutcome) {
+    // Candidates are verified on the worker pool and folded in candidate
+    // order, so every field — the witness text (the first candidate to
+    // reach the maximum) and the histogram included — must equal the
+    // serial search's for any worker count.  Sizes stay small enough for
+    // the sanitizer builds, whose thread checker then covers the pool.
+    struct Case {
+        std::string name;
+        std::size_t n;
+        search::SearchOptions options;
+    };
+    std::vector<Case> cases;
+    const auto add = [&](std::string name, std::size_t n, AgentCount max_input,
+                         std::uint64_t samples, bool screens) {
+        search::SearchOptions options;
+        options.max_input = max_input;
+        options.sample_limit = samples;
+        options.seed = 0x5eed + n;
+        options.screen = screens;
+        options.static_screen = screens;
+        options.screening.runs = 1;
+        options.screening.max_interactions = 1'000;
+        cases.push_back({std::move(name), n, options});
+    };
+    add("exhaustive n = 2", 2, 8, 0, false);
+    add("exhaustive n = 3", 3, 4, 0, false);  // 80 blocks
+    add("sampled n = 4", 4, 10, 600, false);
+    add("sampled n = 4, screens", 4, 10, 600, true);
+    add("sampled n = 5", 5, 10, 600, false);
+    add("sampled n = 5, screens", 5, 10, 600, true);
+    add("sampled n = 5, tight budget", 5, 10, 600, false);
+    cases.back().options.max_nodes_per_graph = 120;
+
+    std::uint64_t screened = 0;
+    for (const Case& c : cases) {
+        search::SearchOptions serial = c.options;
+        serial.parallelism = 1;
+        const search::SearchOutcome reference = search::busy_beaver_search(c.n, serial);
+        EXPECT_GT(reference.threshold_protocols, 0u) << c.name;
+        screened += reference.static_refuted + reference.screened_out;
+        if (c.options.max_nodes_per_graph < 1'000) {
+            EXPECT_GT(reference.budget_skipped, 0u) << c.name;
+        }
+        for (const unsigned parallelism : {2u, 4u, 0u}) {
+            search::SearchOptions options = c.options;
+            options.parallelism = parallelism;
+            expect_same_outcome(reference, search::busy_beaver_search(c.n, options),
+                                c.name + ", parallelism " + std::to_string(parallelism));
+        }
+    }
+    EXPECT_GT(screened, 0u);  // the screened cases fold screen verdicts too
 }
 
 TEST(BusyBeaverSearch, ParameterValidation) {
