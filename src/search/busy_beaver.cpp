@@ -1,10 +1,13 @@
 #include "search/busy_beaver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "analyze/analyze.hpp"
@@ -106,8 +109,7 @@ Protocol build_protocol(const Encoding& encoding) {
 }
 
 /// Candidates drawn per block.  The sampling stream and the enumeration stay
-/// sequential; only verification runs on the pool, and a block is large
-/// enough that one long candidate rarely leaves workers idle.
+/// sequential; only verification runs on the pool.
 constexpr std::size_t kBlockSize = 4096;
 
 /// What one candidate contributes to the outcome.
@@ -125,18 +127,22 @@ struct CandidateResult {
     AgentCount eta = 0;  ///< the verified threshold, when verdict == threshold
 };
 
-/// Canonicity, the optional screens, and exact verification of one
-/// candidate, exploring its graphs in `arena`.  Depends on nothing but its
-/// arguments, so candidates can be verified in any order on any thread.
-CandidateResult verify_candidate(const Encoding& encoding, const SearchOptions& options,
-                                 const ReachabilityOptions& reach, ReachabilityGraph& arena) {
+/// The candidate pass: canonicity and the optional screens.  A survivor
+/// gets a `verifier` and goes on to exact verification, its verdict left
+/// to the fold; any other candidate's verifier is reset.  Depends on
+/// nothing but its arguments, so candidates can be screened in any order
+/// on any thread.
+CandidateResult screen_candidate(const Encoding& encoding, const SearchOptions& options,
+                                 const ReachabilityOptions& reach,
+                                 std::unique_ptr<Verifier>& verifier) {
+    verifier.reset();
     if (!is_canonical(encoding)) return {Verdict::non_canonical};
-    const Protocol protocol = build_protocol(encoding);
+    Protocol protocol = build_protocol(encoding);
     // Phase 0 (optional): the StaticScreen stage — zero-simulation
     // refutation by certificate.  If every output-1 state is proven
     // unreachable, every reachable configuration has consensus 0, so
-    // the exact infer_threshold below would return nullopt; dropping
-    // the candidate here changes cost, never verdicts.
+    // the exact threshold scan would find no threshold; dropping the
+    // candidate here changes cost, never verdicts.
     if (options.static_screen) {
         // Linear-time analysis only (no cone completion): the candidates
         // are leaderless, where every invariant claim is subsumed by the
@@ -147,25 +153,49 @@ CandidateResult verify_candidate(const Encoding& encoding, const SearchOptions& 
         if (analyze::analyze_protocol(protocol, screen_options).consensus_refuted[1])
             return {Verdict::static_refuted};
     }
-    const Verifier verifier(protocol, reach);
+    auto survivor = std::make_unique<Verifier>(std::move(protocol), reach);
     // Phase 1 (optional): cheap randomized falsification.  Sound — a
     // refuted candidate's exact infer_threshold is guaranteed nullopt
     // (verify/verifier.hpp), so skipping it changes nothing but cost.
     if (options.screen &&
-        verifier.screening_refutes_threshold(options.max_input, options.screening))
+        survivor->screening_refutes_threshold(options.max_input, options.screening))
         return {Verdict::screened_out};
-    std::optional<AgentCount> eta;
+    verifier = std::move(survivor);
+    return {Verdict::no_threshold};
+}
+
+/// One input of a survivor, explored in `arena`: an item of the input pass.
+InputOutcome verify_one_input(const Verifier& verifier, AgentCount input,
+                              ReachabilityGraph& arena) {
+    const AgentCount values[] = {input};
     try {
-        eta = verifier.infer_threshold(options.max_input, arena);
+        return outcome_of(verifier.verify_input(values, arena));
     } catch (const std::length_error&) {
-        return {Verdict::budget_skipped};
+        return InputOutcome::over_budget;
     }
-    // x >= eta must stay accepted up to the horizon, which
-    // infer_threshold guarantees; thresholds at the very horizon are
-    // indistinguishable from "accept nothing below max_input+1", so
-    // only count eta strictly below the horizon.
-    if (!eta || *eta >= options.max_input) return {Verdict::no_threshold};
-    return {Verdict::threshold, *eta};
+}
+
+/// A survivor's verdict from its per-input outcomes (outcomes[i − 2] for
+/// input i), folded as infer_threshold folds them.
+CandidateResult fold_inputs(std::span<const InputOutcome> outcomes, AgentCount max_input) {
+    const ThresholdScan scan = scan_threshold(2, max_input, [&](AgentCount i) {
+        return outcomes[static_cast<std::size_t>(i - 2)];
+    });
+    if (scan.result == ThresholdScan::Result::over_budget) return {Verdict::budget_skipped};
+    // x >= eta must stay accepted up to the horizon, which the scan
+    // guarantees; thresholds at the very horizon are indistinguishable
+    // from "accept nothing below max_input+1", so only count eta strictly
+    // below the horizon.
+    if (scan.result == ThresholdScan::Result::threshold && scan.eta < max_input)
+        return {Verdict::threshold, scan.eta};
+    return {Verdict::no_threshold};
+}
+
+/// value = min(value, bound), atomically.
+void lower_to(std::atomic<AgentCount>& value, AgentCount bound) {
+    AgentCount seen = value.load();
+    while (bound < seen && !value.compare_exchange_weak(seen, bound)) {
+    }
 }
 
 /// min(cap, C(m, k)): C(population + |Q| − 1, |Q| − 1) is the size of a
@@ -242,31 +272,73 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
         return true;
     };
 
-    // One arena per worker, reserved once for the largest graph the search
-    // can build (a full slice at the horizon, or the node budget), so the
-    // arena's buffers are never regrown and copied during the search.
+    // Candidates are leaderless: exact verification checks inputs
+    // 2..max_input, one reachability graph each.
+    const auto num_inputs = static_cast<std::size_t>(std::max<AgentCount>(options.max_input - 1, 0));
     const auto block_size = static_cast<std::size_t>(std::min<std::uint64_t>(total, kBlockSize));
-    const unsigned workers = worker_count(options.parallelism, block_size);
+    // One arena per worker of the input pass, which can run more workers
+    // than a block has candidates (every survivor has num_inputs items).
+    // Each is reserved once for the largest graph the search can build (a
+    // full slice at the horizon, or the node budget), so the arena's
+    // buffers are never regrown and copied during the search.
+    const unsigned max_workers = worker_count(options.parallelism, block_size * num_inputs);
     const std::size_t horizon = static_cast<std::size_t>(std::max<AgentCount>(options.max_input, 0));
     const std::size_t max_nodes = capped_binomial(horizon + n - 1, n - 1, reach.max_nodes);
-    std::vector<ReachabilityGraph> arenas(workers);
+    std::vector<ReachabilityGraph> arenas(max_workers);
     for (ReachabilityGraph& arena : arenas) arena.reserve(n, max_nodes, max_nodes * num_pairs);
 
     std::map<AgentCount, std::uint64_t> histogram;
     std::vector<Encoding> block(block_size);
     std::vector<CandidateResult> results(block_size);
+    // Survivors' verifiers, freed by the next block's candidate pass.
+    std::vector<std::unique_ptr<Verifier>> verifiers(block_size);
+    std::vector<std::size_t> survivors;       // block indices, in order
+    std::vector<InputOutcome> outcomes;       // survivor-major, input 2 first
     while (true) {
         std::size_t size = 0;
         while (size < block_size && draw(block[size])) ++size;
         if (size == 0) break;
+        // Candidate pass: canonicity and the screens.
         parallel_for(size, worker_count(options.parallelism, size),
-                     [&](unsigned worker, std::size_t i) {
-                         results[i] = verify_candidate(block[i], options, reach, arenas[worker]);
+                     [&](unsigned, std::size_t i) {
+                         results[i] = screen_candidate(block[i], options, reach, verifiers[i]);
                      });
-        // The fold runs in candidate order, so the outcome — the witness
+        survivors.clear();
+        for (std::size_t i = 0; i < size; ++i)
+            if (verifiers[i]) survivors.push_back(i);
+        // Input pass: one item per (survivor, input), claimed survivor by
+        // survivor, each exploring one graph in its worker's arena.  A
+        // survivor's first decisive input — the smallest seen ill-specified
+        // or over budget — only ever falls, towards its final value, and
+        // items above the current value are skipped: every input at or
+        // below the final value runs, and the fold reads no input past it.
+        const std::size_t items = survivors.size() * num_inputs;
+        outcomes.resize(items);
+        std::vector<std::atomic<AgentCount>> first_decisive(survivors.size());
+        for (std::atomic<AgentCount>& decisive : first_decisive)
+            decisive.store(options.max_input);
+        parallel_for(items, worker_count(options.parallelism, items),
+                     [&](unsigned worker, std::size_t item) {
+                         const std::size_t s = item / num_inputs;
+                         const auto input = static_cast<AgentCount>(2 + item % num_inputs);
+                         std::atomic<AgentCount>& decisive = first_decisive[s];
+                         if (input > decisive.load()) return;
+                         const InputOutcome result = verify_one_input(
+                             *verifiers[survivors[s]], input, arenas[worker]);
+                         outcomes[item] = result;
+                         if (result == InputOutcome::ill_specified ||
+                             result == InputOutcome::over_budget)
+                             lower_to(decisive, input);
+                     });
+        // Serial fold, in candidate order, so the outcome — the witness
         // included: the first candidate to reach the strict maximum — is
         // the serial search's.
+        std::size_t survivor = 0;
         for (std::size_t i = 0; i < size; ++i) {
+            if (verifiers[i])
+                results[i] = fold_inputs(
+                    std::span(outcomes).subspan(survivor++ * num_inputs, num_inputs),
+                    options.max_input);
             const CandidateResult& result = results[i];
             ++outcome.enumerated;
             if (result.verdict != Verdict::non_canonical) ++outcome.canonical;

@@ -55,8 +55,9 @@ struct SearchOptions {
     /// guaranteed nullopt and verdicts/histogram/witness are identical to
     /// an unscreened run (asserted in tests/analyze_test.cpp).
     bool static_screen = false;
-    /// Worker threads verifying candidates: 1 = serial, 0 = one per
-    /// hardware thread.  The outcome does not depend on this setting.
+    /// Worker threads screening candidates and verifying their inputs:
+    /// 1 = serial, 0 = one per hardware thread.  The outcome does not
+    /// depend on this setting.
     unsigned parallelism = 0;
 };
 
@@ -80,12 +81,17 @@ struct SearchOutcome {
 /// n = 3 is astronomically infeasible and surely a caller mistake).
 ///
 /// Candidates are drawn serially in fixed-size blocks (the sampling stream
-/// and the exhaustive enumeration order are those of a serial search); the
-/// workers of each block verify candidates independently, each in its own
-/// reachability arena, and record one result per candidate, which are then
-/// folded in candidate order.  Every outcome field, including the witness
-/// (the first candidate reaching the strict maximum), is therefore the
-/// serial search's.
+/// and the exhaustive enumeration order are those of a serial search).
+/// Each block runs two passes on the worker pool: a candidate pass
+/// (canonicity and the screens), then an input pass with one item per
+/// (survivor, input), each exploring one reachability graph in its
+/// worker's arena and recording that input's outcome.  A survivor's inputs
+/// above its smallest ill-specified or over-budget input seen so far are
+/// skipped; the serial fold, in candidate order, scans each survivor's
+/// outcomes with scan_threshold (verify/verifier.hpp), which stops at the
+/// first deciding input and so never reads a skipped one.  Every outcome
+/// field, including the witness (the first candidate reaching the strict
+/// maximum), is therefore the serial search's.
 SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options = {});
 
 }  // namespace ppsc::search

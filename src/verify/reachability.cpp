@@ -42,8 +42,8 @@ void enumerate_slice(std::span<AgentCount> counts, AgentCount population, Emit&&
 void ReachabilityGraph::reset(const Protocol& protocol) {
     protocol_ = &protocol;
     width_ = protocol.num_states();
+    num_nodes_ = 0;
     rows_.clear();
-    hashes_.clear();
     slots_.assign(kInitialSlots, kEmptySlot);
     scratch_.assign(width_, 0);
     // Keys depend on the state index only, so a wider protocol extends them.
@@ -69,7 +69,7 @@ std::size_t ReachabilityGraph::probe(std::span<const AgentCount> key,
     std::size_t slot = static_cast<std::size_t>(mix64(hash)) & mask;
     while (slots_[slot] != kEmptySlot) {
         const std::uint32_t id = slots_[slot];
-        if (hashes_[id] == hash && std::ranges::equal(key, row(static_cast<NodeId>(id)))) break;
+        if (std::ranges::equal(key, row(static_cast<NodeId>(id)))) break;
         slot = (slot + 1) & mask;
     }
     return slot;
@@ -86,18 +86,21 @@ NodeId ReachabilityGraph::intern(std::uint64_t hash, const ReachabilityOptions& 
         throw std::length_error("ReachabilityGraph: node budget exhausted (raise max_nodes)");
     const auto id = static_cast<NodeId>(num_nodes());
     rows_.insert(rows_.end(), key.begin(), key.end());
-    hashes_.push_back(hash);
+    ++num_nodes_;
     slots_[slot] = static_cast<std::uint32_t>(id);
     if (2 * num_nodes() > slots_.size()) grow_slots();
     return id;
 }
 
 void ReachabilityGraph::grow_slots() {
-    // Rows are distinct, so re-placing them needs the cached hashes only.
+    // Rows are distinct, so re-placing them needs their hashes only, which
+    // are recomputed: a growth rehashes O(nodes) rows, O(nodes) in total
+    // over the doublings of one exploration.
     slots_.assign(2 * slots_.size(), kEmptySlot);
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t id = 0; id < num_nodes(); ++id) {
-        std::size_t slot = static_cast<std::size_t>(mix64(hashes_[id])) & mask;
+        const std::uint64_t hash = hash_row(row(static_cast<NodeId>(id)));
+        std::size_t slot = static_cast<std::size_t>(mix64(hash)) & mask;
         while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
         slots_[slot] = static_cast<std::uint32_t>(id);
     }
@@ -132,7 +135,7 @@ void ReachabilityGraph::close(const ReachabilityOptions& options) {
     for (; static_cast<std::size_t>(node) < num_nodes(); ++node) {
         const std::span<const AgentCount> current = row(node);
         std::copy(current.begin(), current.end(), scratch);  // rows_ may grow below
-        node_hash = hashes_[static_cast<std::size_t>(node)];
+        node_hash = hash_row(current);
         out_.clear();
         // Walk the non-silent-pair CSR restricted to the support: every
         // enabled pair with at least one rule is reached through the
@@ -190,15 +193,12 @@ void ReachabilityGraph::reexplore(const Protocol& protocol, std::span<const Conf
 
 void ReachabilityGraph::reserve(std::size_t width, std::size_t nodes, std::size_t edges) {
     rows_.reserve(nodes * width);
-    hashes_.reserve(nodes);
     // intern() doubles the table while 2·nodes exceeds it.
     slots_.reserve(std::bit_ceil(std::max(kInitialSlots, 2 * nodes)));
     scratch_.reserve(width);
     state_keys_.reserve(width);
     offsets_.reserve(nodes + 1);
     targets_.reserve(edges);
-    scc_index_.reserve(nodes);
-    scc_lowlink_.reserve(nodes);
     scc_stack_.reserve(nodes);
     scc_frames_.reserve(nodes);
 }
@@ -246,34 +246,43 @@ std::span<const NodeId> ReachabilityGraph::successors(NodeId node) const {
 }
 
 ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
-    // Iterative Tarjan over the CSR.  Components are numbered in completion
-    // order, so every inter-component edge goes from a larger to a smaller
-    // id.
+    // Pearce's iterative one-word Tarjan (PEA_FIND_SCC2) over the CSR.
+    // rindex lives in result.component_of: 0 = unvisited; a visited node
+    // not yet in a component holds its DFS index, lowered to the smallest
+    // index it reaches among such nodes (Tarjan's low link); a completed
+    // node holds its component's id.  Ids count down from n, so they exceed
+    // every live DFS index (at most the number of unassigned visited
+    // nodes) and comparisons against completed nodes never lower a link.
+    // The DFS and its root tests are Tarjan's, so components complete in
+    // Tarjan's order; the ids are remapped to that completion order at the
+    // end, so every inter-component edge goes from a larger to a smaller id.
     const std::size_t n = num_nodes();
     SccResult result;
-    result.component_of.assign(n, -1);
-
-    // A visited node is on the Tarjan stack exactly until its component is
-    // assigned, so component_of < 0 doubles as the on-stack flag.
-    constexpr std::int32_t kUnvisited = -1;
-    std::vector<std::int32_t>& index = scc_index_;
-    std::vector<std::int32_t>& lowlink = scc_lowlink_;
+    std::vector<std::int32_t>& rindex = result.component_of;
+    rindex.assign(n, 0);
     std::vector<NodeId>& stack = scc_stack_;
     std::vector<SccFrame>& call_stack = scc_frames_;
-    index.assign(n, kUnvisited);
-    lowlink.assign(n, 0);
     stack.clear();
     call_stack.clear();
-    std::int32_t next_index = 0;
+    // 64-bit counters: the next DFS index can reach n + 1.
+    std::int64_t next_index = 1;
+    auto next_component = static_cast<std::int64_t>(n);
 
     const auto visit = [&](std::size_t v) {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(static_cast<NodeId>(v));
-        call_stack.push_back({static_cast<NodeId>(v), offsets_[v]});
+        rindex[v] = static_cast<std::int32_t>(next_index++);
+        call_stack.push_back({static_cast<NodeId>(v), offsets_[v], true});
+    };
+    // Lowers `frame`'s link to `link`, if smaller.
+    const auto lower = [&](SccFrame& frame, std::int32_t link) {
+        std::int32_t& own = rindex[static_cast<std::size_t>(frame.node)];
+        if (link < own) {
+            own = link;
+            frame.root = false;
+        }
     };
 
     for (std::size_t start = 0; start < n; ++start) {
-        if (index[start] != kUnvisited) continue;
+        if (rindex[start] != 0) continue;
         visit(start);
         while (!call_stack.empty()) {
             SccFrame& frame = call_stack.back();
@@ -282,33 +291,38 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
             bool descended = false;
             while (frame.edge < end) {
                 const auto next = static_cast<std::size_t>(targets_[frame.edge++]);
-                if (index[next] == kUnvisited) {
+                if (rindex[next] == 0) {
                     visit(next);  // invalidates `frame`
                     descended = true;
                     break;
                 }
-                if (result.component_of[next] < 0)
-                    lowlink[node] = std::min(lowlink[node], index[next]);
+                lower(frame, rindex[next]);
             }
             if (descended) continue;
-            if (lowlink[node] == index[node]) {
-                // node is a component root; pop its members.
-                while (true) {
-                    const NodeId member = stack.back();
-                    stack.pop_back();
-                    result.component_of[static_cast<std::size_t>(member)] =
-                        result.num_components;
-                    if (static_cast<std::size_t>(member) == node) break;
-                }
-                ++result.num_components;
-            }
+            const bool root = frame.root;
             call_stack.pop_back();
-            if (!call_stack.empty()) {
-                const auto parent = static_cast<std::size_t>(call_stack.back().node);
-                lowlink[parent] = std::min(lowlink[parent], lowlink[node]);
+            if (root) {
+                // node and the stacked nodes visited after it form its
+                // component; their DFS indices are released.
+                const std::int32_t own = rindex[node];
+                const auto id = static_cast<std::int32_t>(next_component--);
+                while (!stack.empty() && own <= rindex[static_cast<std::size_t>(stack.back())]) {
+                    rindex[static_cast<std::size_t>(stack.back())] = id;
+                    stack.pop_back();
+                    --next_index;
+                }
+                rindex[node] = id;
+                --next_index;
+            } else {
+                stack.push_back(static_cast<NodeId>(node));
             }
+            if (!call_stack.empty()) lower(call_stack.back(), rindex[node]);
         }
     }
+
+    result.num_components = static_cast<std::int32_t>(static_cast<std::int64_t>(n) - next_component);
+    for (std::int32_t& component : rindex)
+        component = static_cast<std::int32_t>(static_cast<std::int64_t>(n) - component);
 
     result.is_bottom.assign(static_cast<std::size_t>(result.num_components), true);
     for (std::size_t node = 0; node < n; ++node) {

@@ -12,12 +12,13 @@
 // exactly "every bottom SCC reachable from C is a b-consensus SCC".
 //
 // Storage is one flat arena:
-//   * node rows — |Q| counts per node, node-major in a single vector, plus
-//     one cached hash per node;
+//   * node rows — |Q| counts per node, node-major in a single vector;
 //   * an open-addressed table of uint32 node ids (linear probing, power-of-
-//     two size, load ≤ 0.5) that interns rows.  Node ids are insertion
-//     order, so the hash decides slot placement only — nothing observable
-//     depends on it;
+//     two size, load ≤ 0.5) that interns rows.  Probes compare rows; no
+//     hash is stored per node — the BFS rehashes the node it expands, and
+//     a table growth rehashes every row.  Node ids are insertion order, so
+//     the hash decides slot placement only — nothing observable depends on
+//     it;
 //   * adjacency as a CSR (offsets + one contiguous target array).  The BFS
 //     processes node ids in increasing order, so each node's sorted,
 //     deduplicated successor list is appended as soon as it is known.
@@ -79,8 +80,8 @@ public:
                    const ReachabilityOptions& options = {});
 
     /// Sizes the arena once for every later graph of at most `nodes` nodes
-    /// and `edges` edges over `width` states: rows, hashes, slot table, CSR
-    /// and the compute_sccs scratch get that capacity now, so no
+    /// and `edges` edges over `width` states: rows, slot table, CSR and the
+    /// compute_sccs scratch get that capacity now, so no
     /// reexplore() or compute_sccs() within the bounds reallocates.  Only
     /// capacity changes — the graph held is untouched — and a larger graph
     /// later still works, growing the buffers as usual.
@@ -89,7 +90,7 @@ public:
     /// The explored protocol (the graph keeps a pointer: the protocol must
     /// outlive every use of the graph).
     const Protocol& protocol() const noexcept { return *protocol_; }
-    std::size_t num_nodes() const noexcept { return hashes_.size(); }
+    std::size_t num_nodes() const noexcept { return num_nodes_; }
     std::size_t num_edges() const noexcept { return targets_.size(); }
 
     /// The configuration of a node, materialised.  Throws std::out_of_range
@@ -120,8 +121,11 @@ public:
         std::int32_t num_components = 0;
         std::vector<bool> is_bottom;  // component id -> bottom SCC?
     };
-    /// Tarjan's working stacks live in the arena (like the reverse CSR), so
-    /// one graph must not run this on two threads at once.
+    /// Pearce's one-word variant of Tarjan's algorithm: the DFS index and
+    /// low link share one word per node, kept in the result's
+    /// component_of, and components complete in Tarjan's order.  The DFS
+    /// stacks live in the arena (like the reverse CSR), so one graph must
+    /// not run this on two threads at once.
     SccResult compute_sccs() const;
 
     /// All nodes reachable from `start` (forward BFS over the graph).
@@ -140,7 +144,8 @@ private:
     /// the hash by four key terms.  Slots are placed by mix64 of it.
     std::uint64_t hash_row(std::span<const AgentCount> counts) const noexcept;
     /// The slot holding the node whose row is `key` (hashing to `hash`), or
-    /// the empty slot where it would be inserted.
+    /// the empty slot where it would be inserted.  Occupied slots are
+    /// matched by comparing rows.
     std::size_t probe(std::span<const AgentCount> key, std::uint64_t hash) const noexcept;
     /// Interns scratch_ (whose hash_row is `hash`): its existing node, or a
     /// new node appended to the arena (throws std::length_error past the
@@ -155,9 +160,9 @@ private:
 
     const Protocol* protocol_ = nullptr;
     std::size_t width_ = 0;                // |Q|: the length of every row
+    std::size_t num_nodes_ = 0;
     std::vector<AgentCount> rows_;         // node-major, width_ counts per node
     std::vector<std::uint64_t> state_keys_;  // odd per-state hash keys (grow only)
-    std::vector<std::uint64_t> hashes_;    // hash_row of each node's row
     std::vector<std::uint32_t> slots_;     // open-addressed node ids / kEmptySlot
     std::vector<AgentCount> scratch_;      // the row being fired or interned
     std::vector<std::uint32_t> offsets_;   // CSR: node's successors are
@@ -170,14 +175,13 @@ private:
     mutable std::vector<std::uint32_t> reverse_offsets_;
     mutable std::vector<NodeId> reverse_targets_;
 
-    // compute_sccs scratch, kept across calls: Tarjan index and lowlink per
-    // node, the component stack, and the explicit DFS call stack.
+    // compute_sccs scratch, kept across calls: the stack of visited nodes
+    // that are not component roots, and the explicit DFS call stack.
     struct SccFrame {
         NodeId node;
         std::uint32_t edge;  // next CSR slot of node's successor list
+        bool root;           // no successor has lowered node's link yet
     };
-    mutable std::vector<std::int32_t> scc_index_;
-    mutable std::vector<std::int32_t> scc_lowlink_;
     mutable std::vector<NodeId> scc_stack_;
     mutable std::vector<SccFrame> scc_frames_;
 };

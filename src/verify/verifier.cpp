@@ -8,6 +8,11 @@
 
 namespace ppsc {
 
+InputOutcome outcome_of(const InputVerdict& verdict) {
+    if (!verdict.well_specified) return InputOutcome::ill_specified;
+    return *verdict.computed == 1 ? InputOutcome::accepts : InputOutcome::rejects;
+}
+
 InputVerdict Verifier::verify_input(std::span<const AgentCount> input) const {
     ReachabilityGraph arena;
     return verify_input(input, arena);
@@ -143,21 +148,14 @@ std::optional<AgentCount> Verifier::infer_threshold(AgentCount max_input) const 
 std::optional<AgentCount> Verifier::infer_threshold(AgentCount max_input,
                                                     ReachabilityGraph& arena) const {
     if (protocol_.input_variables().size() != 1) return std::nullopt;
-    std::optional<AgentCount> first_accept;
-    const AgentCount start = protocol_.is_leaderless() ? 2 : std::max<AgentCount>(
-        0, 2 - protocol_.leaders().size());
-    for (AgentCount i = std::max<AgentCount>(start, 0); i <= max_input; ++i) {
-        if (protocol_.leaders().size() + i < 2) continue;
+    // The smallest input with at least two agents.
+    const AgentCount first = std::max<AgentCount>(0, 2 - protocol_.leaders().size());
+    const ThresholdScan scan = scan_threshold(first, max_input, [&](AgentCount i) {
         const AgentCount values[] = {i};
-        const InputVerdict verdict = verify_input(values, arena);
-        if (!verdict.well_specified) return std::nullopt;
-        if (*verdict.computed == 1) {
-            if (!first_accept) first_accept = i;
-        } else if (first_accept) {
-            return std::nullopt;  // 1 followed by 0: not a threshold pattern
-        }
-    }
-    return first_accept;
+        return outcome_of(verify_input(values, arena));
+    });
+    if (scan.result != ThresholdScan::Result::threshold) return std::nullopt;
+    return scan.eta;
 }
 
 bool Verifier::screening_refutes_threshold(AgentCount max_input,

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -53,6 +54,52 @@ struct InputVerdict {
     /// (diagnosis aid; empty when well-specified).
     std::optional<Config> counterexample;
 };
+
+/// How the exact verdict on one input of a threshold scan came out.
+enum class InputOutcome : std::uint8_t {
+    rejects,        ///< well-specified, computes 0
+    accepts,        ///< well-specified, computes 1
+    ill_specified,  ///< a bottom SCC without consensus, or two that disagree
+    over_budget,    ///< the graph exceeded ReachabilityOptions::max_nodes
+};
+
+/// rejects / accepts / ill_specified, as `verdict` says.
+InputOutcome outcome_of(const InputVerdict& verdict);
+
+/// The verdict of a threshold scan (see scan_threshold).
+struct ThresholdScan {
+    enum class Result : std::uint8_t { threshold, no_threshold, over_budget };
+    Result result = Result::no_threshold;
+    AgentCount eta = 0;  ///< the first accepting input, when result == threshold
+};
+
+/// The 0…0 1…1 fold of infer_threshold, shared with busy_beaver_search:
+/// reads outcome(i) for i = first, first + 1, …, last in that order and
+/// stops at the first input that decides the scan — an ill-specified input
+/// (no threshold), an over-budget one (over budget), or a rejection after
+/// an acceptance (no threshold).  Otherwise the scan is a threshold at the
+/// first accepting input, or no threshold if nothing accepts.  No outcome
+/// past the deciding input is read, so a caller may leave those unknown.
+template <typename Outcome>
+ThresholdScan scan_threshold(AgentCount first, AgentCount last, Outcome&& outcome) {
+    using Result = ThresholdScan::Result;
+    ThresholdScan scan;  // no threshold until some input accepts
+    for (AgentCount i = first; i <= last; ++i) {
+        switch (outcome(i)) {
+            case InputOutcome::ill_specified:
+                return {Result::no_threshold};
+            case InputOutcome::over_budget:
+                return {Result::over_budget};
+            case InputOutcome::accepts:
+                if (scan.result != Result::threshold) scan = {Result::threshold, i};
+                break;
+            case InputOutcome::rejects:
+                if (scan.result == Result::threshold) return {Result::no_threshold};
+                break;
+        }
+    }
+    return scan;
+}
 
 struct PredicateCheck {
     bool holds = true;                    ///< all checked inputs correct
@@ -85,11 +132,16 @@ struct ScreeningOptions {
 
 class Verifier {
 public:
-    explicit Verifier(const Protocol& protocol, ReachabilityOptions options = {})
-        : protocol_(protocol), options_(options) {}
+    explicit Verifier(Protocol protocol, ReachabilityOptions options = {})
+        : protocol_(std::move(protocol)), options_(options) {}
 
     /// Exact verdict for one input valuation.
     InputVerdict verify_input(std::span<const AgentCount> input) const;
+
+    /// verify_input explored in `arena` (see ReachabilityGraph::reexplore),
+    /// which afterwards holds the input's reachability graph.  Throws
+    /// std::length_error past the node budget.
+    InputVerdict verify_input(std::span<const AgentCount> input, ReachabilityGraph& arena) const;
 
     /// Single-variable convenience.
     InputVerdict verify_input(AgentCount input) const;
@@ -108,8 +160,10 @@ public:
     /// the pattern 0…0 1…1, returns the threshold η (first accepted input;
     /// η = 2 if everything accepted).  Returns nullopt if some input is
     /// ill-specified, the pattern is broken, or everything is rejected.
-    /// This is the workhorse of the busy-beaver search (Definition 1).
-    /// All inputs are explored in one arena.
+    /// Inputs are explored in increasing order, all in one arena, and
+    /// folded by scan_threshold (as busy_beaver_search folds them) until
+    /// one decides the scan.  An input past the node budget throws
+    /// std::length_error.
     std::optional<AgentCount> infer_threshold(AgentCount max_input) const;
 
     /// infer_threshold exploring in the caller's arena, so a search over
@@ -136,10 +190,6 @@ public:
                                               const ScreeningOptions& screening) const;
 
 private:
-    /// verify_input explored in `arena` (see ReachabilityGraph::reexplore),
-    /// which afterwards holds the input's reachability graph.
-    InputVerdict verify_input(std::span<const AgentCount> input, ReachabilityGraph& arena) const;
-
     // Owned copy: the verifier may outlive a temporary the caller built
     // from (protocols are cheap values next to reachability graphs).
     Protocol protocol_;

@@ -1,10 +1,12 @@
 // Test oracles for the reachability layer: a std::map BFS that fires
-// through Protocol::fire, a deque-BFS backward closure (and the stable sets
-// built on it), and the per-component rescan selection of the pumping
-// pipeline.
+// through Protocol::fire, the two-word iterative Tarjan that compute_sccs
+// ran before Pearce's one-word variant, a deque-BFS backward closure (and
+// the stable sets built on it), and the per-component rescan selection of
+// the pumping pipeline.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
@@ -106,6 +108,76 @@ inline std::vector<Config> slice_configs(std::size_t num_states, AgentCount popu
     };
     recurse(recurse, 0, population);
     return configs;
+}
+
+/// Iterative Tarjan with an index and a low link per node: components are
+/// numbered in completion order, and a component is bottom when no edge
+/// leaves it.
+inline ReachabilityGraph::SccResult tarjan_sccs(const ReachabilityGraph& graph) {
+    const std::size_t n = graph.num_nodes();
+    ReachabilityGraph::SccResult result;
+    result.component_of.assign(n, -1);
+    // A visited node is on the Tarjan stack exactly until its component is
+    // assigned, so component_of < 0 doubles as the on-stack flag.
+    constexpr std::int32_t kUnvisited = -1;
+    std::vector<std::int32_t> index(n, kUnvisited);
+    std::vector<std::int32_t> lowlink(n, 0);
+    std::vector<NodeId> stack;
+    struct Frame {
+        NodeId node;
+        std::size_t edge;  // next position in node's successor list
+    };
+    std::vector<Frame> call_stack;
+    std::int32_t next_index = 0;
+    const auto visit = [&](std::size_t v) {
+        index[v] = lowlink[v] = next_index++;
+        stack.push_back(static_cast<NodeId>(v));
+        call_stack.push_back({static_cast<NodeId>(v), 0});
+    };
+    for (std::size_t start = 0; start < n; ++start) {
+        if (index[start] != kUnvisited) continue;
+        visit(start);
+        while (!call_stack.empty()) {
+            Frame& frame = call_stack.back();
+            const auto node = static_cast<std::size_t>(frame.node);
+            const auto out = graph.successors(frame.node);
+            bool descended = false;
+            while (frame.edge < out.size()) {
+                const auto next = static_cast<std::size_t>(out[frame.edge++]);
+                if (index[next] == kUnvisited) {
+                    visit(next);  // invalidates `frame`
+                    descended = true;
+                    break;
+                }
+                if (result.component_of[next] < 0)
+                    lowlink[node] = std::min(lowlink[node], index[next]);
+            }
+            if (descended) continue;
+            if (lowlink[node] == index[node]) {
+                while (true) {
+                    const NodeId member = stack.back();
+                    stack.pop_back();
+                    result.component_of[static_cast<std::size_t>(member)] = result.num_components;
+                    if (static_cast<std::size_t>(member) == node) break;
+                }
+                ++result.num_components;
+            }
+            call_stack.pop_back();
+            if (!call_stack.empty()) {
+                const auto parent = static_cast<std::size_t>(call_stack.back().node);
+                lowlink[parent] = std::min(lowlink[parent], lowlink[node]);
+            }
+        }
+    }
+    result.is_bottom.assign(static_cast<std::size_t>(result.num_components), true);
+    for (std::size_t node = 0; node < n; ++node) {
+        for (const NodeId target : graph.successors(static_cast<NodeId>(node))) {
+            const std::int32_t from = result.component_of[node];
+            if (from != result.component_of[static_cast<std::size_t>(target)])
+                result.is_bottom[static_cast<std::size_t>(from)] = false;
+        }
+    }
+    return result;
 }
 
 /// All nodes of `graph` that can reach some node in `targets`.

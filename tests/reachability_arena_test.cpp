@@ -1,9 +1,12 @@
-// The flat-arena ReachabilityGraph against a naive oracle, and arena reuse.
+// The flat-arena ReachabilityGraph against naive oracles, and arena reuse.
 //
-// The oracle (tests/oracle/graph.hpp) is the textbook std::map BFS.  In the
-// arena's enumeration order it must agree with explore() and full_slice()
-// node for node — ids, rows, sorted successor lists and roots — and slices
-// must also match the support × support enumeration.  Reuse:
+// The graph oracle (tests/oracle/graph.hpp) is the textbook std::map BFS.
+// In the arena's enumeration order it must agree with explore() and
+// full_slice() node for node — ids, rows, sorted successor lists and roots —
+// and slices must also match the support × support enumeration.  The SCC
+// oracle is the two-word iterative Tarjan: compute_sccs (Pearce's one-word
+// variant, its scratch kept in the arena) must give the same component ids,
+// count and bottom flags on every graph, fresh or re-explored.  Reuse:
 // ReachabilityGraph::reexplore into an arena that held anything before (an
 // aborted graph, a larger graph, a protocol with a different |Q|) must give
 // exactly the graph a fresh explore gives, whatever the arena reserved
@@ -26,6 +29,13 @@ namespace {
 
 using oracle::NaiveGraph;
 
+void expect_same_sccs(const ReachabilityGraph::SccResult& a,
+                      const ReachabilityGraph::SccResult& b, const std::string& what) {
+    EXPECT_EQ(a.num_components, b.num_components) << what;
+    EXPECT_EQ(a.component_of, b.component_of) << what;
+    EXPECT_EQ(a.is_bottom, b.is_bottom) << what;
+}
+
 void expect_matches_oracle(const ReachabilityGraph& graph, const NaiveGraph& oracle,
                            const std::string& what) {
     ASSERT_EQ(graph.num_nodes(), oracle.rows.size()) << what;
@@ -44,6 +54,7 @@ void expect_matches_oracle(const ReachabilityGraph& graph, const NaiveGraph& ora
     EXPECT_EQ(graph.num_edges(), edges) << what;
     EXPECT_EQ(std::vector<NodeId>(graph.roots().begin(), graph.roots().end()), oracle.roots)
         << what;
+    expect_same_sccs(graph.compute_sccs(), oracle::tarjan_sccs(graph), what + " (SCCs)");
 }
 
 void expect_same_graph(const ReachabilityGraph& a, const ReachabilityGraph& b,
@@ -82,6 +93,9 @@ void check_protocol(const Protocol& p, AgentCount max_input, AgentCount max_slic
         arena.reexplore(p, roots);
         expect_matches_oracle(arena, oracle::naive_graph(p, roots, true, oracle::rules_in_arena_order),
                               what + ", input " + std::to_string(input));
+        const ReachabilityGraph fresh = ReachabilityGraph::explore(p, roots);
+        expect_same_sccs(fresh.compute_sccs(), oracle::tarjan_sccs(fresh),
+                         what + ", input " + std::to_string(input) + " (fresh SCCs)");
     }
     for (AgentCount population = 2; population <= max_slice; ++population) {
         const ReachabilityGraph slice = ReachabilityGraph::full_slice(p, population);
@@ -155,19 +169,15 @@ TEST(ReachabilityArena, MatchesOracleOnSampledBusyBeaverCandidates) {
         for (AgentCount input = 2; input <= 24; ++input) {
             const Config roots[] = {p.initial_config(input)};
             arena.reexplore(p, roots, {.max_nodes = 60'000});
+            const std::string what =
+                "candidate " + std::to_string(candidate) + ", input " + std::to_string(input);
             expect_matches_oracle(
-                arena, oracle::naive_graph(p, {roots[0]}, true, oracle::rules_in_arena_order),
-                "candidate " + std::to_string(candidate) + ", input " + std::to_string(input));
+                arena, oracle::naive_graph(p, {roots[0]}, true, oracle::rules_in_arena_order), what);
+            const ReachabilityGraph fresh = ReachabilityGraph::explore(p, roots, {.max_nodes = 60'000});
+            expect_same_sccs(fresh.compute_sccs(), oracle::tarjan_sccs(fresh), what + " (fresh SCCs)");
         }
         check_protocol(p, 8, 8, arena, "candidate " + std::to_string(candidate));
     }
-}
-
-void expect_same_sccs(const ReachabilityGraph::SccResult& a,
-                      const ReachabilityGraph::SccResult& b, const std::string& what) {
-    EXPECT_EQ(a.num_components, b.num_components) << what;
-    EXPECT_EQ(a.component_of, b.component_of) << what;
-    EXPECT_EQ(a.is_bottom, b.is_bottom) << what;
 }
 
 TEST(ReachabilityArena, ReservedArenaMatchesOracleAndFreshSccs) {
@@ -175,7 +185,7 @@ TEST(ReachabilityArena, ReservedArenaMatchesOracleAndFreshSccs) {
     // graph of the search.  Whatever the reservation — too narrow, too few
     // nodes or edges, exact, or far too large — reexplore() must still give
     // the oracle's graph node for node, and compute_sccs() on the reused
-    // arena (its Tarjan scratch kept from the previous graph) must give the
+    // arena (its SCC scratch kept from the previous graph) must give the
     // components a fresh graph gives.
     constexpr AgentCount kMaxInput = 12;
     constexpr std::size_t kSlice = 1820;  // C(12 + 4, 4): the n = 5 slice at 12

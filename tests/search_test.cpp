@@ -95,15 +95,17 @@ void expect_same_outcome(const search::SearchOutcome& a, const search::SearchOut
 }
 
 TEST(BusyBeaverSearch, ParallelismDoesNotChangeTheOutcome) {
-    // Candidates are verified on the worker pool and folded in candidate
-    // order, so every field — the witness text (the first candidate to
-    // reach the maximum) and the histogram included — must equal the
-    // serial search's for any worker count.  Sizes stay small enough for
-    // the sanitizer builds, whose thread checker then covers the pool.
+    // Candidates are screened and their inputs verified on the worker pool,
+    // then folded in candidate order, so every field — the witness text
+    // (the first candidate to reach the maximum) and the histogram
+    // included — must equal the serial search's for any worker count.
+    // Sizes stay small enough for the sanitizer builds, whose thread
+    // checker then covers the pool and the per-candidate skip atomics.
     struct Case {
         std::string name;
         std::size_t n;
         search::SearchOptions options;
+        bool finds_thresholds = true;
     };
     std::vector<Case> cases;
     const auto add = [&](std::string name, std::size_t n, AgentCount max_input,
@@ -126,16 +128,33 @@ TEST(BusyBeaverSearch, ParallelismDoesNotChangeTheOutcome) {
     add("sampled n = 5, screens", 5, 10, 600, true);
     add("sampled n = 5, tight budget", 5, 10, 600, false);
     cases.back().options.max_nodes_per_graph = 120;
+    // Fewer candidates than workers: the input pass runs more workers (one
+    // survivor, nine inputs) than the candidate pass, each needing an arena.
+    add("3 samples, n = 3", 3, 10, 3, false);
+    cases.back().finds_thresholds = false;
+    // A longer horizon under a budget that the largest inputs exceed: most
+    // candidates are decided at a low input (ill-specified), so their
+    // higher inputs are skipped, while the others run into the budget — a
+    // skipped input read by the fold would turn a "no threshold" into a
+    // budget skip.
+    add("sampled n = 5, horizon 16", 5, 16, 300, false);
+    cases.back().options.max_nodes_per_graph = 1'000;
 
     std::uint64_t screened = 0;
     for (const Case& c : cases) {
         search::SearchOptions serial = c.options;
         serial.parallelism = 1;
         const search::SearchOutcome reference = search::busy_beaver_search(c.n, serial);
-        EXPECT_GT(reference.threshold_protocols, 0u) << c.name;
+        EXPECT_GT(reference.canonical, 0u) << c.name;
+        if (c.finds_thresholds) {
+            EXPECT_GT(reference.threshold_protocols, 0u) << c.name;
+        }
         screened += reference.static_refuted + reference.screened_out;
-        if (c.options.max_nodes_per_graph < 1'000) {
+        if (c.options.max_nodes_per_graph <= 1'000) {
             EXPECT_GT(reference.budget_skipped, 0u) << c.name;
+            EXPECT_GT(reference.canonical,
+                      reference.budget_skipped + reference.threshold_protocols)
+                << c.name << ": no candidate decided before the budget";
         }
         for (const unsigned parallelism : {2u, 4u, 0u}) {
             search::SearchOptions options = c.options;
@@ -145,6 +164,24 @@ TEST(BusyBeaverSearch, ParallelismDoesNotChangeTheOutcome) {
         }
     }
     EXPECT_GT(screened, 0u);  // the screened cases fold screen verdicts too
+}
+
+TEST(BusyBeaverSearch, ThresholdsAtTheHorizonAreNotCounted) {
+    // A threshold at the last checked input is indistinguishable from
+    // "accepts nothing below the horizon".  This sample holds a candidate
+    // computing x >= 3 on 2..4; on 2..3 its verdicts 0 1 still scan to
+    // η = 3 (verify_verifier_test, ThresholdScan), which the search must
+    // not count.
+    search::SearchOptions options;
+    options.sample_limit = 1'500;
+    options.seed = 6;
+    options.max_input = 4;
+    const search::SearchOutcome wide = search::busy_beaver_search(3, options);
+    ASSERT_EQ(wide.best_eta, 3);
+    options.max_input = 3;
+    const search::SearchOutcome at_horizon = search::busy_beaver_search(3, options);
+    EXPECT_EQ(at_horizon.best_eta, 2);
+    for (const auto& [eta, count] : at_horizon.eta_histogram) EXPECT_LT(eta, 3) << count;
 }
 
 TEST(BusyBeaverSearch, ParameterValidation) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "protocols/threshold.hpp"
 
 namespace ppsc {
@@ -105,6 +108,135 @@ TEST(Verifier, WrongInputArityThrows) {
     const Verifier verifier(p);
     const AgentCount tuple[] = {1, 1};
     EXPECT_THROW(verifier.verify_input(tuple), std::invalid_argument);
+}
+
+// --- the threshold fold (scan_threshold), shared with busy_beaver_search ---
+
+using Result = ThresholdScan::Result;
+constexpr InputOutcome kRejects = InputOutcome::rejects;
+constexpr InputOutcome kAccepts = InputOutcome::accepts;
+constexpr InputOutcome kIll = InputOutcome::ill_specified;
+constexpr InputOutcome kOver = InputOutcome::over_budget;
+
+/// scan_threshold over `outcomes` (inputs first, first + 1, …), recording
+/// the largest input it read.
+struct Scanned {
+    ThresholdScan scan;
+    AgentCount last_read = -1;
+};
+Scanned scan(const std::vector<InputOutcome>& outcomes, AgentCount first = 2) {
+    Scanned scanned;
+    scanned.scan = scan_threshold(first, first + static_cast<AgentCount>(outcomes.size()) - 1,
+                                  [&](AgentCount i) {
+                                      EXPECT_GT(i, scanned.last_read) << "inputs read out of order";
+                                      scanned.last_read = i;
+                                      return outcomes[static_cast<std::size_t>(i - first)];
+                                  });
+    return scanned;
+}
+
+/// The loop infer_threshold ran before the fold was shared, over known
+/// outcomes: over_budget stands for the std::length_error an exploration
+/// threw.  Returns the verdict and the input that decided it (the last
+/// input when none did).
+Scanned serial_fold(const std::vector<InputOutcome>& outcomes, AgentCount first = 2) {
+    std::optional<AgentCount> first_accept;
+    AgentCount i = first;
+    for (const InputOutcome outcome : outcomes) {
+        if (outcome == kOver) return {{Result::over_budget}, i};
+        if (outcome == kIll) return {{Result::no_threshold}, i};
+        if (outcome == kAccepts) {
+            if (!first_accept) first_accept = i;
+        } else if (first_accept) {
+            return {{Result::no_threshold}, i};  // 1 followed by 0
+        }
+        ++i;
+    }
+    if (!first_accept) return {{Result::no_threshold}, i - 1};
+    return {{Result::threshold, *first_accept}, i - 1};
+}
+
+void expect_scan(const std::vector<InputOutcome>& outcomes, Result result, AgentCount eta,
+                 AgentCount last_read) {
+    const Scanned scanned = scan(outcomes);
+    EXPECT_EQ(scanned.scan.result, result);
+    if (result == Result::threshold) {
+        EXPECT_EQ(scanned.scan.eta, eta);
+    }
+    EXPECT_EQ(scanned.last_read, last_read);
+}
+
+TEST(ThresholdScan, NamedSequences) {
+    // Inputs 2, 3, …: the first decisive input ends the scan, and nothing
+    // past it is read (busy_beaver_search may have skipped those inputs).
+    expect_scan({kRejects, kIll, kOver, kAccepts}, Result::no_threshold, 0, 3);
+    expect_scan({kRejects, kOver, kIll, kAccepts}, Result::over_budget, 0, 3);
+    expect_scan({kRejects, kAccepts, kRejects, kAccepts}, Result::no_threshold, 0, 4);
+    expect_scan({kRejects, kRejects, kRejects}, Result::no_threshold, 0, 4);
+    expect_scan({kRejects, kAccepts, kAccepts, kAccepts}, Result::threshold, 3, 5);
+    expect_scan({kAccepts, kAccepts}, Result::threshold, 2, 3);
+    // η at the last checked input is a threshold here, as infer_threshold
+    // reports it; busy_beaver_search drops it as indistinguishable from
+    // "accept nothing below the horizon"
+    // (BusyBeaverSearch.ThresholdsAtTheHorizonAreNotCounted).
+    expect_scan({kRejects, kRejects, kAccepts}, Result::threshold, 4, 4);
+    expect_scan({}, Result::no_threshold, 0, -1);
+}
+
+TEST(ThresholdScan, MatchesTheSerialFoldOnEveryShortSequence) {
+    const InputOutcome all[] = {kRejects, kAccepts, kIll, kOver};
+    std::size_t checked = 0;
+    for (std::size_t length = 0; length <= 6; ++length) {
+        std::vector<InputOutcome> outcomes(length);
+        std::size_t combinations = 1;
+        for (std::size_t i = 0; i < length; ++i) combinations *= 4;
+        for (std::size_t code = 0; code < combinations; ++code) {
+            std::size_t rest = code;
+            for (InputOutcome& outcome : outcomes) {
+                outcome = all[rest % 4];
+                rest /= 4;
+            }
+            const Scanned expected = serial_fold(outcomes);
+            const Scanned actual = scan(outcomes);
+            ASSERT_EQ(actual.scan.result, expected.scan.result) << "code " << code;
+            ASSERT_EQ(actual.scan.eta, expected.scan.eta) << "code " << code;
+            if (length > 0) {
+                ASSERT_EQ(actual.last_read, expected.last_read) << "code " << code;
+            }
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 5461u);  // Σ 4^k, k = 0..6
+}
+
+TEST(ThresholdScan, InferThresholdIsTheScanOfVerifyInput) {
+    // The exact outcomes of unary_threshold(4) on 2..9 scan to η = 4, and
+    // the oscillator's ({2A} <-> {2B}) to no threshold at input 2.
+    ReachabilityGraph arena;
+    const auto outcomes = [&](const Protocol& p, AgentCount max_input) {
+        const Verifier verifier(p);
+        std::vector<InputOutcome> result;
+        for (AgentCount i = 2; i <= max_input; ++i) {
+            const AgentCount values[] = {i};
+            result.push_back(outcome_of(verifier.verify_input(values, arena)));
+        }
+        return result;
+    };
+    const Protocol unary = protocols::unary_threshold(4);
+    EXPECT_EQ(outcomes(unary, 9), (std::vector<InputOutcome>{kRejects, kRejects, kAccepts, kAccepts,
+                                                             kAccepts, kAccepts, kAccepts,
+                                                             kAccepts}));
+    EXPECT_EQ(Verifier(unary).infer_threshold(9, arena), 4);
+    const Protocol cycle = oscillator();
+    EXPECT_EQ(outcomes(cycle, 2).front(), kIll);
+    EXPECT_EQ(Verifier(cycle).infer_threshold(9, arena), std::nullopt);
+    // Past the node budget, verify_input throws: the search records that
+    // input as over_budget.
+    const Config roots[] = {unary.initial_config(9)};
+    EXPECT_GT(ReachabilityGraph::explore(unary, roots).num_nodes(), 3u);
+    const AgentCount nine[] = {9};
+    EXPECT_THROW((void)Verifier(unary, {.max_nodes = 3}).verify_input(nine, arena),
+                 std::length_error);
 }
 
 }  // namespace
