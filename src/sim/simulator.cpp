@@ -398,14 +398,21 @@ bool Simulator::advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng,
     // min-count cap would be useless here (E11's merge frontier always has
     // a count-2 level, but its weight — hence its rate — is tiny); the
     // rate-relative cap keeps k at 10⁵-10⁶ through exactly those phases.
+    // The rates are summed over the pair tree's weight-bearing slots only:
+    // O(A·log #pairs) for A active pairs, and E11's merge frontier keeps A
+    // at a handful.  The visit order (ascending PairId) fixes the floating-
+    // point sums, hence k and the per-seed trajectory.
+    flush_pair_tree(ctx);
+    PPSC_DASSERT(ctx.pair_tree.total() == ctx.active_weight);
     const double weight_d = static_cast<double>(weight);
     const auto pairs = protocol_.nonsilent_pairs();
     auto& rate = ctx.epoch_rate;
     auto& rate_touched = ctx.epoch_rate_touched;
     rate_touched.clear();
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
+    [[maybe_unused]] W visited = 0;
+    ctx.pair_tree.for_each_nonzero([&](std::size_t i) {
         const W w = ctx.pair_weights[i];
-        if (w == 0) continue;
+        visited += w;
         const double wd = static_cast<double>(w);
         const auto [p, q] = pairs[i];
         const auto pi = static_cast<std::size_t>(p);
@@ -419,7 +426,8 @@ bool Simulator::advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng,
             if (rate[qi] == 0.0) rate_touched.push_back(q);
             rate[qi] += wd;
         }
-    }
+    });
+    PPSC_DASSERT(visited == ctx.active_weight);
     double k_cap = static_cast<double>(epoch.max_firings);
     for (const StateId s : rate_touched) {
         const auto si = static_cast<std::size_t>(s);
@@ -447,8 +455,6 @@ bool Simulator::advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng,
     // only bounds the expectation) is rejected wholesale and retried at
     // half the length: every epoch actually applied is realizable as a
     // firing sequence, and counts can never go negative.
-    flush_pair_tree(ctx);
-    PPSC_DASSERT(ctx.pair_tree.total() == ctx.active_weight);
     const auto transitions = protocol_.transitions();
     auto& cons = ctx.epoch_cons;
     auto& delta = ctx.epoch_delta;

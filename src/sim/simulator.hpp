@@ -45,6 +45,8 @@
 //      of its count (EpochOptions::drift), infeasible draws are rejected
 //      and retried at half the length, and the engine falls back to the
 //      exact per-step reference path whenever an epoch is not profitable.
+//      Sizing sums the per-state rates over the pair tree's weight-bearing
+//      slots only, so a whole epoch costs O(A·log #pairs) for A active pairs.
 //      Equivalence is established statistically (chi-squared on firing
 //      counts, two-sample tests on convergence times — see
 //      tests/support_stats/ and docs/ARCHITECTURE.md).

@@ -5,7 +5,9 @@
 // an ordered state pair), total weight, and inverse-CDF sampling ("which
 // slot holds rank r?").  A Fenwick tree does all three in O(log n) — and its
 // flat array layout keeps the whole structure in a handful of cache lines
-// for the sizes this library works with.
+// for the sizes this library works with.  Two walks build on the same
+// layout: a multinomial split of many draws at once, and a visit of the
+// weight-bearing slots in O(log n) per slot.
 //
 // Two instantiations are used:
 //   * FenwickTree    — int64 weights, the per-state agent counts;
@@ -99,6 +101,18 @@ public:
         multinomial_split(0, size_, count, total_, rng, emit);
     }
 
+    /// Calls visit(i) once for every slot with weights[i] != 0, in ascending
+    /// index order: a top-down dyadic descent over [0, bit_ceil(n)) that
+    /// carries each block's exact sum and prunes zero-sum blocks.  A block's
+    /// left half is one tree node (or, past the end, the whole block), its
+    /// right half the difference, so each visited node costs O(1) and the
+    /// walk O(A·log n) for A weight-bearing slots.  Requires non-negative
+    /// weights (a zero block sum must mean an all-zero block).
+    template <typename Visit>
+    void for_each_nonzero(Visit&& visit) const {
+        if (total_ != 0) visit_nonzero(0, std::bit_ceil(size_), total_, visit);
+    }
+
     /// The smallest index i with prefix_sum(i+1) > r, i.e. the slot holding
     /// rank `r`.  Requires 0 ≤ r < total().  O(log n).
     std::size_t sample(Weight r) const {
@@ -115,6 +129,26 @@ public:
     }
 
 private:
+    // Slots [base, base + width) with exact sum `sum` != 0; base is a
+    // multiple of width, so tree_[base + width/2] is exactly the left half.
+    template <typename Visit>
+    void visit_nonzero(std::size_t base, std::size_t width, Weight sum, Visit& visit) const {
+        while (width > 1) {
+            const std::size_t half = width / 2;
+            const Weight left = base + half <= size_ ? tree_[base + half] : sum;
+            if (left == sum) {  // right half weightless
+                width = half;
+                continue;
+            }
+            if (left != 0) visit_nonzero(base, half, left, visit);
+            base += half;
+            width = half;
+            sum -= left;
+        }
+        PPSC_DASSERT(base < size_);
+        visit(base);
+    }
+
     template <typename RngT, typename Emit>
     void multinomial_split(std::size_t lo, std::size_t hi, std::uint64_t count, Weight weight,
                            RngT& rng, Emit& emit) const {

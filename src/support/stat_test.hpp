@@ -6,9 +6,8 @@
 // seeds, explicit significance levels, and tests that compare realized
 // samples against either a known law (chi-squared goodness-of-fit) or a
 // reference sample (two-sample mean/variance/Kolmogorov-Smirnov tests).
-// This header is that shared vocabulary — used by tests/support_stats/,
-// the migrated pair-selection chi-squared test, and the CI
-// `bench_simulation --epoch-smoke` leg.
+// This header is that shared vocabulary — used by tests/support_stats/ and
+// the migrated pair-selection chi-squared test.
 //
 // Design rules, so CI stays flake-free:
 //   * Every test is deterministic: seeds derive from a fixed base via

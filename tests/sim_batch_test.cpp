@@ -10,6 +10,7 @@
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/majority.hpp"
 #include "protocols/threshold.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 
@@ -198,6 +199,33 @@ TEST(BatchedRun, DeterministicUnderSameSeed) {
     EXPECT_EQ(r1.interactions, r2.interactions);
     EXPECT_TRUE(r1.final_config == r2.final_config);
     EXPECT_EQ(r1.output, r2.output);
+}
+
+TEST(BatchedRun, EpochTrajectoryIsPinnedPerSeed) {
+    // Epoch mode is distribution-identical to per-step, not trajectory-
+    // identical, so the statistical suites cannot see a change that keeps
+    // the law but reorders a draw or a floating-point sum (the epoch-sizing
+    // rate accumulation, say).  This pins one seeded trajectory exactly:
+    // double_exp_threshold(10) at 2⁴⁰ agents over ≈ 2400 epochs.  The values
+    // were recorded with the O(#pairs) epoch-sizing scan that the pair-tree
+    // walk replaced.
+    const Protocol p = protocols::double_exp_threshold(10);
+    const Simulator sim(p, PairSelect::fenwick);
+    sim.reset_epoch_stats();
+    Config config = p.initial_config(AgentCount{1} << 40);
+    Rng rng(7);
+    std::uint64_t fired = 0;
+    const std::uint64_t budget = 10'000'000'000;
+    EXPECT_EQ(sim.run_batch(config, rng, budget, false, nullptr, &fired, StepMode::epoch),
+              budget);
+    EXPECT_EQ(fired, 9'821'703'788u);
+    EXPECT_EQ(rng.state(), 0x1e728c75c076dffeu);
+    const EpochStats stats = sim.epoch_stats();
+    EXPECT_EQ(stats.epochs, 2'357u);
+    EXPECT_EQ(stats.epoch_fired, 9'821'703'735u);
+    EXPECT_EQ(stats.fallback_fired, 53u);
+    EXPECT_EQ(stats.rejected_draws, 0u);
+    EXPECT_EQ(config_digest(config), 0x7ab346d4eec6099au);
 }
 
 TEST(BatchedRun, SilentConfigurationConvergesImmediately) {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -125,6 +126,78 @@ TEST(FenwickTree128, CarriesWeightsBeyondInt64) {
     }
     EXPECT_EQ(expected_slot, 3u);
     EXPECT_TRUE(cumulative == tree.total());
+}
+
+/// The slots for_each_nonzero visits, in visit order.
+template <typename W>
+std::vector<std::size_t> visited_slots(const BasicFenwickTree<W>& tree) {
+    std::vector<std::size_t> slots;
+    tree.for_each_nonzero([&](std::size_t i) { slots.push_back(i); });
+    return slots;
+}
+
+/// Brute force: every slot with non-zero weight, ascending.
+template <typename W>
+std::vector<std::size_t> nonzero_slots(const std::vector<W>& weights) {
+    std::vector<std::size_t> slots;
+    for (std::size_t i = 0; i < weights.size(); ++i)
+        if (weights[i] != 0) slots.push_back(i);
+    return slots;
+}
+
+/// Checks for_each_nonzero against the brute-force scan on random sparse
+/// weights (≈ 90% zero) of every size in `sizes`, then again after add()
+/// rounds that zero some weight-bearing slots and revive some empty ones.
+/// `unit` scales every weight (2⁷⁰ takes the 128-bit tree past int64).
+template <typename W>
+void expect_visits_match_brute_force(std::span<const std::size_t> sizes, W unit) {
+    Rng rng(0xF0E4);
+    for (const std::size_t size : sizes) {
+        std::vector<W> weights(size, 0);
+        for (W& w : weights)
+            if (rng.below(10) == 0) w = unit * static_cast<W>(1 + rng.below(1000));
+        BasicFenwickTree<W> tree{std::span<const W>(weights)};
+        for (int round = 0; round < 8; ++round) {
+            const std::vector<std::size_t> visited = visited_slots(tree);
+            EXPECT_EQ(visited, nonzero_slots(weights)) << "size " << size << " round " << round;
+            for (std::size_t k = 1; k < visited.size(); ++k)
+                EXPECT_LT(visited[k - 1], visited[k]) << "each slot once, ascending";
+            if (size == 0) break;
+            for (std::size_t change = 0; change < 1 + size / 10; ++change) {
+                const std::size_t i = rng.below(size);
+                const W delta =
+                    weights[i] != 0 ? -weights[i] : unit * static_cast<W>(1 + rng.below(1000));
+                weights[i] += delta;
+                tree.add(i, delta);
+            }
+        }
+    }
+}
+
+TEST(FenwickTree, ForEachNonzeroVisitsExactlyTheWeightBearingSlotsInOrder) {
+    const std::size_t sizes[] = {0, 1, 2, 3, 5, 7, 8, 9, 1000};
+    expect_visits_match_brute_force<std::int64_t>(sizes, 1);
+
+    // Dense and all-zero extremes, including a non-power-of-two size whose
+    // last dyadic block runs past the end.
+    const std::vector<std::int64_t> dense = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    const FenwickTree full{std::span<const std::int64_t>(dense)};
+    EXPECT_EQ(visited_slots(full), nonzero_slots(dense));
+    const std::vector<std::int64_t> zeros(9, 0);
+    const FenwickTree none{std::span<const std::int64_t>(zeros)};
+    EXPECT_TRUE(visited_slots(none).empty());
+    EXPECT_TRUE(visited_slots(FenwickTree{}).empty());
+}
+
+TEST(FenwickTree128, ForEachNonzeroHandlesWeightsBeyondInt64) {
+    const std::size_t sizes[] = {0, 1, 2, 3, 5, 7, 8, 9, 1000};
+    expect_visits_match_brute_force<Int128>(sizes, Int128{1} << 70);
+
+    // A block whose sum passes 2⁶⁴ next to slots of weight 1: pruning
+    // must rely on exact 128-bit sums, not a truncated word.
+    const std::vector<Int128> weights = {0, Int128{1} << 100, 0, 1, 0, 0, 1, Int128{1} << 64, 0};
+    const FenwickTree128 tree{std::span<const Int128>(weights)};
+    EXPECT_EQ(visited_slots(tree), nonzero_slots(weights));
 }
 
 TEST(Rng, Below128DelegatesToBelowInWordRangeAndHonoursWideBounds) {

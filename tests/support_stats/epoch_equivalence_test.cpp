@@ -13,18 +13,25 @@
 //     convergence-time distributions, epoch vs. per-step, plus identical
 //     consensus verdicts;
 //   * structural consistency after epochs: the incremental weights, trap
-//     counters, and silence flags must equal a from-scratch rebuild.
+//     counters, and silence flags must equal a from-scratch rebuild;
+//   * fixed-seed checks of the samplers (binomial moments, multinomial
+//     GOF), epoch vs. per-step means on double_exp_threshold(2), and the
+//     fired accounting of epoch-mode E11 throughput rows.
 //
 // Everything is deterministically seeded via stat::derive_seed, so the
 // suite is flake-free at its fixed significance levels.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
+#include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "support/fenwick.hpp"
 #include "support/stat_test.hpp"
 
 namespace ppsc {
@@ -361,6 +368,88 @@ TEST(EpochEquivalence, StructuralConsistencyAfterEpochs) {
     std::uint64_t more_fired = 0;
     sim.run_batch(config, rng, 10'000, false, nullptr, &more_fired);
     EXPECT_EQ(config.size(), population);
+}
+
+// Fixed-seed checks of the samplers and of the epoch path end to end, cheap
+// enough for every build leg, sanitizers included.
+
+TEST(EpochEquivalence, SamplersMatchExactMomentsAndTheMultinomialSplitPassesGof) {
+    // Binomial via both algorithms (inversion and BTRS) and the Fenwick
+    // multinomial decomposition built on them: sample means within 5
+    // standard errors of the exact law at fixed seeds.
+    Rng rng(stat::derive_seed(0xE90C, "samplers"));
+    const int reps = 4'000;
+    double small_sum = 0.0, large_sum = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        small_sum += static_cast<double>(rng.binomial(40, 0.2));        // inversion
+        large_sum += static_cast<double>(rng.binomial(100'000, 0.37));  // BTRS
+    }
+    const auto within = [&](double sum, double n, double p) {
+        const double se = std::sqrt(n * p * (1 - p) / reps);
+        return std::abs(sum / reps - n * p) < 5.0 * se;
+    };
+    EXPECT_TRUE(within(small_sum, 40, 0.2)) << "binomial inversion mean within 5 SE";
+    EXPECT_TRUE(within(large_sum, 100'000, 0.37)) << "binomial BTRS mean within 5 SE";
+
+    const std::vector<std::int64_t> weights = {60, 30, 90, 20, 50};
+    const FenwickTree tree{std::span<const std::int64_t>(weights)};
+    std::vector<std::uint64_t> counts(5, 0);
+    tree.multinomial(200'000, rng,
+                     [&](std::size_t index, std::uint64_t c) { counts[index] += c; });
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts) total += c;
+    EXPECT_EQ(total, 200'000u) << "multinomial split conserves the draw count";
+    const std::vector<double> expected(weights.begin(), weights.end());
+    const stat::GofResult gof = stat::chi_squared_gof(counts, expected);
+    EXPECT_TRUE(gof.pass) << "multinomial split passes chi-squared GOF";
+}
+
+TEST(EpochEquivalence, EpochAndPerStepAgreeOnDoubleExpThreshold2) {
+    const Protocol p = protocols::double_exp_threshold(2);
+    const Simulator sim(p, PairSelect::fenwick);
+    sim.reset_epoch_stats();
+    const int runs = 60;
+    double mean[2] = {0.0, 0.0};
+    bool converged_ok = true, verdict_ok = true;
+    for (int mode = 0; mode < 2; ++mode) {
+        Rng rng(stat::derive_seed(0xE90C, mode == 0 ? "ref" : "epoch"));
+        for (int r = 0; r < runs; ++r) {
+            SimulationOptions options;
+            options.max_interactions = std::uint64_t{1} << 32;
+            options.step_mode = mode == 0 ? StepMode::per_step : StepMode::epoch;
+            options.epoch.min_firings = 8;
+            const SimulationResult result = sim.run(p.initial_config(4096), rng, options);
+            converged_ok = converged_ok && result.converged;
+            verdict_ok = verdict_ok && result.output == 1;  // 4096 >= eta = 16
+            mean[mode] += static_cast<double>(result.interactions) / runs;
+        }
+    }
+    EXPECT_TRUE(converged_ok) << "all runs converge in both modes";
+    EXPECT_TRUE(verdict_ok) << "all runs reach the correct consensus";
+    // Distribution-level agreement: the two sample means differ by a few
+    // percent at these sample sizes; 15% catches a wrong epoch law
+    // without flaking (cf. BatchedRun tests, same tolerance rationale).
+    EXPECT_LT(std::abs(mean[1] / mean[0] - 1.0), 0.15)
+        << "mean interactions to convergence within 15% of reference";
+    const EpochStats stats = sim.epoch_stats();
+    EXPECT_TRUE(stats.epochs > 0 && stats.epoch_fired > stats.fallback_fired)
+        << "epoch path served the bulk of the fired interactions";
+}
+
+TEST(EpochEquivalence, E11SweepRowsUnderEpochSteppingAccountFiredSteps) {
+    E11Options tiny;
+    tiny.tower_ns = {4};
+    tiny.populations = {1 << 16};
+    tiny.interactions_per_row = 1 << 20;
+    tiny.step_mode = StepMode::epoch;
+    const auto rows = e11_throughput_sweep(tiny);
+    EXPECT_FALSE(rows.empty());
+    for (const ThroughputRow& row : rows) {
+        EXPECT_EQ(row.interactions, tiny.interactions_per_row);
+        EXPECT_GT(row.fired, 0u);
+        EXPECT_LE(row.fired, row.interactions);
+        EXPECT_GT(row.fired_per_sec, 0.0);
+    }
 }
 
 }  // namespace
