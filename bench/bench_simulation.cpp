@@ -11,15 +11,7 @@
 // Flags (after the --benchmark_* flags):
 //   --skip-sweeps  omits the E10/E11 sweep tables (used by
 //                  bench/run_benchmarks.sh, which only wants the JSON
-//                  microbenchmark numbers);
-//   --e11-smoke    runs only a tiny E11 workload end to end (family
-//                  correctness in randomized simulation + both fired-step
-//                  selection paths) and exits non-zero on failure — the CI
-//                  smoke entry point;
-//   --analyze-smoke  the static analyzer (analyze/) over every registered
-//                  protocol family: certificates checker-verified, round-
-//                  tripped, and no findings on known-good protocols — the
-//                  CI entry point for ppsc-analyze, run on every matrix leg.
+//                  microbenchmark numbers).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -32,10 +24,8 @@
 #include <vector>
 
 #include "analyze/analyze.hpp"
-#include "analyze/checker.hpp"
 #include "diophantine/realisable.hpp"
 #include "protocols/double_exp_threshold.hpp"
-#include "protocols/families.hpp"
 #include "protocols/threshold.hpp"
 #include "search/busy_beaver.hpp"
 #include "sim/checkpoint.hpp"
@@ -639,153 +629,9 @@ void BM_StaticInvariants(benchmark::State& state) {
 }
 BENCHMARK(BM_StaticInvariants)->Arg(17)->Unit(benchmark::kMillisecond);
 
-// Tiny end-to-end run of the E11 workload: the family must decide its
-// predicate in randomized simulation, and both fired-step selection paths
-// must complete their interaction budget.  Exits non-zero on any failure so
-// CI catches a rotten workload.
-int run_e11_smoke() {
-    bool ok = true;
-    const auto check = [&ok](bool condition, const char* what) {
-        std::printf("  %-60s %s\n", what, condition ? "ok" : "FAIL");
-        ok = ok && condition;
-    };
-
-    std::printf("E11 smoke: double_exp_threshold(2), eta = 2^2^2 = 16\n");
-    {
-        const Protocol p = protocols::double_exp_threshold(2);
-        check(p.num_states() == (1u << 2) + 3, "|Q| = 2^n + 3");
-        ConvergenceSweepOptions options;
-        options.runs_per_size = 4;
-        const auto rows = convergence_sweep(
-            p, {12, 16, 24, 40}, [](AgentCount i) { return i >= 16 ? 1 : 0; }, options);
-        for (const ConvergenceRow& row : rows) {
-            char what[96];
-            std::snprintf(what, sizeof what,
-                          "population %lld: all runs converge to [x >= 16](x)",
-                          static_cast<long long>(row.population));
-            check(row.converged_runs == row.runs && row.correct_fraction == 1.0, what);
-        }
-    }
-    std::printf("E11 smoke: double_exp_threshold_dense(2), eta = 2^2^2 - 1 = 15\n");
-    {
-        const Protocol p = protocols::double_exp_threshold_dense(2);
-        ConvergenceSweepOptions options;
-        options.runs_per_size = 4;
-        const auto rows = convergence_sweep(
-            p, {10, 15, 30}, [](AgentCount i) { return i >= 15 ? 1 : 0; }, options);
-        for (const ConvergenceRow& row : rows) {
-            char what[96];
-            std::snprintf(what, sizeof what,
-                          "population %lld: all runs converge to [x >= 15](x)",
-                          static_cast<long long>(row.population));
-            check(row.converged_runs == row.runs && row.correct_fraction == 1.0, what);
-        }
-    }
-    std::printf("E11 smoke: throughput sweep, both fired-step selection paths\n");
-    for (const PairSelect select : {PairSelect::fenwick, PairSelect::scan}) {
-        E11Options tiny;
-        tiny.tower_ns = {4};
-        tiny.populations = {512};
-        tiny.interactions_per_row = 1 << 16;
-        tiny.selection = select;
-        const auto rows = e11_throughput_sweep(tiny);
-        const char* label =
-            select == PairSelect::fenwick ? "fenwick rows complete" : "scan rows complete";
-        bool complete = !rows.empty();
-        for (const ThroughputRow& row : rows)
-            complete = complete && row.interactions == tiny.interactions_per_row;
-        check(complete, label);
-    }
-    std::printf("E11 smoke: reference trap computation forced on every instance\n");
-    {
-        // The reference trap fixpoint must still build and drive the
-        // workload, and the worklist must produce identical traps and
-        // identical convergence rows.
-        const Protocol p = protocols::double_exp_threshold(3);
-        const Simulator worklist(p, PairSelect::automatic, TrapCompute::worklist);
-        const Simulator reference(p, PairSelect::automatic, TrapCompute::reference);
-        bool traps_identical = true;
-        for (int b = 0; b < 2; ++b)
-            traps_identical = traps_identical && worklist.output_trap(b) == reference.output_trap(b);
-        check(traps_identical, "worklist/reference trap sets identical");
-
-        ConvergenceSweepOptions options;
-        options.runs_per_size = 4;
-        options.trap_compute = TrapCompute::reference;
-        const auto ref_rows = convergence_sweep(
-            p, {200, 256, 300}, [](AgentCount i) { return i >= 256 ? 1 : 0; }, options);
-        options.trap_compute = TrapCompute::worklist;
-        const auto wl_rows = convergence_sweep(
-            p, {200, 256, 300}, [](AgentCount i) { return i >= 256 ? 1 : 0; }, options);
-        bool rows_identical = ref_rows.size() == wl_rows.size();
-        for (std::size_t i = 0; rows_identical && i < ref_rows.size(); ++i) {
-            rows_identical = ref_rows[i].converged_runs == wl_rows[i].converged_runs &&
-                             ref_rows[i].mean_parallel_time == wl_rows[i].mean_parallel_time &&
-                             ref_rows[i].correct_fraction == wl_rows[i].correct_fraction;
-        }
-        check(rows_identical, "reference-trap convergence rows identical to worklist");
-
-        E11Options tiny;
-        tiny.tower_ns = {4};
-        tiny.populations = {512};
-        tiny.interactions_per_row = 1 << 16;
-        tiny.trap_compute = TrapCompute::reference;
-        const auto rows = e11_throughput_sweep(tiny);
-        bool complete = !rows.empty();
-        for (const ThroughputRow& row : rows)
-            complete = complete && row.interactions == tiny.interactions_per_row;
-        check(complete, "forced-reference-trap rows complete");
-    }
-    std::printf("E11 smoke: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-}
-
-// Static-analyzer smoke: run analyze_protocol over *every* registered
-// protocol family (built from its documented example parameters), require
-// the independent checker to accept every emitted certificate and the
-// serialisation to round-trip, and require the analyzer to find nothing
-// wrong with these known-good protocols.  The CI entry point for the
-// analyze/ subsystem — run on every matrix leg, sanitizers included.
-int run_analyze_smoke() {
-    bool ok = true;
-    const auto check = [&ok](bool condition, const std::string& what) {
-        std::printf("  %-60s %s\n", what.c_str(), condition ? "ok" : "FAIL");
-        ok = ok && condition;
-    };
-
-    std::printf("analyze smoke: every registered family, certificates checker-verified\n");
-    for (const protocols::ProtocolFamily& family : protocols::protocol_families()) {
-        std::vector<std::string> args;
-        std::istringstream example(family.example_args);
-        for (std::string token; example >> token;) args.push_back(token);
-        const Protocol protocol = protocols::build_family(family.name, args);
-        const analyze::Analysis analysis = analyze::analyze_protocol(protocol);
-
-        const std::string name = family.name;
-        bool clean = !analysis.consensus_refuted[0] && !analysis.consensus_refuted[1];
-        for (const bool u : analysis.unreachable) clean = clean && !u;
-        for (const bool d : analysis.dead) clean = clean && !d;
-        check(clean, name + ": no unreachable/dead/refuted findings");
-
-        const analyze::CheckReport report =
-            analyze::check_certificates(protocol, analysis.certificates);
-        check(report.ok, name + ": checker accepts all " +
-                             std::to_string(analysis.certificates.size()) + " certificates");
-        const std::vector<analyze::Certificate> reparsed = analyze::parse_certificates(
-            analyze::format_certificates(analysis.certificates));
-        check(reparsed == analysis.certificates, name + ": certificates round-trip");
-    }
-    std::printf("analyze smoke: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--e11-smoke") == 0) return run_e11_smoke();
-        if (std::strcmp(argv[i], "--analyze-smoke") == 0) return run_analyze_smoke();
-    }
     benchmark::Initialize(&argc, argv);
     bool skip_sweeps = false;
     for (int i = 1; i < argc; ++i) {

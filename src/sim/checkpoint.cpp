@@ -256,8 +256,15 @@ CheckpointParse parse_checkpoint(std::span<const std::uint8_t> bytes,
     if (stored_crc != actual_crc)
         return reject(CheckpointError::crc_mismatch, "CRC64 trailer mismatch");
 
+    // The fingerprint next: it mixes in num_states, so once it matches, the
+    // dense count row below is no larger than the caller's own protocol.
+    // Compared any later, a forged CRC-valid file of ~100 bytes could make
+    // the parse zero-fill 2³¹ counts (16 GiB) before being turned away.
     Checkpoint out;
     out.fingerprint = cursor.u64();
+    if (expected_fingerprint && out.fingerprint != *expected_fingerprint)
+        return reject(CheckpointError::wrong_protocol,
+                      "checkpoint was written for a different protocol");
     const std::uint64_t num_states = cursor.u64();
     const std::uint64_t support_size = cursor.u64();
     if (num_states > (std::uint64_t{1} << 31))
@@ -298,10 +305,6 @@ CheckpointParse parse_checkpoint(std::span<const std::uint8_t> bytes,
         return reject(CheckpointError::malformed, "payload cursor out of step");
     out.stats = RunningStats::restore(stats_count, stats_mean, stats_m2, stats_min, stats_max);
     out.config = Config::from_counts(std::move(counts));
-
-    if (expected_fingerprint && out.fingerprint != *expected_fingerprint)
-        return reject(CheckpointError::wrong_protocol,
-                      "checkpoint was written for a different protocol");
 
     CheckpointParse parse;
     parse.error = CheckpointError::none;

@@ -225,9 +225,12 @@ void Simulator::apply_count_delta(StepContextT<W>& ctx, Config& config, StateId 
     // protocol's delta table lists exactly the affected PairIds.
     if (pair_select_ == PairSelect::fenwick) {
         // Exact per-pair weights; the tree mirror is only marked stale —
-        // see flush_pair_tree.
+        // see flush_pair_tree.  A zero delta (the partner state is empty)
+        // leaves the weight, hence the flushed tree, as it is, so it is
+        // neither written nor queued.
         const std::size_t queue_cap = ctx.pair_weights.size() / 8 + 16;
         const auto touch = [&ctx, queue_cap](Protocol::PairId id, W weight_delta) {
+            if (weight_delta == 0) return;
             ctx.active_weight += weight_delta;
             ctx.pair_weights[id] += weight_delta;
             if (ctx.dirty.size() < queue_cap) ctx.dirty.push_back(id);

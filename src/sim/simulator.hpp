@@ -31,7 +31,12 @@
 //      with many non-silent pairs (the double-exponential threshold
 //      workload has millions), while dense-regime stepping keeps its
 //      O(deg) cost.  Protocols with only a handful of non-silent pairs
-//      stay on the (there faster) scan automatically.
+//      stay on the (there faster) scan automatically.  Both trees store
+//      nodes only up to their last weight-bearing slot's power-of-two
+//      ceiling (support/fenwick.hpp), so each walk costs O(log) of the
+//      occupied prefix, not of |Q| or #pairs: on the E11 flagship below η,
+//      ≈ 5 levels instead of 17–19.  Pair touches with a zero weight
+//      delta (an empty partner state) are skipped outright.
 //   5. Epoch-batched stepping (StepMode::epoch, opt-in): when the
 //      pair-weight structure drifts slowly — the dense merge phases of the
 //      E11 double-exponential workloads — k fired steps are drawn as ONE

@@ -38,7 +38,7 @@
 //
 // The determinism contract (worklist ≡ reference, exactly) is asserted on
 // exhaustive small-protocol sweeps in tests/sim_trap_test.cpp and on the
-// E11 smoke instances in CI.
+// E11 sweep instances in tests/double_exp_test.cpp.
 #pragma once
 
 #include <vector>

@@ -1,11 +1,13 @@
 // The double-exponential threshold family (E11 workload): exhaustive
 // verification of small instances, structural agreement with
 // collector_threshold on the int64 range, randomized-simulation correctness
-// of the flagship 2^(2^n) instances, and the parser/compose integration
-// every family in src/protocols/ gets.
+// of the flagship 2^(2^n) instances, the parser/compose integration every
+// family in src/protocols/ gets, and the tiny end-to-end E11 sweeps (both
+// fired-step selection paths, both trap computations).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/protocol_parser.hpp"
 #include "protocols/compose.hpp"
@@ -13,6 +15,7 @@
 #include "protocols/modulo.hpp"
 #include "protocols/threshold.hpp"
 #include "sim/experiment.hpp"
+#include "sim/simulator.hpp"
 #include "verify/verifier.hpp"
 
 namespace ppsc {
@@ -102,10 +105,12 @@ TEST(DoubleExpThreshold, DecidesItsPredicateInRandomizedSimulation) {
     // n = 2: eta = 2^2^2 = 16.  Sampled initial configurations must
     // converge to the correct consensus on both sides of the threshold.
     const Protocol p = protocols::double_exp_threshold(2);
+    EXPECT_EQ(p.num_states(), (1u << 2) + 3) << "|Q| = 2^n + 3";
     ConvergenceSweepOptions options;
     options.runs_per_size = 8;
-    const auto rows = convergence_sweep(
-        p, {10, 15, 16, 17, 64}, [](AgentCount i) { return i >= 16 ? 1 : 0; }, options);
+    const auto rows = convergence_sweep(p, {10, 12, 15, 16, 17, 24, 40, 64},
+                                        [](AgentCount i) { return i >= 16 ? 1 : 0; }, options);
+    ASSERT_EQ(rows.size(), 8u);
     for (const ConvergenceRow& row : rows) {
         EXPECT_EQ(row.converged_runs, row.runs) << "population " << row.population;
         EXPECT_EQ(row.correct_fraction, 1.0) << "population " << row.population;
@@ -116,8 +121,9 @@ TEST(DoubleExpThreshold, DenseVariantDecidesItsPredicateInRandomizedSimulation) 
     const Protocol p = protocols::double_exp_threshold_dense(2);  // eta = 15
     ConvergenceSweepOptions options;
     options.runs_per_size = 8;
-    const auto rows = convergence_sweep(
-        p, {9, 14, 15, 16, 60}, [](AgentCount i) { return i >= 15 ? 1 : 0; }, options);
+    const auto rows = convergence_sweep(p, {9, 10, 14, 15, 16, 30, 60},
+                                        [](AgentCount i) { return i >= 15 ? 1 : 0; }, options);
+    ASSERT_EQ(rows.size(), 7u);
     for (const ConvergenceRow& row : rows) {
         EXPECT_EQ(row.converged_runs, row.runs) << "population " << row.population;
         EXPECT_EQ(row.correct_fraction, 1.0) << "population " << row.population;
@@ -151,20 +157,64 @@ TEST(DoubleExpThreshold, ComposesUnderProduct) {
 // --- E11 sweep plumbing ------------------------------------------------------
 
 TEST(E11Sweep, ProducesCompleteRowsOnBothSelectionPaths) {
-    for (const PairSelect select : {PairSelect::fenwick, PairSelect::scan}) {
-        E11Options tiny;
-        tiny.tower_ns = {3};
-        tiny.populations = {64, 256};
-        tiny.interactions_per_row = 1 << 14;
-        tiny.selection = select;
-        const auto rows = e11_throughput_sweep(tiny);
-        ASSERT_EQ(rows.size(), 4u);  // {flagship, dense} × two populations
-        for (const ThroughputRow& row : rows) {
-            EXPECT_EQ(row.interactions, tiny.interactions_per_row) << row.protocol;
-            EXPECT_GT(row.num_states, 8u) << row.protocol;
-            EXPECT_GT(row.interactions_per_sec, 0.0) << row.protocol;
+    struct Shape {
+        int tower_n;
+        std::vector<AgentCount> populations;
+        std::uint64_t interactions;
+    };
+    for (const Shape& shape : {Shape{3, {64, 256}, 1 << 14}, Shape{4, {512}, 1 << 16}}) {
+        for (const PairSelect select : {PairSelect::fenwick, PairSelect::scan}) {
+            E11Options tiny;
+            tiny.tower_ns = {shape.tower_n};
+            tiny.populations = shape.populations;
+            tiny.interactions_per_row = shape.interactions;
+            tiny.selection = select;
+            const auto rows = e11_throughput_sweep(tiny);
+            // {flagship, dense} × populations
+            ASSERT_EQ(rows.size(), 2 * shape.populations.size());
+            for (const ThroughputRow& row : rows) {
+                EXPECT_EQ(row.interactions, tiny.interactions_per_row) << row.protocol;
+                EXPECT_GT(row.num_states, 8u) << row.protocol;
+                EXPECT_GT(row.interactions_per_sec, 0.0) << row.protocol;
+            }
         }
     }
+}
+
+TEST(E11Sweep, ReferenceTrapComputationDrivesTheWorkloadIdentically) {
+    // The reference trap fixpoint must still build and drive the workload,
+    // and the worklist must produce identical traps and identical
+    // convergence rows.
+    const Protocol p = protocols::double_exp_threshold(3);
+    const Simulator worklist(p, PairSelect::automatic, TrapCompute::worklist);
+    const Simulator reference(p, PairSelect::automatic, TrapCompute::reference);
+    for (int b = 0; b < 2; ++b)
+        EXPECT_EQ(worklist.output_trap(b), reference.output_trap(b)) << "trap " << b;
+
+    ConvergenceSweepOptions options;
+    options.runs_per_size = 4;
+    options.trap_compute = TrapCompute::reference;
+    const auto ref_rows = convergence_sweep(
+        p, {200, 256, 300}, [](AgentCount i) { return i >= 256 ? 1 : 0; }, options);
+    options.trap_compute = TrapCompute::worklist;
+    const auto wl_rows = convergence_sweep(
+        p, {200, 256, 300}, [](AgentCount i) { return i >= 256 ? 1 : 0; }, options);
+    ASSERT_EQ(ref_rows.size(), wl_rows.size());
+    for (std::size_t i = 0; i < ref_rows.size(); ++i) {
+        EXPECT_EQ(ref_rows[i].converged_runs, wl_rows[i].converged_runs);
+        EXPECT_EQ(ref_rows[i].mean_parallel_time, wl_rows[i].mean_parallel_time);
+        EXPECT_EQ(ref_rows[i].correct_fraction, wl_rows[i].correct_fraction);
+    }
+
+    E11Options tiny;
+    tiny.tower_ns = {4};
+    tiny.populations = {512};
+    tiny.interactions_per_row = 1 << 16;
+    tiny.trap_compute = TrapCompute::reference;
+    const auto rows = e11_throughput_sweep(tiny);
+    EXPECT_FALSE(rows.empty());
+    for (const ThroughputRow& row : rows)
+        EXPECT_EQ(row.interactions, tiny.interactions_per_row) << row.protocol;
 }
 
 }  // namespace

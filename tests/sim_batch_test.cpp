@@ -228,6 +228,57 @@ TEST(BatchedRun, EpochTrajectoryIsPinnedPerSeed) {
     EXPECT_EQ(config_digest(config), 0x7ab346d4eec6099au);
 }
 
+TEST(BatchedRun, PerStepTrajectoryIsPinnedPerSeed) {
+    // Scan and Fenwick pair selection are trajectory-identical per seed, but
+    // they share the agent-count tree, so comparing them cannot catch a bug
+    // in that tree (nor one that both pair paths would share).  These pins
+    // fix three seeded per-step trajectories exactly: a Fenwick-selected
+    // run, a scan-selected run, and one flagship trial to convergence.
+    struct Pin {
+        std::uint64_t executed, fired, rng_state, digest;
+    };
+    const auto run = [](const Protocol& p, PairSelect select, AgentCount population,
+                        std::uint64_t seed, std::uint64_t budget, bool stop_when_stable) {
+        const Simulator sim(p, select);
+        Config config = p.initial_config(population);
+        Rng rng(seed);
+        std::uint64_t fired = 0;
+        const std::uint64_t executed =
+            sim.run_batch(config, rng, budget, stop_when_stable, nullptr, &fired);
+        EXPECT_EQ(config.size(), population);
+        return Pin{executed, fired, rng.state(), config_digest(config)};
+    };
+
+    // double_exp_threshold(10): 3076 non-silent pairs, so the pair tree.
+    const Protocol de10 = protocols::double_exp_threshold(10);
+    ASSERT_GE(de10.nonsilent_pairs().size(), 256u);
+    const Pin fenwick =
+        run(de10, PairSelect::fenwick, AgentCount{1} << 16, 11, 2'000'000'000, false);
+    EXPECT_EQ(fenwick.executed, 2'000'000'000u);
+    EXPECT_EQ(fenwick.fired, 65'503u);
+    EXPECT_EQ(fenwick.rng_state, 0x2551c160a42c578u);
+    EXPECT_EQ(fenwick.digest, 0xff3794ab3b5f0d26u);
+
+    // collector_threshold(12): 17 non-silent pairs, so the scan.
+    const Protocol collector = protocols::collector_threshold(12);
+    ASSERT_LT(collector.nonsilent_pairs().size(), 256u);
+    const Pin scan = run(collector, PairSelect::automatic, 4096, 13, 20'000'000, false);
+    EXPECT_EQ(scan.executed, 47'312u);
+    EXPECT_EQ(scan.fired, 6'848u);
+    EXPECT_EQ(scan.rng_state, 0x189dc90804ba2a84u);
+    EXPECT_EQ(scan.digest, 0xbe2e7c425eb8d54cu);
+
+    // One flagship trial, double_exp_threshold(17) at 2¹⁴ agents, run until
+    // the configuration is provably stable.
+    const Protocol de17 = protocols::double_exp_threshold(17);
+    const Pin flagship =
+        run(de17, PairSelect::automatic, AgentCount{1} << 14, 17, std::uint64_t{1} << 62, true);
+    EXPECT_EQ(flagship.executed, 2'187'528'697u);
+    EXPECT_EQ(flagship.fired, 16'383u);
+    EXPECT_EQ(flagship.rng_state, 0x34f72740e182a9f3u);
+    EXPECT_EQ(flagship.digest, 0x5c26ef954d9b07fau);
+}
+
 TEST(BatchedRun, SilentConfigurationConvergesImmediately) {
     // All agents in the accepting epidemic state T: every enabled pair is
     // silent, so run() must converge without executing any interaction.

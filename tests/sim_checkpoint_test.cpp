@@ -165,6 +165,27 @@ TEST(Checkpoint, WrongFingerprintIsRejectedAsWrongProtocol) {
     EXPECT_FALSE(parsed.checkpoint.has_value());
 }
 
+TEST(Checkpoint, ForeignFingerprintIsRejectedBeforeSizingTheStateSpace) {
+    // A forged but CRC-valid file: empty support, 2³¹ declared states (the
+    // format's limit) and a fingerprint of no real protocol.  The parse
+    // must turn it away as wrong_protocol before it allocates a dense row
+    // of 2³¹ counts (16 GiB), so this returns at once, under ASan too.
+    Checkpoint empty;
+    empty.config = Config::from_counts({0});
+    auto bytes = serialize_checkpoint(empty);
+    ASSERT_LT(bytes.size(), 128u);
+    const auto put = [&bytes](std::size_t offset, std::uint64_t value) {
+        for (std::size_t i = 0; i < 8; ++i)
+            bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    };
+    put(16, 0xF0F0F0F0F0F0F0F0ull);          // fingerprint
+    put(24, std::uint64_t{1} << 31);          // num_states
+    put(bytes.size() - 8, crc64(bytes.data(), bytes.size() - 8));
+    const CheckpointParse parsed = parse_checkpoint(bytes, 0x1122334455667788ull);
+    EXPECT_EQ(parsed.error, CheckpointError::wrong_protocol);
+    EXPECT_FALSE(parsed.checkpoint.has_value());
+}
+
 TEST(Checkpoint, CrcValidButInconsistentPayloadIsMalformed) {
     // Break the ascending-support invariant (state 0 -> 5, past the next
     // entry's state 2), then re-seal the CRC so only semantic validation

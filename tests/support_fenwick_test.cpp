@@ -9,6 +9,8 @@
 #include <cmath>
 #include <map>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -198,6 +200,174 @@ TEST(FenwickTree128, ForEachNonzeroHandlesWeightsBeyondInt64) {
     const std::vector<Int128> weights = {0, Int128{1} << 100, 0, 1, 0, 0, 1, Int128{1} << 64, 0};
     const FenwickTree128 tree{std::span<const Int128>(weights)};
     EXPECT_EQ(visited_slots(tree), nonzero_slots(weights));
+}
+
+// --- Stored prefix vs logical size ----------------------------------------
+//
+// The tree stores nodes only up to its last weight-bearing slot's power-of-
+// two ceiling.  Every answer must equal the one a full-size tree gives, so
+// each check below compares against a naive full-array reference.
+
+/// Naive multinomial over the full weight array: the tree's split
+/// algorithm, with each half's weight summed slot by slot.  Given an equal
+/// Rng state it must emit the same (slot, count) sequence as the tree.
+template <typename W>
+void naive_multinomial(const std::vector<W>& weights, std::size_t lo, std::size_t hi,
+                       std::uint64_t count, W weight, Rng& rng,
+                       std::vector<std::pair<std::size_t, std::uint64_t>>& out) {
+    while (hi - lo > 1) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        W left = 0;
+        for (std::size_t i = lo; i < mid; ++i) left += weights[i];
+        if (left == weight) {
+            hi = mid;
+            continue;
+        }
+        if (left == 0) {
+            lo = mid;
+            continue;
+        }
+        const std::uint64_t count_left =
+            rng.binomial(count, static_cast<double>(left) / static_cast<double>(weight));
+        if (count_left > 0) naive_multinomial(weights, lo, mid, count_left, left, rng, out);
+        count -= count_left;
+        if (count == 0) return;
+        lo = mid;
+        weight -= left;
+    }
+    out.emplace_back(lo, count);
+}
+
+/// The slot holding rank r, by a linear scan of the full array.
+template <typename W>
+std::size_t naive_sample(const std::vector<W>& weights, W r) {
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        if (r < weights[i]) return i;
+        r -= weights[i];
+    }
+    ADD_FAILURE() << "rank beyond the total";
+    return weights.size();
+}
+
+/// Every answer of `tree` against the full array `weights`: size, total,
+/// prefix_sum and value at every index, for_each_nonzero order, sample at
+/// every rank (or, past 2¹⁴ ranks, at the first and last rank of every
+/// weight-bearing slot), and multinomial output from equal Rng seeds.
+template <typename W>
+void expect_matches_full_array(const BasicFenwickTree<W>& tree, const std::vector<W>& weights,
+                               const std::string& where) {
+    SCOPED_TRACE(where);
+    ASSERT_EQ(tree.size(), weights.size());
+    W total = 0;
+    for (std::size_t i = 0; i <= weights.size(); ++i) {
+        ASSERT_TRUE(tree.prefix_sum(i) == total) << "prefix_sum(" << i << ")";
+        if (i == weights.size()) break;
+        ASSERT_TRUE(tree.value(i) == weights[i]) << "value(" << i << ")";
+        total += weights[i];
+    }
+    ASSERT_TRUE(tree.total() == total);
+    EXPECT_EQ(visited_slots(tree), nonzero_slots(weights));
+    if (total == 0) return;
+
+    if (total <= W{1} << 14) {
+        for (W r = 0; r < total; ++r) ASSERT_EQ(tree.sample(r), naive_sample(weights, r));
+    } else {
+        W first = 0;
+        for (std::size_t i = 0; i < weights.size(); ++i) {
+            if (weights[i] == 0) continue;
+            ASSERT_EQ(tree.sample(first), i) << "first rank of slot " << i;
+            ASSERT_EQ(tree.sample(first + weights[i] - 1), i) << "last rank of slot " << i;
+            first += weights[i];
+        }
+    }
+
+    for (const std::uint64_t count :
+         {std::uint64_t{1}, std::uint64_t{17}, std::uint64_t{1} << 40}) {
+        Rng tree_rng(count * 31 + 5), naive_rng(count * 31 + 5);
+        std::vector<std::pair<std::size_t, std::uint64_t>> got, want;
+        tree.multinomial(count, tree_rng,
+                         [&](std::size_t slot, std::uint64_t c) { got.emplace_back(slot, c); });
+        naive_multinomial(weights, 0, weights.size(), count, total, naive_rng, want);
+        EXPECT_EQ(got, want) << "multinomial(" << count << ")";
+        EXPECT_EQ(tree_rng.state(), naive_rng.state());
+    }
+}
+
+const std::size_t kPrefixSizes[] = {0, 1, 2, 3, 5, 7, 8, 9, 1000, 393220};
+
+/// assign() over weights whose tail is zero: random weights (scaled by
+/// `unit`) in the first `used` slots, zeros after, for several `used` per
+/// size — including none, one, a power of two, and all of them.
+template <typename W>
+void expect_assign_with_trailing_zeros_matches(W unit) {
+    Rng rng(0x7A11);
+    for (const std::size_t size : kPrefixSizes) {
+        for (const std::size_t used : {std::size_t{0}, std::size_t{1}, std::size_t{4},
+                                       std::size_t{5}, std::size_t{22}, size / 2, size}) {
+            if (used > size) continue;
+            std::vector<W> weights(size, 0);
+            for (std::size_t i = 0; i < used; ++i)
+                if (rng.below(3) != 0) weights[i] = unit * static_cast<W>(1 + rng.below(9));
+            if (used > 0) weights[used - 1] = unit;  // the last stored slot bears weight
+            const BasicFenwickTree<W> tree{std::span<const W>(weights)};
+            expect_matches_full_array(tree, weights,
+                                      "size " + std::to_string(size) + " used " +
+                                          std::to_string(used));
+        }
+    }
+}
+
+/// add() that grows the stored prefix: from an all-zero tree, weight lands
+/// on ever higher slots, across several doublings and finally on the last
+/// slot of a non-power-of-two size.  Checked after every growing add.
+template <typename W>
+void expect_growth_by_add_matches(W unit) {
+    Rng rng(0x6207);
+    for (const std::size_t size : kPrefixSizes) {
+        std::vector<W> weights(size, 0);
+        BasicFenwickTree<W> tree{std::span<const W>(weights)};
+        expect_matches_full_array(tree, weights, "size " + std::to_string(size) + " empty");
+        std::vector<std::size_t> targets;
+        for (std::size_t i = 0; i < size; i = 2 * i + 1 + rng.below(2)) targets.push_back(i);
+        if (size > 0) targets.push_back(size - 1);
+        for (const std::size_t i : targets) {
+            // Some weight below the new slot first, so the new power-of-two
+            // nodes must pick up a non-zero total.
+            const std::size_t below = rng.below(i + 1);
+            const W w = unit * static_cast<W>(1 + rng.below(9));
+            weights[below] += w;
+            tree.add(below, w);
+            weights[i] += unit;
+            tree.add(i, unit);
+            expect_matches_full_array(tree, weights,
+                                      "size " + std::to_string(size) + " grown to slot " +
+                                          std::to_string(i));
+        }
+        // Emptying the tree again keeps every answer right (the prefix only
+        // ever grows).
+        for (std::size_t i = 0; i < size; ++i) {
+            if (weights[i] == 0) continue;
+            tree.add(i, -weights[i]);
+            weights[i] = 0;
+        }
+        expect_matches_full_array(tree, weights, "size " + std::to_string(size) + " emptied");
+    }
+}
+
+TEST(FenwickTree, AssignWithTrailingZerosMatchesFullArray) {
+    expect_assign_with_trailing_zeros_matches<std::int64_t>(1);
+}
+
+TEST(FenwickTree, AddGrowingFromEmptyMatchesFullArray) {
+    expect_growth_by_add_matches<std::int64_t>(1);
+}
+
+TEST(FenwickTree128, AssignWithTrailingZerosMatchesFullArrayAt2To100) {
+    expect_assign_with_trailing_zeros_matches<Int128>(Int128{1} << 100);
+}
+
+TEST(FenwickTree128, AddGrowingFromEmptyMatchesFullArrayAt2To100) {
+    expect_growth_by_add_matches<Int128>(Int128{1} << 100);
 }
 
 TEST(Rng, Below128DelegatesToBelowInWordRangeAndHonoursWideBounds) {
