@@ -31,7 +31,8 @@
 // step, write a final checkpoint, exit cleanly), and --resume (longrun) /
 // re-running with the same flags (sweep) continues the trajectory
 // byte-identically — a resumed run prints the same final digest line as
-// an uninterrupted one:
+// an uninterrupted one.  Every other command rejects the checkpoint
+// flags, and sweep rejects --resume and --die-after:
 //
 //   $ ./protocol_tool family double_exp 3 > d3.pp
 //   $ ./protocol_tool longrun d3.pp 512 100000000 7 --checkpoint-dir ck
@@ -104,14 +105,14 @@ void print_usage(const char* argv0, std::FILE* out) {
                  "  demo                                   print a sample .pp file\n"
                  "  help                                   this message\n"
                  "\n"
-                 "checkpoint flags (longrun, sweep):\n"
+                 "checkpoint flags (longrun, sweep; other commands reject them):\n"
                  "  --checkpoint-dir <dir>    crash-safe rotation directory\n"
                  "  --checkpoint-every <n>    interactions between snapshots (default 10^8)\n"
                  "  --checkpoint-keep <k>     rotation depth keep-last-K (default 3)\n"
-                 "  --resume                  longrun: restore the newest valid snapshot\n"
+                 "  --resume                  longrun only: restore the newest valid snapshot\n"
                  "                            (sweep resumes automatically per trial)\n"
-                 "  --die-after <n>           testing: SIGKILL self at the first snapshot\n"
-                 "                            at/past n interactions\n"
+                 "  --die-after <n>           longrun only, testing: SIGKILL self at the\n"
+                 "                            first snapshot at/past n interactions\n"
                  "SIGTERM/SIGINT stop gracefully: finish the current step, write a final\n"
                  "checkpoint, exit 0.\n"
                  "\n"
@@ -185,12 +186,22 @@ struct CheckpointFlags {
 };
 
 /// Extracts the checkpoint flags from argv (erasing them), leaving the
-/// positional arguments in place.
-CheckpointFlags extract_checkpoint_flags(std::vector<const char*>& args) {
+/// positional arguments in place.  A flag `command` would ignore is an
+/// error: only longrun and sweep checkpoint, and sweep resumes per trial on
+/// its own (no --resume) and has no crash injection (no --die-after).
+CheckpointFlags extract_checkpoint_flags(std::string_view command,
+                                         std::vector<const char*>& args) {
+    const auto takes = [command](std::string_view flag) {
+        return command == "longrun" ||
+               (command == "sweep" && flag != "--resume" && flag != "--die-after");
+    };
     CheckpointFlags flags;
     std::vector<const char*> positional;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string_view arg = args[i];
+        if (arg.starts_with("--") && !takes(arg))
+            throw std::invalid_argument(std::string(command) + " does not take " +
+                                        std::string(arg));
         const auto value = [&](const char* name) -> const char* {
             if (++i >= args.size())
                 throw std::invalid_argument(std::string(name) + " needs a value");
@@ -524,7 +535,7 @@ int main(int argc, char** argv) {
             return run_analyze(positional[0], emit, emit_path, check_path);
         }
         std::vector<const char*> args(argv + 2, argv + argc);
-        const CheckpointFlags flags = extract_checkpoint_flags(args);
+        const CheckpointFlags flags = extract_checkpoint_flags(command, args);
         if (args.empty()) throw std::invalid_argument("missing <file.pp>");
         const Protocol protocol = load(args[0]);
         if (command == "info") {

@@ -27,7 +27,13 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
                                               const std::vector<AgentCount>& populations,
                                               const std::function<int(AgentCount)>& expected,
                                               const ConvergenceSweepOptions& options) {
-    const Simulator simulator(protocol, PairSelect::automatic, options.trap_compute);
+    // Epoch stepping needs the pair-weight Fenwick tree; `automatic` would
+    // pick the scan for protocols with few non-silent pairs.
+    const Simulator simulator(protocol,
+                              options.simulation.step_mode == StepMode::epoch
+                                  ? PairSelect::fenwick
+                                  : PairSelect::automatic,
+                              options.trap_compute);
     const std::uint64_t runs = options.runs_per_size;
     const std::size_t total_trials = populations.size() * static_cast<std::size_t>(runs);
 

@@ -33,6 +33,8 @@ struct ConvergenceRow {
 struct ConvergenceSweepOptions {
     std::uint64_t runs_per_size = 20;
     std::uint64_t seed = 0x5eed;
+    /// Per-trial run() options.  With `simulation.step_mode == epoch` the
+    /// sweep's simulator selects pairs by Fenwick tree, as epochs require.
     SimulationOptions simulation;
     /// Worker threads running trials: 1 = serial, 0 = one per hardware
     /// thread.  The produced rows do not depend on this setting.
@@ -126,7 +128,8 @@ struct E11Options {
     /// interactions of the merge frontier into multinomial draws
     /// (sim/simulator.hpp, engine idea 5), which is what pushes the n ≥ 2⁴⁰
     /// flagship rows past 10⁹ fired interactions per second.  Requires
-    /// `selection == fenwick` to engage; otherwise it degrades to per_step.
+    /// Fenwick selection: with `selection == scan` (or `automatic` resolved
+    /// to the scan) the sweep throws std::invalid_argument.
     StepMode step_mode = StepMode::per_step;
     EpochOptions epoch;
 };

@@ -32,6 +32,17 @@ W pair_weight(const Config& config, StateId a, StateId b) {
 /// E10 collector workloads; the break-even sits well under a thousand.
 constexpr std::size_t kFenwickPairThreshold = 256;
 
+/// Epoch mode's preconditions: the exact per-pair weights only Fenwick
+/// selection keeps, a positive drift (NaN fails too), and
+/// 1 ≤ min_firings ≤ max_firings.
+void check_epoch_mode(PairSelect select, const EpochOptions& epoch) {
+    if (select != PairSelect::fenwick)
+        throw std::invalid_argument("StepMode::epoch needs PairSelect::fenwick");
+    if (!(epoch.drift > 0.0)) throw std::invalid_argument("EpochOptions::drift must be positive");
+    if (epoch.min_firings == 0 || epoch.min_firings > epoch.max_firings)
+        throw std::invalid_argument("EpochOptions needs 1 <= min_firings <= max_firings");
+}
+
 }  // namespace
 
 Simulator::Simulator(const Protocol& protocol, PairSelect pair_select, TrapCompute trap_compute)
@@ -274,8 +285,8 @@ std::pair<StateId, StateId> Simulator::sample_pair_in_agents(const FenwickTree& 
 }
 
 template <typename W>
-std::optional<TransitionId> Simulator::step_in_context(StepContextT<W>& ctx, Config& config,
-                                                       Rng& rng) const {
+std::optional<TransitionId> Simulator::encounter(StepContextT<W>& ctx, Config& config,
+                                                 Rng& rng) const {
     const auto [s1, s2] = sample_pair_in_agents(ctx.agents, rng);
     const Protocol::PairId pair = protocol_.pair_id(s1, s2);
     if (pair == Protocol::kNoPair) return std::nullopt;  // silent encounter
@@ -296,27 +307,17 @@ std::optional<TransitionId> Simulator::advance(StepContextT<W>& ctx, Config& con
 
     const auto n = static_cast<W>(config.size());
     const W pairs = n * (n - 1);
-    std::uint64_t silent_steps = 0;
     if (weight > pairs / 8) {
         // Dense regime: most encounters fire, per-encounter sampling is
         // cheaper than drawing the geometric skip.
-        while (true) {
-            if (silent_steps == budget) {
-                *consumed = budget;
-                return std::nullopt;
+        for (std::uint64_t silent = 0; silent < budget; ++silent) {
+            if (const auto fired = encounter(ctx, config, rng)) {
+                *consumed = silent + 1;
+                return fired;
             }
-            const auto [s1, s2] = sample_pair_in_agents(ctx.agents, rng);
-            const Protocol::PairId pair = protocol_.pair_id(s1, s2);
-            if (pair != Protocol::kNoPair) {
-                const TransitionId chosen =
-                    choose_rule(protocol_.rules_for_pair_id(pair), rng);
-                fire_in_context(ctx, config,
-                                protocol_.transitions()[static_cast<std::size_t>(chosen)]);
-                *consumed = silent_steps + 1;
-                return chosen;
-            }
-            ++silent_steps;
         }
+        *consumed = budget;
+        return std::nullopt;
     }
 
     // Sparse regime: the number of consecutive silent encounters is
@@ -333,7 +334,7 @@ std::optional<TransitionId> Simulator::advance(StepContextT<W>& ctx, Config& con
         *consumed = budget;
         return std::nullopt;
     }
-    silent_steps = static_cast<std::uint64_t>(skip);
+    const auto silent_steps = static_cast<std::uint64_t>(skip);
 
     // The interacting state pair, conditioned on the encounter being
     // non-silent, is weight-proportional over the non-silent pairs.  Both
@@ -382,7 +383,7 @@ bool Simulator::advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng,
     *fired = 0;
     const W weight = ctx.active_weight;
     if (weight == 0) return true;  // silent: nothing fires, ever
-    if (budget == 0 || epoch.drift <= 0.0) return false;
+    if (budget == 0) return false;
 
     const std::size_t num_states = protocol_.num_states();
     if (ctx.epoch_rate.size() != num_states) {
@@ -551,40 +552,48 @@ void Simulator::merge_epoch_stats(const EpochStats& stats) const noexcept {
     epoch_rejected_.fetch_add(stats.rejected_draws, std::memory_order_relaxed);
 }
 
+template <typename F>
+auto Simulator::on_cached_context(const Config& config, F&& body) const {
+    // Publishing the config's new version after `body` keeps the context
+    // current for the next call and for the O(1) is_silent /
+    // is_provably_stable probes.
+    const auto publish = [&](auto& ctx) {
+        auto result = body(ctx);
+        ctx.version = config.version();
+        return result;
+    };
+    if (pairs_fit_int64(config.size())) return publish(cached_context<std::int64_t>(config));
+    return publish(cached_context<Int128>(config));
+}
+
 std::optional<TransitionId> Simulator::step(Config& config, Rng& rng) const {
     PPSC_CHECK_MSG(config.size() >= 2, "simulation needs at least two agents");
-    if (pairs_fit_int64(config.size())) {
-        StepContextT<std::int64_t>& ctx = cached_context<std::int64_t>(config);
-        const auto fired = step_in_context(ctx, config, rng);
-        ctx.version = config.version();
-        return fired;
-    }
-    StepContextT<Int128>& ctx = cached_context<Int128>(config);
-    const auto fired = step_in_context(ctx, config, rng);
-    ctx.version = config.version();
-    return fired;
+    return on_cached_context(config, [&](auto& ctx) { return encounter(ctx, config, rng); });
 }
 
 std::pair<StateId, StateId> Simulator::sample_pair(const Config& config, Rng& rng) const {
     PPSC_CHECK_MSG(config.size() >= 2, "sampling needs at least two agents");
-    if (pairs_fit_int64(config.size()))
-        return sample_pair_in_agents(cached_context<std::int64_t>(config).agents, rng);
-    return sample_pair_in_agents(cached_context<Int128>(config).agents, rng);
+    return on_cached_context(config,
+                             [&](auto& ctx) { return sample_pair_in_agents(ctx.agents, rng); });
+}
+
+std::optional<TransitionId> Simulator::fired_step(Config& config, Rng& rng, std::uint64_t budget,
+                                                  std::uint64_t* consumed) const {
+    std::uint64_t local = 0;
+    std::uint64_t* out = consumed != nullptr ? consumed : &local;
+    // Populations of 0 or 1 agents weigh W == 0: advance reports them silent.
+    return on_cached_context(config,
+                             [&](auto& ctx) { return advance(ctx, config, rng, budget, out); });
 }
 
 template <typename W>
-std::uint64_t Simulator::run_batch_impl(Config& config, Rng& rng, std::uint64_t max_interactions,
-                                        bool stop_when_stable, const CheckpointHook* hook,
-                                        std::uint64_t* fired_count, StepMode step_mode,
-                                        const EpochOptions& epoch) const {
-    StepContextT<W>& ctx = cached_context<W>(config);
-    std::uint64_t done = 0;
-    std::uint64_t fired_total = 0;
-    // Epoch batching needs the exact per-pair weight array, which only the
-    // Fenwick selection mode maintains; under scan selection epoch mode
-    // degrades to the per-step reference path (epoch_stats shows 0 epochs).
-    const bool epoch_capable =
-        step_mode == StepMode::epoch && pair_select_ == PairSelect::fenwick;
+void Simulator::step_loop(StepContextT<W>& ctx, Config& config, Rng& rng,
+                          std::uint64_t max_interactions, bool stop_when_stable,
+                          const CheckpointHook* hook, StepMode step_mode,
+                          const EpochOptions& epoch, std::uint64_t& interactions,
+                          std::uint64_t& fired) const {
+    const bool epoch_mode = step_mode == StepMode::epoch;
+    if (epoch_mode) check_epoch_mode(pair_select_, epoch);
     EpochStats stats;
     // Hook cadence: the callback runs at the first fired-step (or epoch)
     // boundary at or past each mark, never inside advance()/advance_epoch()
@@ -593,155 +602,83 @@ std::uint64_t Simulator::run_batch_impl(Config& config, Rng& rng, std::uint64_t 
     // the hook, and a resumed run realigns on the same boundaries (next
     // mark = snapshot interactions + every).
     const bool hooked = hook != nullptr && hook->active();
-    std::uint64_t next_hook = hooked ? hook->every : 0;
-    bool stop = false;
-    while (!stop && done < max_interactions) {
-        // The O(1) stability probe (two counters + W); the silent case alone
-        // is also caught by the advance paths below, budget-accounted.
-        if (stop_when_stable && ctx.provably_stable()) break;
+    std::uint64_t next_hook = hooked ? interactions + hook->every : 0;
+    // The O(1) stability probe (two counters + W).
+    const auto settled = [&] { return stop_when_stable && ctx.provably_stable(); };
+    while (interactions < max_interactions && !settled()) {
+        const std::uint64_t budget = max_interactions - interactions;
         std::uint64_t consumed = 0;
         std::uint64_t fired_now = 0;
-        if (epoch_capable && advance_epoch(ctx, config, rng, max_interactions - done, epoch,
-                                           &consumed, &fired_now, stats)) {
-            done += consumed;
-            if (consumed == 0) break;  // silent: no interaction can fire again
-        } else {
-            const auto fired = advance(ctx, config, rng, max_interactions - done, &consumed);
-            done += consumed;
-            if (!fired && consumed == 0) break;  // silent
-            if (fired) {
-                fired_now = 1;
-                if (epoch_capable) ++stats.fallback_fired;
-            }
+        const bool epoch_served =
+            epoch_mode &&
+            advance_epoch(ctx, config, rng, budget, epoch, &consumed, &fired_now, stats);
+        if (!epoch_served && advance(ctx, config, rng, budget, &consumed)) {
+            fired_now = 1;
+            if (epoch_mode) ++stats.fallback_fired;
         }
-        fired_total += fired_now;
-        if (hooked && fired_now > 0 && done >= next_hook) {
+        interactions += consumed;
+        // Nothing fired: the configuration is silent (consumed == 0), or the
+        // budget ran out inside a run of silent encounters.
+        if (fired_now == 0) break;
+        fired += fired_now;
+        // No tick on the step that settles the run: its final state is the
+        // caller's result.
+        if (hooked && interactions >= next_hook && !settled()) {
             // Publish the context before the callback: is_silent /
             // is_provably_stable on `config` stay O(1) inside it.
             ctx.version = config.version();
-            if (!hook->callback({config, rng.state(), done, fired_total})) stop = true;
-            next_hook = done + hook->every;
+            if (!hook->callback({config, rng.state(), interactions, fired})) break;
+            next_hook = interactions + hook->every;
         }
     }
-    ctx.version = config.version();
     merge_epoch_stats(stats);
-    // Per-call out-param, overwritten (not accumulated): restart loops sum
-    // it themselves, so restarts are never double-counted.
-    if (fired_count != nullptr) *fired_count = fired_total;
-    return done;
 }
 
 std::uint64_t Simulator::run_batch(Config& config, Rng& rng, std::uint64_t max_interactions,
                                    bool stop_when_stable, const CheckpointHook* hook,
                                    std::uint64_t* fired_count, StepMode step_mode,
                                    const EpochOptions& epoch) const {
-    // Populations of 0 or 1 agents have no ordered pairs (n(n−1) == 0):
-    // no encounter can ever happen, so the batch is trivially complete.
-    if (config.size() < 2) {
-        if (fired_count != nullptr) *fired_count = 0;
-        return 0;
-    }
-    if (pairs_fit_int64(config.size()))
-        return run_batch_impl<std::int64_t>(config, rng, max_interactions, stop_when_stable,
-                                            hook, fired_count, step_mode, epoch);
-    return run_batch_impl<Int128>(config, rng, max_interactions, stop_when_stable, hook,
-                                  fired_count, step_mode, epoch);
-}
-
-std::optional<TransitionId> Simulator::fired_step(Config& config, Rng& rng, std::uint64_t budget,
-                                                  std::uint64_t* consumed) const {
-    std::uint64_t local = 0;
-    std::uint64_t* out = consumed != nullptr ? consumed : &local;
-    *out = 0;
-    if (config.size() < 2) return std::nullopt;  // no pairs, trivially silent
-    if (pairs_fit_int64(config.size())) {
-        StepContextT<std::int64_t>& ctx = cached_context<std::int64_t>(config);
-        const auto fired = advance(ctx, config, rng, budget, out);
-        ctx.version = config.version();
-        return fired;
-    }
-    StepContextT<Int128>& ctx = cached_context<Int128>(config);
-    const auto fired = advance(ctx, config, rng, budget, out);
-    ctx.version = config.version();
-    return fired;
-}
-
-template <typename W>
-SimulationResult Simulator::run_impl(Config&& config, Rng& rng,
-                                     const SimulationOptions& options) const {
-    const AgentCount population = config.size();
-
-    // Per-run context on the stack: run() stays thread-safe.  The context
-    // carries the per-trap outside-support counters, so every stability
-    // probe below is an O(1) counter read.
-    StepContextT<W> ctx;
-    init_context(ctx, config);
-
-    // Resume support: a run restored from a checkpoint starts its counters
-    // where the snapshot left off, so (config, rng state, interactions,
-    // fired) evolves exactly as the uninterrupted run's tail — and the
-    // snapshots a resumed run writes carry the same totals the
-    // uninterrupted run would have written (no double- or under-counting
-    // across restarts).
-    std::uint64_t interactions = options.initial_interactions;
-    std::uint64_t fired_total = options.initial_fired;
-    bool converged = ctx.provably_stable();
-
-    const bool epoch_capable =
-        options.step_mode == StepMode::epoch && pair_select_ == PairSelect::fenwick;
-    EpochStats stats;
-    const bool hooked = options.checkpoint.active();
-    std::uint64_t next_hook = hooked ? interactions + options.checkpoint.every : 0;
-    while (!converged && interactions < options.max_interactions) {
-        std::uint64_t consumed = 0;
-        std::uint64_t fired_now = 0;
-        if (epoch_capable &&
-            advance_epoch(ctx, config, rng, options.max_interactions - interactions,
-                          options.epoch, &consumed, &fired_now, stats)) {
-            interactions += consumed;
-            if (consumed == 0) {
-                converged = true;  // silent
-                continue;
-            }
-        } else {
-            const auto fired =
-                advance(ctx, config, rng, options.max_interactions - interactions, &consumed);
-            interactions += consumed;
-            if (!fired) {
-                if (consumed == 0) converged = true;  // silent
-                continue;  // else: budget exhausted, loop condition exits
-            }
-            fired_now = 1;
-            if (epoch_capable) ++stats.fallback_fired;
-        }
-        fired_total += fired_now;
-        converged = ctx.provably_stable();
-        // Fired-step/epoch-boundary checkpointing (see CheckpointHook): the
-        // callback neither consumes randomness nor alters the trajectory.
-        // Skipped once converged — the final state is the caller's result.
-        if (hooked && !converged && interactions >= next_hook) {
-            if (!options.checkpoint.callback({config, rng.state(), interactions, fired_total}))
-                break;  // graceful stop: report the partial run as-is
-            next_hook = interactions + options.checkpoint.every;
-        }
-    }
-    merge_epoch_stats(stats);
-
-    SimulationResult result{std::move(config), interactions, fired_total, converged,
-                            std::nullopt, 0.0};
-    result.output = protocol_.consensus_output(result.final_config);
-    result.parallel_time =
-        static_cast<double>(interactions) / static_cast<double>(population);
-    return result;
+    std::uint64_t fired = 0;
+    const std::uint64_t done = on_cached_context(config, [&](auto& ctx) {
+        std::uint64_t interactions = 0;
+        step_loop(ctx, config, rng, max_interactions, stop_when_stable, hook, step_mode, epoch,
+                  interactions, fired);
+        return interactions;
+    });
+    // Per-call out-param, overwritten (not accumulated): restart loops sum
+    // it themselves, so restarts are never double-counted.
+    if (fired_count != nullptr) *fired_count = fired;
+    return done;
 }
 
 SimulationResult Simulator::run(Config config, Rng& rng,
                                 const SimulationOptions& options) const {
-    if (config.size() < 2)
+    const AgentCount population = config.size();
+    if (population < 2)
         throw std::invalid_argument("Simulator::run: configurations need at least two agents");
-    if (pairs_fit_int64(config.size()))
-        return run_impl<std::int64_t>(std::move(config), rng, options);
-    return run_impl<Int128>(std::move(config), rng, options);
+    // Resume support: a run restored from a checkpoint starts its counters
+    // where the snapshot left off, so (config, rng state, interactions,
+    // fired) evolves exactly as the uninterrupted run's tail — and the
+    // snapshots a resumed run writes carry the same totals the
+    // uninterrupted run would have written.
+    std::uint64_t interactions = options.initial_interactions;
+    std::uint64_t fired = options.initial_fired;
+    // Per-run context on the stack: run() stays thread-safe.
+    const auto drive = [&](auto ctx) {
+        init_context(ctx, config);
+        step_loop(ctx, config, rng, options.max_interactions, true, &options.checkpoint,
+                  options.step_mode, options.epoch, interactions, fired);
+        return ctx.provably_stable();
+    };
+    const bool converged = pairs_fit_int64(population) ? drive(StepContextT<std::int64_t>{})
+                                                       : drive(StepContextT<Int128>{});
+
+    SimulationResult result{std::move(config), interactions, fired, converged, std::nullopt,
+                            0.0};
+    result.output = protocol_.consensus_output(result.final_config);
+    result.parallel_time =
+        static_cast<double>(interactions) / static_cast<double>(population);
+    return result;
 }
 
 SimulationResult Simulator::run_input(AgentCount input, Rng& rng,

@@ -152,7 +152,7 @@ struct CheckpointHook {
 /// into multinomial epochs whenever the weight structure is drifting slowly
 /// enough (see EpochOptions) and falls back to the per-step path otherwise —
 /// distribution-identical rather than trajectory-identical, and validated by
-/// the statistical-equivalence suite.
+/// the statistical-equivalence suite.  `epoch` needs Fenwick pair selection.
 enum class StepMode { per_step, epoch };
 
 /// Tuning knobs of the epoch-batched path.  An epoch of k fired steps is
@@ -163,7 +163,9 @@ enum class StepMode { per_step, epoch };
 /// per-step reference path.  Draws whose realized consumption exceeds some
 /// count (possible in the binomial tail) are rejected wholesale and retried
 /// at half the length, so counts never go negative and every epoch applied
-/// is a realizable firing sequence.
+/// is a realizable firing sequence.  Preconditions, checked when an
+/// epoch-mode run starts (std::invalid_argument otherwise): drift > 0 and
+/// 1 ≤ min_firings ≤ max_firings.
 struct EpochOptions {
     /// Max expected fraction of any state's count consumed per epoch.
     double drift = 0.125;
@@ -203,8 +205,11 @@ struct SimulationOptions {
     /// initial_fired).
     CheckpointHook checkpoint;
     /// Exact per-step reference vs. epoch-batched stepping (see StepMode).
+    /// Epoch mode needs a Fenwick-selecting simulator: under scan selection
+    /// (`PairSelect::scan`, or `automatic` resolved to it) run() throws
+    /// std::invalid_argument.
     StepMode step_mode = StepMode::per_step;
-    /// Epoch tuning, read only when step_mode == StepMode::epoch.
+    /// Epoch tuning, read (and validated) only when step_mode == StepMode::epoch.
     EpochOptions epoch;
 };
 
@@ -273,10 +278,15 @@ public:
     /// it); `fired_count`, when non-null, receives the number of non-silent
     /// interactions executed by this call — per call, not accumulated across
     /// calls: restart loops must sum the out-param themselves.  With
-    /// `step_mode == StepMode::epoch` (and Fenwick pair selection) fired
-    /// steps are served in multinomial epochs where profitable — hooks and
-    /// stability probes then run at epoch boundaries; the interaction/fired
-    /// accounting is unchanged.  Not thread-safe.
+    /// `stop_when_stable` the hook follows run()'s rule: no tick on the
+    /// step that makes the configuration provably stable, so run() and
+    /// run_batch(…, true, hook) tick identically from the same seed.  With
+    /// `step_mode == StepMode::epoch` fired steps are served in multinomial
+    /// epochs where profitable — hooks and stability probes then run at
+    /// epoch boundaries; the interaction/fired accounting is unchanged.
+    /// Epoch mode throws std::invalid_argument unless the simulator selects
+    /// pairs by Fenwick tree and `epoch` satisfies EpochOptions'
+    /// preconditions.  Not thread-safe.
     std::uint64_t run_batch(Config& config, Rng& rng, std::uint64_t max_interactions,
                             bool stop_when_stable = false,
                             const CheckpointHook* hook = nullptr,
@@ -424,9 +434,11 @@ private:
     void flush_pair_tree(StepContextT<W>& ctx) const;
 
     std::pair<StateId, StateId> sample_pair_in_agents(const FenwickTree& agents, Rng& rng) const;
+
+    /// One scheduler encounter: a uniform ordered pair of distinct agents,
+    /// firing one of its rules if it has any (nullopt: a silent encounter).
     template <typename W>
-    std::optional<TransitionId> step_in_context(StepContextT<W>& ctx, Config& config,
-                                                Rng& rng) const;
+    std::optional<TransitionId> encounter(StepContextT<W>& ctx, Config& config, Rng& rng) const;
 
     /// Advances the interaction chain by up to `budget` interactions:
     /// consumes the (geometrically distributed) run of silent encounters,
@@ -445,9 +457,9 @@ private:
     /// encounters interleaved among them.  Returns false when no profitable
     /// epoch exists at the current weights (the caller takes the exact
     /// per-step path); returns true with *consumed == 0 iff the
-    /// configuration is silent.  Requires Fenwick pair selection.
+    /// configuration is silent.  Requires the options step_loop validates.
     /// `stats` accumulates the local counters (merged into the atomics once
-    /// per run_batch/run call).
+    /// per step_loop).
     template <typename W>
     bool advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng, std::uint64_t budget,
                        const EpochOptions& epoch, std::uint64_t* consumed, std::uint64_t* fired,
@@ -455,13 +467,21 @@ private:
 
     void merge_epoch_stats(const EpochStats& stats) const noexcept;
 
+    /// The one stepping loop behind run() (stack context, stop_when_stable)
+    /// and run_batch() (cached context).  `interactions` and `fired` are
+    /// running totals, in/out: ticks report them and the loop stops once
+    /// `interactions` reaches max_interactions.  In epoch mode it first
+    /// validates the epoch options (throws std::invalid_argument).
     template <typename W>
-    SimulationResult run_impl(Config&& config, Rng& rng, const SimulationOptions& options) const;
-    template <typename W>
-    std::uint64_t run_batch_impl(Config& config, Rng& rng, std::uint64_t max_interactions,
-                                 bool stop_when_stable, const CheckpointHook* hook,
-                                 std::uint64_t* fired_count, StepMode step_mode,
-                                 const EpochOptions& epoch) const;
+    void step_loop(StepContextT<W>& ctx, Config& config, Rng& rng,
+                   std::uint64_t max_interactions, bool stop_when_stable,
+                   const CheckpointHook* hook, StepMode step_mode, const EpochOptions& epoch,
+                   std::uint64_t& interactions, std::uint64_t& fired) const;
+
+    /// Runs body(ctx) on the cached context of `config` at its population's
+    /// weight width, then marks that context current for config's version.
+    template <typename F>
+    auto on_cached_context(const Config& config, F&& body) const;
 
     // Owned copy: simulators are long-lived; never dangle on a temporary.
     Protocol protocol_;

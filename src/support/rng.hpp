@@ -167,7 +167,13 @@ public:
     void set_state(std::uint64_t state) noexcept { state_ = state; }
 
 private:
-    static double lfact(double x) noexcept { return std::lgamma(x + 1.0); }
+    /// lgamma_r, not std::lgamma: lgamma also writes the global `signgam`,
+    /// a data race when epoch-mode runs draw on several threads.  Both
+    /// compute the same value.
+    static double lfact(double x) noexcept {
+        int sign = 0;
+        return ::lgamma_r(x + 1.0, &sign);
+    }
 
     /// Binomial(n, p) for 0 < p ≤ 0.5.
     std::uint64_t binomial_half(std::uint64_t n, double p) noexcept {

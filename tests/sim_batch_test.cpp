@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
@@ -467,6 +468,168 @@ TEST(BatchedRun, ResumedRunsReportAbsoluteFiredTotals) {
             EXPECT_EQ(resumed[i].fired, reference[i + 1].fired) << "tick " << i;
         }
     }
+}
+
+TEST(BatchedRun, RunTrajectoryAndTicksArePinnedPerSeed) {
+    // Pins three seeded run() calls exactly, checkpoint ticks included: a
+    // Fenwick-selected per-step run, a scan-selected one, and an epoch run.
+    // The values were recorded before run() and run_batch() shared one
+    // stepping loop.  run_batch(…, stop_when_stable = true, hook) from the
+    // same seed must replay each of them tick for tick.
+    struct Case {
+        Protocol protocol;
+        PairSelect select;
+        AgentCount population;
+        std::uint64_t seed, max_interactions, every;
+        StepMode mode;
+    };
+    struct Pin {
+        std::uint64_t interactions = 0, fired = 0;
+        bool converged = false;
+        std::uint64_t rng_state = 0, digest = 0, ticks = 0;
+        std::uint64_t tick_digest = 0xcbf29ce484222325u;  // FNV-1a over the tick fields
+    };
+    const auto recorder = [](Pin& pin) {
+        return [&pin](const CheckpointTick& tick) {
+            for (const std::uint64_t v : {tick.interactions, tick.fired, tick.rng_state})
+                pin.tick_digest = (pin.tick_digest ^ v) * 0x100000001b3u;
+            ++pin.ticks;
+            return true;
+        };
+    };
+    const auto via_run = [&](const Case& c) {
+        const Simulator sim(c.protocol, c.select);
+        Pin pin;
+        SimulationOptions options;
+        options.max_interactions = c.max_interactions;
+        options.step_mode = c.mode;
+        options.checkpoint = {c.every, recorder(pin)};
+        Rng rng(c.seed);
+        const SimulationResult result = sim.run_input(c.population, rng, options);
+        pin.interactions = result.interactions;
+        pin.fired = result.fired;
+        pin.converged = result.converged;
+        pin.rng_state = rng.state();
+        pin.digest = config_digest(result.final_config);
+        return pin;
+    };
+    const auto via_batch = [&](const Case& c) {
+        const Simulator sim(c.protocol, c.select);
+        Pin pin;
+        const CheckpointHook hook{c.every, recorder(pin)};
+        Config config = c.protocol.initial_config(c.population);
+        Rng rng(c.seed);
+        pin.interactions = sim.run_batch(config, rng, c.max_interactions, true, &hook,
+                                         &pin.fired, c.mode);
+        pin.converged = sim.is_provably_stable(config);
+        pin.rng_state = rng.state();
+        pin.digest = config_digest(config);
+        return pin;
+    };
+    const auto expect_same = [](const Pin& a, const Pin& b) {
+        EXPECT_EQ(a.interactions, b.interactions);
+        EXPECT_EQ(a.fired, b.fired);
+        EXPECT_EQ(a.converged, b.converged);
+        EXPECT_EQ(a.rng_state, b.rng_state);
+        EXPECT_EQ(a.digest, b.digest);
+        EXPECT_EQ(a.ticks, b.ticks);
+        EXPECT_EQ(a.tick_digest, b.tick_digest);
+    };
+
+    // Per-step, pair tree: double_exp_threshold(10) at 2¹⁶ agents.
+    const Case fenwick{protocols::double_exp_threshold(10), PairSelect::fenwick,
+                       AgentCount{1} << 16, 11, 10'000'000'000'000, 1'000'000'000,
+                       StepMode::per_step};
+    const Pin f = via_run(fenwick);
+    EXPECT_EQ(f.interactions, 42'585'421'679u);
+    EXPECT_EQ(f.fired, 65'535u);
+    EXPECT_TRUE(f.converged);
+    EXPECT_EQ(f.rng_state, 0xf1fc10bc5d974ea3u);
+    EXPECT_EQ(f.digest, 0x768ffc5d1ad4859du);
+    EXPECT_EQ(f.ticks, 13u);
+    EXPECT_EQ(f.tick_digest, 0xfc2c97ceef4309ffu);
+    expect_same(f, via_batch(fenwick));
+
+    // Per-step, scan: collector_threshold(12) (17 non-silent pairs).
+    const Case scan{protocols::collector_threshold(12), PairSelect::automatic, 4096, 13,
+                    20'000'000, 1'000, StepMode::per_step};
+    ASSERT_EQ(Simulator(scan.protocol).pair_selection(), PairSelect::scan);
+    const Pin s = via_run(scan);
+    EXPECT_EQ(s.interactions, 47'312u);
+    EXPECT_EQ(s.fired, 6'848u);
+    EXPECT_TRUE(s.converged);
+    EXPECT_EQ(s.rng_state, 0x189dc90804ba2a84u);
+    EXPECT_EQ(s.digest, 0xbe2e7c425eb8d54cu);
+    EXPECT_EQ(s.ticks, 35u);
+    EXPECT_EQ(s.tick_digest, 0x21be11589b0ca327u);
+    expect_same(s, via_batch(scan));
+
+    // Epoch: double_exp_threshold(10) at 2²⁰ agents.
+    const Case epoch{protocols::double_exp_threshold(10), PairSelect::fenwick,
+                     AgentCount{1} << 20, 7, 1'000'000'000'000'000, 200'000'000'000,
+                     StepMode::epoch};
+    const Pin e = via_run(epoch);
+    EXPECT_EQ(e.interactions, 10'796'016'325'932u);
+    EXPECT_EQ(e.fired, 1'048'575u);
+    EXPECT_TRUE(e.converged);
+    EXPECT_EQ(e.rng_state, 0x6bc0ff45bfe05038u);
+    EXPECT_EQ(e.digest, 0x27a0f268c1c87e26u);
+    EXPECT_EQ(e.ticks, 22u);
+    EXPECT_EQ(e.tick_digest, 0xcadf9d20b31f74c2u);
+    expect_same(e, via_batch(epoch));
+}
+
+TEST(BatchedRun, EpochMisconfigurationThrows) {
+    // Epoch options that cannot size an epoch (min_firings = 0 would reach a
+    // negative-binomial draw of zero successes on a noexcept path; drift <= 0
+    // or scan selection would run no epoch at all) are typed errors, raised
+    // before the configuration or the stream is touched.
+    const Protocol de10 = protocols::double_exp_threshold(10);
+    const Simulator fenwick(de10, PairSelect::fenwick);
+    const auto rejects = [&](const Simulator& sim, const Protocol& p, const EpochOptions& epoch) {
+        SimulationOptions options;
+        options.step_mode = StepMode::epoch;
+        options.epoch = epoch;
+        Rng rng(3);
+        EXPECT_THROW(sim.run_input(AgentCount{1} << 16, rng, options), std::invalid_argument);
+        Config config = p.initial_config(AgentCount{1} << 16);
+        const Config before = config;
+        EXPECT_THROW(sim.run_batch(config, rng, 1'000'000, false, nullptr, nullptr,
+                                   StepMode::epoch, epoch),
+                     std::invalid_argument);
+        EXPECT_TRUE(config == before);
+        EXPECT_EQ(rng.state(), Rng(3).state());
+    };
+    EpochOptions zero_floor;
+    zero_floor.min_firings = 0;
+    rejects(fenwick, de10, zero_floor);
+    EpochOptions inverted;
+    inverted.min_firings = 64;
+    inverted.max_firings = 63;
+    rejects(fenwick, de10, inverted);
+    for (const double drift : {0.0, -0.125, std::nan("")}) {
+        EpochOptions bad_drift;
+        bad_drift.drift = drift;
+        rejects(fenwick, de10, bad_drift);
+    }
+
+    // Epoch mode under scan selection: double_exp_threshold(2) has too few
+    // non-silent pairs for `automatic` to pick the pair tree.
+    const Protocol de2 = protocols::double_exp_threshold(2);
+    const Simulator scan(de2);
+    ASSERT_EQ(scan.pair_selection(), PairSelect::scan);
+    rejects(scan, de2, EpochOptions{});
+
+    // The boundary values are accepted.
+    EpochOptions tight;
+    tight.min_firings = 1;
+    tight.max_firings = 1;
+    SimulationOptions options;
+    options.max_interactions = 1'000'000;
+    options.step_mode = StepMode::epoch;
+    options.epoch = tight;
+    Rng rng(3);
+    EXPECT_EQ(fenwick.run_input(AgentCount{1} << 16, rng, options).interactions, 1'000'000u);
 }
 
 TEST(ParallelSweep, DefaultParallelismMatchesSerial) {

@@ -101,6 +101,31 @@ TEST_F(ToolFixture, RejectsUnknownCommandAndUnknownFlag) {
         << "zero cadence must be rejected";
 }
 
+TEST_F(ToolFixture, RejectsCheckpointFlagsTheCommandWouldIgnore) {
+    // Only longrun and sweep checkpoint; sweep resumes per trial on its own
+    // and has no crash injection.  A flag that would do nothing is an error
+    // naming the flag, never a silent no-op.
+    const std::string ck = " --checkpoint-dir " + (dir / "ck").string();
+    const struct {
+        std::string args;
+        const char* flag;
+    } cases[] = {
+        {"sweep " + pp + " 16 64,128 2 1" + ck + " --die-after 10", "--die-after"},
+        {"sweep " + pp + " 16 64,128 2 1" + ck + " --resume", "--resume"},
+        {"info " + pp + ck, "--checkpoint-dir"},
+        {"dot " + pp + " --checkpoint-every 5", "--checkpoint-every"},
+        {"verify " + pp + " 16 --checkpoint-keep 2", "--checkpoint-keep"},
+        {"simulate " + pp + " 100" + ck + " --resume", "--checkpoint-dir"},
+    };
+    for (const auto& c : cases) {
+        const RunResult r = run_tool(c.args);
+        EXPECT_EQ(r.exit_code, 1) << c.args << "\n" << r.output;
+        EXPECT_NE(r.output.find("error: "), std::string::npos) << r.output;
+        EXPECT_NE(r.output.find(c.flag), std::string::npos) << c.args << "\n" << r.output;
+    }
+    EXPECT_FALSE(fs::exists(dir / "ck")) << "a rejected command must not start checkpointing";
+}
+
 TEST_F(ToolFixture, HelpAndDemoSucceed) {
     EXPECT_EQ(run_tool("help").exit_code, 0);
     EXPECT_EQ(run_tool("demo").exit_code, 0);
