@@ -1,6 +1,7 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -19,29 +20,32 @@ void sort_pair(StateId& a, StateId& b) noexcept {
 }  // namespace
 
 std::size_t Protocol::rule_table_bytes() const noexcept {
-    return rule_offsets_.capacity() * sizeof(std::uint32_t) +
-           pair_rule_ids_.capacity() * sizeof(TransitionId) +
-           nonsilent_pairs_.capacity() * sizeof(nonsilent_pairs_[0]) + pair_to_id_.memory_bytes();
+    const Tables& t = *tables_;
+    return t.rule_offsets.capacity() * sizeof(std::uint32_t) +
+           t.pair_rule_ids.capacity() * sizeof(TransitionId) +
+           t.nonsilent_pairs.capacity() * sizeof(t.nonsilent_pairs[0]) +
+           t.pair_to_id.memory_bytes();
 }
 
 std::optional<StateId> Protocol::find_state(std::string_view name) const {
-    auto it = name_to_state_.find(std::string(name));
-    if (it == name_to_state_.end()) return std::nullopt;
+    auto it = tables_->name_to_state.find(std::string(name));
+    if (it == tables_->name_to_state.end()) return std::nullopt;
     return it->second;
 }
 
 bool Protocol::is_leaderless() const noexcept {
-    return leaders_.size() == 0;
+    return tables_->leaders.size() == 0;
 }
 
 Config Protocol::initial_config(std::span<const AgentCount> input) const {
-    if (input.size() != input_states_.size())
+    const Tables& t = *tables_;
+    if (input.size() != t.input_states.size())
         throw std::invalid_argument("Protocol::initial_config: input arity mismatch");
-    Config config = leaders_;
+    Config config = t.leaders;
     for (std::size_t i = 0; i < input.size(); ++i) {
         if (input[i] < 0)
             throw std::invalid_argument("Protocol::initial_config: negative input");
-        config.add(input_states_[i], input[i]);
+        config.add(t.input_states[i], input[i]);
     }
     if (config.size() < 2)
         throw std::invalid_argument(
@@ -50,7 +54,7 @@ Config Protocol::initial_config(std::span<const AgentCount> input) const {
 }
 
 Config Protocol::initial_config(AgentCount i) const {
-    if (input_states_.size() != 1)
+    if (tables_->input_states.size() != 1)
         throw std::invalid_argument(
             "Protocol::initial_config(i): protocol does not have exactly one input variable");
     const AgentCount values[] = {i};
@@ -58,11 +62,13 @@ Config Protocol::initial_config(AgentCount i) const {
 }
 
 std::optional<int> Protocol::consensus_output(std::span<const AgentCount> counts) const {
-    PPSC_DASSERT(counts.size() == num_states());
+    const std::vector<std::uint8_t>& outputs = tables_->outputs;
+    PPSC_CHECK_MSG(counts.size() == outputs.size(),
+                   "count row does not match the protocol's state count");
     std::optional<int> verdict;
-    for (std::size_t q = 0; q < num_states(); ++q) {
+    for (std::size_t q = 0; q < outputs.size(); ++q) {
         if (counts[q] == 0) continue;
-        const int b = outputs_[q];
+        const int b = outputs[q];
         if (!verdict)
             verdict = b;
         else if (*verdict != b)
@@ -94,40 +100,43 @@ std::vector<std::int64_t> Protocol::displacement(const Transition& t) const {
 }
 
 std::string Protocol::to_text() const {
+    const Tables& tb = *tables_;
     std::ostringstream os;
     os << "Protocol with " << num_states() << " states, " << num_transitions()
        << " non-silent transitions";
     os << (is_leaderless() ? " (leaderless)\n" : " (with leaders)\n");
     os << "  states:";
     for (std::size_t q = 0; q < num_states(); ++q)
-        os << ' ' << names_[q] << "/" << static_cast<int>(outputs_[q]);
+        os << ' ' << tb.names[q] << "/" << static_cast<int>(tb.outputs[q]);
     os << "\n  inputs:";
-    for (std::size_t i = 0; i < input_names_.size(); ++i)
-        os << ' ' << input_names_[i] << "->" << names_[static_cast<std::size_t>(input_states_[i])];
-    if (!is_leaderless()) os << "\n  leaders: " << leaders_.to_string(names_);
+    for (std::size_t i = 0; i < tb.input_names.size(); ++i)
+        os << ' ' << tb.input_names[i] << "->"
+           << tb.names[static_cast<std::size_t>(tb.input_states[i])];
+    if (!is_leaderless()) os << "\n  leaders: " << tb.leaders.to_string(tb.names);
     os << "\n  transitions:\n";
-    for (const Transition& t : transitions_) {
-        os << "    " << names_[static_cast<std::size_t>(t.pre1)] << ','
-           << names_[static_cast<std::size_t>(t.pre2)] << " -> "
-           << names_[static_cast<std::size_t>(t.post1)] << ','
-           << names_[static_cast<std::size_t>(t.post2)] << '\n';
+    for (const Transition& t : tb.transitions) {
+        os << "    " << tb.names[static_cast<std::size_t>(t.pre1)] << ','
+           << tb.names[static_cast<std::size_t>(t.pre2)] << " -> "
+           << tb.names[static_cast<std::size_t>(t.post1)] << ','
+           << tb.names[static_cast<std::size_t>(t.post2)] << '\n';
     }
     return os.str();
 }
 
 std::string Protocol::to_dot() const {
+    const Tables& tb = *tables_;
     std::ostringstream os;
     os << "digraph protocol {\n  rankdir=LR;\n";
     for (std::size_t q = 0; q < num_states(); ++q) {
-        os << "  q" << q << " [label=\"" << names_[q] << "\", shape="
-           << (outputs_[q] ? "doublecircle" : "circle") << "];\n";
+        os << "  q" << q << " [label=\"" << tb.names[q] << "\", shape="
+           << (tb.outputs[q] ? "doublecircle" : "circle") << "];\n";
     }
-    for (const Transition& t : transitions_) {
+    for (const Transition& t : tb.transitions) {
         // Render each transition as a pair of edges annotated with the partner.
         os << "  q" << t.pre1 << " -> q" << t.post1 << " [label=\"with "
-           << names_[static_cast<std::size_t>(t.pre2)] << "\"];\n";
+           << tb.names[static_cast<std::size_t>(t.pre2)] << "\"];\n";
         os << "  q" << t.pre2 << " -> q" << t.post2 << " [label=\"with "
-           << names_[static_cast<std::size_t>(t.pre1)] << "\"];\n";
+           << tb.names[static_cast<std::size_t>(t.pre1)] << "\"];\n";
     }
     os << "}\n";
     return os.str();
@@ -214,17 +223,18 @@ Protocol ProtocolBuilder::build() && {
     if (input_names_.empty())
         throw std::invalid_argument("ProtocolBuilder::build: no input variable declared");
 
-    Protocol p;
-    p.names_ = std::move(names_);
-    p.outputs_ = std::move(outputs_);
-    p.transitions_ = std::move(transitions_);
-    p.input_names_ = std::move(input_names_);
-    p.input_states_ = std::move(input_states_);
-    p.name_to_state_ = std::move(name_to_state_);
+    auto tables = std::make_shared<Protocol::Tables>();
+    Protocol::Tables& p = *tables;
+    p.names = std::move(names_);
+    p.outputs = std::move(outputs_);
+    p.transitions = std::move(transitions_);
+    p.input_names = std::move(input_names_);
+    p.input_states = std::move(input_states_);
+    p.name_to_state = std::move(name_to_state_);
 
-    Config leaders(p.names_.size());
+    Config leaders(p.names.size());
     for (const auto& [state, count] : leaders_) leaders.add(state, count);
-    p.leaders_ = std::move(leaders);
+    p.leaders = std::move(leaders);
 
     // Sparse non-silent pair structure: the deduped pre-pairs as a flat
     // list in first-seen transition order (PairId = list index — the order
@@ -232,22 +242,22 @@ Protocol ProtocolBuilder::build() && {
     // on), the self-pair ids, and the CSR adjacency of the non-self "has a
     // non-silent rule with" relation.  Simulators use the adjacency as the
     // per-pair weight-delta table for incremental pair-weight maintenance.
-    const std::size_t n = p.names_.size();
-    p.self_pair_.assign(n, Protocol::kNoPair);
+    const std::size_t n = p.names.size();
+    p.self_pair.assign(n, Protocol::kNoPair);
     std::vector<std::uint32_t> degree(n, 0);
     // Build-time only: pre-pair key → PairId (the persistent lookup is
-    // pair_to_id_, assigned below).
+    // pair_to_id, assigned below).
     std::unordered_map<std::uint64_t, Protocol::PairId> pair_of;
-    pair_of.reserve(p.transitions_.size());
-    for (const Transition& t : p.transitions_) {
+    pair_of.reserve(p.transitions.size());
+    for (const Transition& t : p.transitions) {
         const StateId q1 = t.pre1, q2 = t.pre2;  // canonical: q1 ≤ q2
         const auto [it, inserted] = pair_of.try_emplace(
             Protocol::pack_pair(q1, q2),
-            static_cast<Protocol::PairId>(p.nonsilent_pairs_.size()));
+            static_cast<Protocol::PairId>(p.nonsilent_pairs.size()));
         if (!inserted) continue;
-        p.nonsilent_pairs_.emplace_back(q1, q2);
+        p.nonsilent_pairs.emplace_back(q1, q2);
         if (q1 == q2) {
-            p.self_pair_[static_cast<std::size_t>(q1)] = it->second;
+            p.self_pair[static_cast<std::size_t>(q1)] = it->second;
         } else {
             ++degree[static_cast<std::size_t>(q1)];
             ++degree[static_cast<std::size_t>(q2)];
@@ -257,62 +267,64 @@ Protocol ProtocolBuilder::build() && {
     // Compact CSR rule table keyed by PairId: count rules per pair,
     // prefix-sum into offsets, then fill.  TransitionIds stay ordered
     // within a pair (fill order follows transition order).
-    const std::size_t num_pairs = p.nonsilent_pairs_.size();
-    p.rule_offsets_.assign(num_pairs + 1, 0);
-    for (const Transition& t : p.transitions_)
-        ++p.rule_offsets_[pair_of.at(Protocol::pack_pair(t.pre1, t.pre2)) + 1];
+    const std::size_t num_pairs = p.nonsilent_pairs.size();
+    p.rule_offsets.assign(num_pairs + 1, 0);
+    for (const Transition& t : p.transitions)
+        ++p.rule_offsets[pair_of.at(Protocol::pack_pair(t.pre1, t.pre2)) + 1];
     for (std::size_t i = 1; i <= num_pairs; ++i)
-        p.rule_offsets_[i] += p.rule_offsets_[i - 1];
-    p.pair_rule_ids_.resize(p.transitions_.size());
-    std::vector<std::uint32_t> cursor(p.rule_offsets_.begin(), p.rule_offsets_.end() - 1);
-    for (std::size_t i = 0; i < p.transitions_.size(); ++i) {
-        const Transition& t = p.transitions_[i];
-        p.pair_rule_ids_[cursor[pair_of.at(Protocol::pack_pair(t.pre1, t.pre2))]++] =
+        p.rule_offsets[i] += p.rule_offsets[i - 1];
+    p.pair_rule_ids.resize(p.transitions.size());
+    std::vector<std::uint32_t> cursor(p.rule_offsets.begin(), p.rule_offsets.end() - 1);
+    for (std::size_t i = 0; i < p.transitions.size(); ++i) {
+        const Transition& t = p.transitions[i];
+        p.pair_rule_ids[cursor[pair_of.at(Protocol::pack_pair(t.pre1, t.pre2))]++] =
             static_cast<TransitionId>(i);
     }
 
     std::vector<std::uint64_t> keys;
     keys.reserve(num_pairs);
-    for (const auto& [q1, q2] : p.nonsilent_pairs_) keys.push_back(Protocol::pack_pair(q1, q2));
-    p.pair_to_id_.assign(keys);
+    for (const auto& [q1, q2] : p.nonsilent_pairs) keys.push_back(Protocol::pack_pair(q1, q2));
+    p.pair_to_id.assign(keys);
 
-    p.neighbor_offsets_.assign(n + 1, 0);
+    p.neighbor_offsets.assign(n + 1, 0);
     for (std::size_t q = 0; q < n; ++q)
-        p.neighbor_offsets_[q + 1] = p.neighbor_offsets_[q] + degree[q];
-    p.neighbors_.resize(p.neighbor_offsets_[n]);
-    std::vector<std::uint32_t> neighbor_cursor(p.neighbor_offsets_.begin(),
-                                               p.neighbor_offsets_.end() - 1);
-    for (std::size_t i = 0; i < p.nonsilent_pairs_.size(); ++i) {
-        const auto [q1, q2] = p.nonsilent_pairs_[i];
+        p.neighbor_offsets[q + 1] = p.neighbor_offsets[q] + degree[q];
+    p.neighbors.resize(p.neighbor_offsets[n]);
+    std::vector<std::uint32_t> neighbor_cursor(p.neighbor_offsets.begin(),
+                                               p.neighbor_offsets.end() - 1);
+    for (std::size_t i = 0; i < p.nonsilent_pairs.size(); ++i) {
+        const auto [q1, q2] = p.nonsilent_pairs[i];
         if (q1 == q2) continue;
         const auto id = static_cast<Protocol::PairId>(i);
-        p.neighbors_[neighbor_cursor[static_cast<std::size_t>(q1)]++] = {q2, id};
-        p.neighbors_[neighbor_cursor[static_cast<std::size_t>(q2)]++] = {q1, id};
+        p.neighbors[neighbor_cursor[static_cast<std::size_t>(q1)]++] = {q2, id};
+        p.neighbors[neighbor_cursor[static_cast<std::size_t>(q2)]++] = {q1, id};
     }
 
     // Post-state transition incidence (transitions_producing): count, prefix
     // sum, fill.  Scanning transitions in id order keeps every per-state list
     // ascending — the order the trap worklist relies on.
     std::vector<std::uint32_t> producing_degree(n, 0);
-    for (const Transition& t : p.transitions_) {
+    for (const Transition& t : p.transitions) {
         ++producing_degree[static_cast<std::size_t>(t.post1)];
         if (t.post2 != t.post1) ++producing_degree[static_cast<std::size_t>(t.post2)];
     }
-    p.producing_offsets_.assign(n + 1, 0);
+    p.producing_offsets.assign(n + 1, 0);
     for (std::size_t q = 0; q < n; ++q)
-        p.producing_offsets_[q + 1] = p.producing_offsets_[q] + producing_degree[q];
-    p.producing_ids_.resize(p.producing_offsets_[n]);
-    std::vector<std::uint32_t> producing_cursor(p.producing_offsets_.begin(),
-                                                p.producing_offsets_.end() - 1);
-    for (std::size_t i = 0; i < p.transitions_.size(); ++i) {
-        const Transition& t = p.transitions_[i];
-        p.producing_ids_[producing_cursor[static_cast<std::size_t>(t.post1)]++] =
+        p.producing_offsets[q + 1] = p.producing_offsets[q] + producing_degree[q];
+    p.producing_ids.resize(p.producing_offsets[n]);
+    std::vector<std::uint32_t> producing_cursor(p.producing_offsets.begin(),
+                                                p.producing_offsets.end() - 1);
+    for (std::size_t i = 0; i < p.transitions.size(); ++i) {
+        const Transition& t = p.transitions[i];
+        p.producing_ids[producing_cursor[static_cast<std::size_t>(t.post1)]++] =
             static_cast<TransitionId>(i);
         if (t.post2 != t.post1)
-            p.producing_ids_[producing_cursor[static_cast<std::size_t>(t.post2)]++] =
+            p.producing_ids[producing_cursor[static_cast<std::size_t>(t.post2)]++] =
                 static_cast<TransitionId>(i);
     }
-    return p;
+    Protocol protocol;
+    protocol.tables_ = std::move(tables);
+    return protocol;
 }
 
 }  // namespace ppsc

@@ -14,10 +14,13 @@
 // Protocol built here is total by construction.
 //
 // Protocols are immutable after construction; build them with
-// ProtocolBuilder.
+// ProtocolBuilder.  A Protocol is a handle to one shared, immutable table
+// block, so copying it (into a Simulator, a sweep, a Verifier) is a
+// reference-count bump, not a copy of Θ(|Q| + |T|) tables.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -51,21 +54,29 @@ class ProtocolBuilder;
 
 class Protocol {
 public:
-    std::size_t num_states() const noexcept { return names_.size(); }
-    std::size_t num_transitions() const noexcept { return transitions_.size(); }
+    // Copies share the tables.  There is deliberately no move constructor:
+    // a move is a copy, so a moved-from Protocol stays a valid handle to
+    // the same protocol.
+    Protocol(const Protocol&) = default;
+    Protocol& operator=(const Protocol&) = default;
 
-    const std::string& state_name(StateId q) const { return names_.at(static_cast<std::size_t>(q)); }
-    std::span<const std::string> state_names() const noexcept { return names_; }
+    std::size_t num_states() const noexcept { return tables_->names.size(); }
+    std::size_t num_transitions() const noexcept { return tables_->transitions.size(); }
+
+    const std::string& state_name(StateId q) const {
+        return tables_->names.at(static_cast<std::size_t>(q));
+    }
+    std::span<const std::string> state_names() const noexcept { return tables_->names; }
 
     /// Looks up a state by name; nullopt if absent.
     std::optional<StateId> find_state(std::string_view name) const;
 
     /// O(q) ∈ {0,1}.
-    int output(StateId q) const { return outputs_.at(static_cast<std::size_t>(q)); }
+    int output(StateId q) const { return tables_->outputs.at(static_cast<std::size_t>(q)); }
 
     /// All non-silent transitions, each with a stable TransitionId equal to
     /// its index in this span (used by Parikh images).
-    std::span<const Transition> transitions() const noexcept { return transitions_; }
+    std::span<const Transition> transitions() const noexcept { return tables_->transitions; }
 
     /// Index into nonsilent_pairs().
     using PairId = std::uint32_t;
@@ -77,17 +88,18 @@ public:
     /// than Θ(|Q|²) and rule-sparse protocols scale past |Q| = 10⁵.
     PairId pair_id(StateId p, StateId q) const {
         if (p > q) std::swap(p, q);
-        return pair_to_id_.find(pack_pair(p, q));
+        return tables_->pair_to_id.find(pack_pair(p, q));
     }
 
     /// The rules of the non-silent pair `id` as indices into transitions(),
     /// in transition-declaration order: a compact CSR keyed by PairId, so
     /// it costs Θ(#non-silent pairs).
     std::span<const TransitionId> rules_for_pair_id(PairId id) const {
-        PPSC_DASSERT(static_cast<std::size_t>(id) + 1 < rule_offsets_.size());
-        const std::uint32_t begin = rule_offsets_[id];
-        const std::uint32_t end = rule_offsets_[id + 1];
-        return {pair_rule_ids_.data() + begin, static_cast<std::size_t>(end - begin)};
+        const Tables& t = *tables_;
+        PPSC_DASSERT(static_cast<std::size_t>(id) + 1 < t.rule_offsets.size());
+        const std::uint32_t begin = t.rule_offsets[id];
+        const std::uint32_t end = t.rule_offsets[id + 1];
+        return {t.pair_rule_ids.data() + begin, static_cast<std::size_t>(end - begin)};
     }
 
     /// Non-silent successor pairs of the unordered pair {p, q} as indices
@@ -111,7 +123,7 @@ public:
     /// Simulators sample fired interactions weight-proportionally over this
     /// list.
     std::span<const std::pair<StateId, StateId>> nonsilent_pairs() const noexcept {
-        return nonsilent_pairs_;
+        return tables_->nonsilent_pairs;
     }
 
     /// One entry of the per-state weight-delta table: changing the count of
@@ -128,17 +140,18 @@ public:
     /// over ordered pair weights in sync in O(deg(q) · log #pairs) per count
     /// change.
     std::span<const PairNeighbor> pair_neighbors(StateId q) const {
+        const Tables& t = *tables_;
         const auto i = static_cast<std::size_t>(q);
-        PPSC_DASSERT(i + 1 < neighbor_offsets_.size());
-        return {neighbors_.data() + neighbor_offsets_[i],
-                static_cast<std::size_t>(neighbor_offsets_[i + 1] - neighbor_offsets_[i])};
+        PPSC_DASSERT(i + 1 < t.neighbor_offsets.size());
+        return {t.neighbors.data() + t.neighbor_offsets[i],
+                static_cast<std::size_t>(t.neighbor_offsets[i + 1] - t.neighbor_offsets[i])};
     }
 
     /// PairId of the self pair {q, q}, or kNoPair if it is silent.  The
     /// ordered weight of a self pair is count(q)·(count(q) − 1).
     PairId self_pair(StateId q) const {
-        PPSC_DASSERT(static_cast<std::size_t>(q) < self_pair_.size());
-        return self_pair_[static_cast<std::size_t>(q)];
+        PPSC_DASSERT(static_cast<std::size_t>(q) < tables_->self_pair.size());
+        return tables_->self_pair[static_cast<std::size_t>(q)];
     }
 
     /// Transition-incidence index: the TransitionIds whose *post* states
@@ -148,20 +161,21 @@ public:
     /// shrinking state sets: removing q can only newly violate transitions
     /// that produce q.
     std::span<const TransitionId> transitions_producing(StateId q) const {
+        const Tables& t = *tables_;
         const auto i = static_cast<std::size_t>(q);
-        PPSC_DASSERT(i + 1 < producing_offsets_.size());
-        return {producing_ids_.data() + producing_offsets_[i],
-                static_cast<std::size_t>(producing_offsets_[i + 1] - producing_offsets_[i])};
+        PPSC_DASSERT(i + 1 < t.producing_offsets.size());
+        return {t.producing_ids.data() + t.producing_offsets[i],
+                static_cast<std::size_t>(t.producing_offsets[i + 1] - t.producing_offsets[i])};
     }
 
     /// Leader multiset L (all-zero for leaderless protocols).
-    const Config& leaders() const noexcept { return leaders_; }
+    const Config& leaders() const noexcept { return tables_->leaders; }
     bool is_leaderless() const noexcept;
 
     /// Input variables in declaration order.
-    std::span<const std::string> input_variables() const noexcept { return input_names_; }
+    std::span<const std::string> input_variables() const noexcept { return tables_->input_names; }
     StateId input_state(std::size_t var_index) const {
-        return input_states_.at(var_index);
+        return tables_->input_states.at(var_index);
     }
 
     /// IC(m) = L + Σ_x m(x)·I(x).  `input` is indexed like
@@ -177,7 +191,8 @@ public:
         return consensus_output(std::span<const AgentCount>(config.counts()));
     }
 
-    /// O(C) of a count row (counts[q] agents in state q, |Q| entries).
+    /// O(C) of a count row (counts[q] agents in state q).  Throws
+    /// std::logic_error unless the row has exactly |Q| entries.
     std::optional<int> consensus_output(std::span<const AgentCount> counts) const;
 
     /// Is transition `t` enabled at `config` (C ≥ pre)?
@@ -198,7 +213,7 @@ public:
 
 private:
     friend class ProtocolBuilder;
-    Protocol() : leaders_(0) {}
+    Protocol() = default;
 
     /// Packs the canonical pair p ≤ q into the pair lookup key.
     static std::uint64_t pack_pair(StateId p, StateId q) noexcept {
@@ -206,28 +221,34 @@ private:
                static_cast<std::uint32_t>(q);
     }
 
-    std::vector<std::string> names_;
-    std::vector<std::uint8_t> outputs_;
-    std::vector<Transition> transitions_;
-    // Compact CSR rule table keyed by PairId: the rules of non-silent pair
-    // id are pair_rule_ids_[rule_offsets_[id] .. rule_offsets_[id+1]).
-    std::vector<std::uint32_t> rule_offsets_;
-    std::vector<TransitionId> pair_rule_ids_;
-    // Pair → PairId lookup: an open-addressed hash map over the non-silent
-    // pairs only (a miss ⇔ silent).
-    DenseIndexMap pair_to_id_;
-    // Sparse non-silent pair structure (see nonsilent_pairs()/pair_neighbors).
-    std::vector<std::pair<StateId, StateId>> nonsilent_pairs_;
-    std::vector<std::uint32_t> neighbor_offsets_;  // size |Q|+1
-    std::vector<PairNeighbor> neighbors_;          // flat, grouped by state
-    std::vector<PairId> self_pair_;                // size |Q|, kNoPair if silent
-    // Post-state transition incidence (see transitions_producing).
-    std::vector<std::uint32_t> producing_offsets_;  // size |Q|+1
-    std::vector<TransitionId> producing_ids_;       // flat, ascending per state
-    std::vector<std::string> input_names_;
-    std::vector<StateId> input_states_;
-    Config leaders_;
-    std::unordered_map<std::string, StateId> name_to_state_;
+    /// Everything a built protocol holds, filled once by
+    /// ProtocolBuilder::build() and never modified afterwards.
+    struct Tables {
+        std::vector<std::string> names;
+        std::vector<std::uint8_t> outputs;
+        std::vector<Transition> transitions;
+        // Compact CSR rule table keyed by PairId: the rules of non-silent
+        // pair id are pair_rule_ids[rule_offsets[id] .. rule_offsets[id+1]).
+        std::vector<std::uint32_t> rule_offsets;
+        std::vector<TransitionId> pair_rule_ids;
+        // Pair → PairId lookup: an open-addressed hash map over the
+        // non-silent pairs only (a miss ⇔ silent).
+        DenseIndexMap pair_to_id;
+        // Sparse non-silent pair structure (see nonsilent_pairs()/pair_neighbors).
+        std::vector<std::pair<StateId, StateId>> nonsilent_pairs;
+        std::vector<std::uint32_t> neighbor_offsets;  // size |Q|+1
+        std::vector<PairNeighbor> neighbors;          // flat, grouped by state
+        std::vector<PairId> self_pair;                // size |Q|, kNoPair if silent
+        // Post-state transition incidence (see transitions_producing).
+        std::vector<std::uint32_t> producing_offsets;  // size |Q|+1
+        std::vector<TransitionId> producing_ids;       // flat, ascending per state
+        std::vector<std::string> input_names;
+        std::vector<StateId> input_states;
+        Config leaders{0};
+        std::unordered_map<std::string, StateId> name_to_state;
+    };
+
+    std::shared_ptr<const Tables> tables_;
 };
 
 /// Incremental, validating construction of protocols.

@@ -43,6 +43,13 @@ void check_epoch_mode(PairSelect select, const EpochOptions& epoch) {
         throw std::invalid_argument("EpochOptions needs 1 <= min_firings <= max_firings");
 }
 
+/// A configuration over another state count would index past the
+/// protocol's tables and the trap bitmaps.
+void check_state_count(const Protocol& protocol, const Config& config) {
+    PPSC_CHECK_MSG(config.num_states() == protocol.num_states(),
+                   "configuration does not match the simulator's protocol");
+}
+
 }  // namespace
 
 Simulator::Simulator(const Protocol& protocol, PairSelect pair_select, TrapCompute trap_compute)
@@ -77,6 +84,7 @@ void Simulator::compute_output_traps() {
 }
 
 bool Simulator::is_silent(const Config& config) const {
+    check_state_count(protocol_, config);
     // O(1) along a trajectory: the cached step context maintains W (the
     // ordered non-silent pair weight) exactly, and W == 0 ⟺ silent.
     if (const auto* ctx = current_cached_context<std::int64_t>(config))
@@ -106,6 +114,7 @@ bool Simulator::is_silent(const Config& config) const {
 }
 
 bool Simulator::is_provably_stable(const Config& config) const {
+    check_state_count(protocol_, config);
     // O(1) along a trajectory: the cached step context carries the per-trap
     // outside-support counters and the silence weight.
     if (const auto* ctx = current_cached_context<std::int64_t>(config))
@@ -136,25 +145,38 @@ Simulator::StepContextT<W>& Simulator::cache_slot() const noexcept {
 
 template <typename W>
 void Simulator::init_context(StepContextT<W>& ctx, const Config& config) const {
-    PPSC_CHECK_MSG(config.num_states() == protocol_.num_states(),
-                   "configuration does not match the simulator's protocol");
+    check_state_count(protocol_, config);
     ctx.agents.assign(config.counts());
-    const auto pairs = protocol_.nonsilent_pairs();
     ctx.active_weight = 0;
+    const auto& counts = config.counts();
     if (pair_select_ == PairSelect::fenwick) {
-        ctx.pair_weights.resize(pairs.size());
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-            ctx.pair_weights[i] = pair_weight<W>(config, pairs[i].first, pairs[i].second);
-            ctx.active_weight += ctx.pair_weights[i];
+        // Only a pair of two occupied states carries weight, so the weights
+        // are set from the occupied states alone: each one's self pair, and
+        // its cross pairs to occupied partners with a larger id (every cross
+        // pair once).  A trial's set-up then costs O(|Q|) plus the occupied
+        // states' degrees, not a read of every non-silent pair.
+        ctx.pair_weights.assign(protocol_.nonsilent_pairs().size(), 0);
+        const auto set = [&ctx](Protocol::PairId id, W weight) {
+            ctx.pair_weights[id] = weight;
+            ctx.active_weight += weight;
+        };
+        for (std::size_t q = 0; q < counts.size(); ++q) {
+            if (counts[q] == 0) continue;
+            const auto s = static_cast<StateId>(q);
+            const auto c = static_cast<W>(counts[q]);
+            if (const Protocol::PairId self = protocol_.self_pair(s); self != Protocol::kNoPair)
+                set(self, c * (c - 1));
+            for (const Protocol::PairNeighbor& nb : protocol_.pair_neighbors(s)) {
+                const AgentCount partner = counts[static_cast<std::size_t>(nb.partner)];
+                if (nb.partner > s && partner != 0) set(nb.pair, 2 * c * static_cast<W>(partner));
+            }
         }
         ctx.pair_tree.assign(ctx.pair_weights);
-        ctx.tree_mirror = ctx.pair_weights;
     } else {
         // Scan mode recomputes pair weights from the counts on selection;
         // only the total W is kept incrementally, through the partner-sum
         // identity Σ_q c_q · partner_weight[q] + Σ_self c(c−1), which counts
         // every ordered non-silent pair exactly once.
-        const auto& counts = config.counts();
         ctx.partner_weight.assign(counts.size(), 0);
         for (std::size_t q = 0; q < counts.size(); ++q) {
             AgentCount w = 0;
@@ -171,7 +193,6 @@ void Simulator::init_context(StepContextT<W>& ctx, const Config& config) const {
     // from here on by apply_count_delta.
     ctx.outside_trap[0] = 0;
     ctx.outside_trap[1] = 0;
-    const auto& counts = config.counts();
     for (std::size_t q = 0; q < counts.size(); ++q) {
         if (counts[q] == 0) continue;
         const std::uint8_t outside = outside_mask_[q];
@@ -205,18 +226,13 @@ template <typename W>
 void Simulator::flush_pair_tree(StepContextT<W>& ctx) const {
     if (ctx.dirty.empty()) return;
     // Past the threshold an O(n) rebuild beats replaying the queue (and the
-    // queue stopped growing there, so this also bounds its memory).
+    // queue stopped growing there, so this also bounds its memory).  Node
+    // values are integer sums, so either way the tree ends up exactly the
+    // one built from pair_weights.
     if (ctx.dirty.size() >= ctx.pair_weights.size() / 8 + 16) {
         ctx.pair_tree.assign(ctx.pair_weights);
-        ctx.tree_mirror = ctx.pair_weights;
     } else {
-        for (const Protocol::PairId id : ctx.dirty) {
-            const W delta = ctx.pair_weights[id] - ctx.tree_mirror[id];
-            if (delta != 0) {
-                ctx.pair_tree.add(id, delta);
-                ctx.tree_mirror[id] = ctx.pair_weights[id];
-            }
-        }
+        for (const auto& [id, delta] : ctx.dirty) ctx.pair_tree.add(id, delta);
     }
     ctx.dirty.clear();
 }
@@ -235,8 +251,8 @@ void Simulator::apply_count_delta(StepContextT<W>& ctx, Config& config, StateId 
     // Δ of c(c−1) for the self pair, 2·Δc·count(p) for each cross pair; the
     // protocol's delta table lists exactly the affected PairIds.
     if (pair_select_ == PairSelect::fenwick) {
-        // Exact per-pair weights; the tree mirror is only marked stale —
-        // see flush_pair_tree.  A zero delta (the partner state is empty)
+        // Exact per-pair weights; the tree update is only queued — see
+        // flush_pair_tree.  A zero delta (the partner state is empty)
         // leaves the weight, hence the flushed tree, as it is, so it is
         // neither written nor queued.
         const std::size_t queue_cap = ctx.pair_weights.size() / 8 + 16;
@@ -244,7 +260,7 @@ void Simulator::apply_count_delta(StepContextT<W>& ctx, Config& config, StateId 
             if (weight_delta == 0) return;
             ctx.active_weight += weight_delta;
             ctx.pair_weights[id] += weight_delta;
-            if (ctx.dirty.size() < queue_cap) ctx.dirty.push_back(id);
+            if (ctx.dirty.size() < queue_cap) ctx.dirty.emplace_back(id, weight_delta);
         };
         if (const Protocol::PairId self = protocol_.self_pair(q); self != Protocol::kNoPair)
             touch(self, static_cast<W>(delta) * (2 * static_cast<W>(before) + delta - 1));
@@ -266,10 +282,25 @@ void Simulator::apply_count_delta(StepContextT<W>& ctx, Config& config, StateId 
 template <typename W>
 void Simulator::fire_in_context(StepContextT<W>& ctx, Config& config,
                                 const Transition& t) const {
-    apply_count_delta(ctx, config, t.pre1, -1);
-    apply_count_delta(ctx, config, t.pre2, -1);
-    apply_count_delta(ctx, config, t.post1, 1);
-    apply_count_delta(ctx, config, t.post2, 1);
+    // One count change per distinct state, net of the transition's four
+    // ±1 moves, and none for a state it leaves as it was: the merge
+    // t_i,t_i ↦ z,t_{i+1} costs three calls, a catalytic p,q ↦ p,r two.
+    // The weight formulas are exact for any delta, so the result does not
+    // depend on how the moves are grouped.
+    const StateId states[4] = {t.pre1, t.pre2, t.post1, t.post2};
+    AgentCount deltas[4] = {-1, -1, 1, 1};
+    for (int i = 1; i < 4; ++i) {
+        for (int j = 0; j < i; ++j) {
+            if (states[j] == states[i]) {  // j is the state's first slot
+                deltas[j] += deltas[i];
+                deltas[i] = 0;
+                break;
+            }
+        }
+    }
+    for (int i = 0; i < 4; ++i) {
+        if (deltas[i] != 0) apply_count_delta(ctx, config, states[i], deltas[i]);
+    }
 }
 
 std::pair<StateId, StateId> Simulator::sample_pair_in_agents(const FenwickTree& agents,

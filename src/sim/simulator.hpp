@@ -335,13 +335,15 @@ public:
     /// True iff the configuration is silent: every enabled pair of states
     /// has only the implicit silent transition.  O(1) when `config` owns the
     /// cached step context (the W == 0 identity); otherwise a counts-based
-    /// rescan over min(#non-silent pairs, |support|²) candidates.
+    /// rescan over min(#non-silent pairs, |support|²) candidates.  Throws
+    /// std::logic_error unless `config` has one entry per protocol state.
     bool is_silent(const Config& config) const;
 
     /// True iff one of the two sound stability conditions holds.  O(1) when
     /// `config` owns the cached step context (the per-trap outside-support
     /// counters maintained along step/run_batch/fired_step trajectories);
-    /// otherwise a support scan plus a silence rescan.
+    /// otherwise a support scan plus a silence rescan.  Throws
+    /// std::logic_error unless `config` has one entry per protocol state.
     bool is_provably_stable(const Config& config) const;
 
 private:
@@ -356,21 +358,23 @@ private:
     /// otherwise, by PairId) live in two layers: `pair_weights` and
     /// `active_weight` are exact after every count change at O(deg) array
     /// cost, while the Fenwick `pair_tree` used for O(log #pairs)
-    /// fired-pair selection is a *lazy mirror*, flushed (or rebuilt, when
-    /// cheaper) only when a sparse-regime selection actually needs it —
-    /// dense-regime stepping never pays tree maintenance.
+    /// fired-pair selection lags behind by the queued `dirty` deltas,
+    /// flushed (or rebuilt, when cheaper) only when a sparse-regime
+    /// selection actually needs it — dense-regime stepping never pays tree
+    /// maintenance.
     template <typename Weight>
     struct StepContextT {
         FenwickTree agents;  ///< Fenwick tree over the count vector
         std::vector<Weight> pair_weights;  ///< exact weights, by PairId
         Weight active_weight = 0;          ///< Σ pair_weights = W; 0 ⟺ silent
-        BasicFenwickTree<Weight> pair_tree;  ///< lazy mirror of pair_weights
-        std::vector<Weight> tree_mirror;     ///< what pair_tree currently holds
-        /// PairIds whose mirror entry may be stale (duplicates allowed).
-        /// Once it passes the rebuild threshold the next flush rebuilds the
-        /// whole tree instead, so the queue — and per-update work — stays
-        /// bounded through arbitrarily long dense phases.
-        std::vector<Protocol::PairId> dirty;
+        /// Fenwick tree over pair_weights as of the last flush.
+        BasicFenwickTree<Weight> pair_tree;
+        /// (PairId, Δweight) changes not yet added to pair_tree.  Once it
+        /// reaches the rebuild threshold it stops growing and the next flush
+        /// rebuilds the whole tree from pair_weights instead, so the queue —
+        /// and per-update work — stays bounded through arbitrarily long
+        /// dense phases.
+        std::vector<std::pair<Protocol::PairId, Weight>> dirty;
         /// Scan mode only: partner_weight[q] = Σ counts[p] over non-self
         /// non-silent partners p of q, which maintains active_weight with a
         /// single multiply per count change instead of per-pair products
@@ -421,14 +425,14 @@ private:
 
     /// Adds `delta` agents to state q, keeping the agent tree and the exact
     /// pair-weight layer in sync (O(deg(q)) via the protocol's per-pair
-    /// delta table; the pair tree is only marked stale).
+    /// delta table; the pair-tree updates are only queued).
     template <typename W>
     void apply_count_delta(StepContextT<W>& ctx, Config& config, StateId q,
                            AgentCount delta) const;
     template <typename W>
     void fire_in_context(StepContextT<W>& ctx, Config& config, const Transition& t) const;
 
-    /// Brings the pair tree up to date with pair_weights: applies the queued
+    /// Brings the pair tree up to date with pair_weights: adds the queued
     /// deltas, or rebuilds outright once that is cheaper.
     template <typename W>
     void flush_pair_tree(StepContextT<W>& ctx) const;
@@ -483,7 +487,8 @@ private:
     template <typename F>
     auto on_cached_context(const Config& config, F&& body) const;
 
-    // Owned copy: simulators are long-lived; never dangle on a temporary.
+    // A copy shares the protocol's tables (O(1)) and keeps them alive, so a
+    // simulator never dangles on a temporary.
     Protocol protocol_;
     PairSelect pair_select_;
     TrapCompute trap_compute_;

@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -146,6 +149,46 @@ TEST(Protocol, ConsensusOutput) {
     zeros.set(s1, 1);
     EXPECT_EQ(p.consensus_output(zeros), 0);
     EXPECT_EQ(p.consensus_output(Config(3)), std::nullopt);
+}
+
+TEST(Protocol, ConsensusOutputRejectsRowsOfAnotherSize) {
+    // A row over another state count would be read past its end or past
+    // the output table; it is refused in every build mode.
+    const Protocol p = build_example21_p1();
+    Config wider(4);
+    wider.set(3, 2);
+    EXPECT_THROW(p.consensus_output(wider), std::logic_error);
+    const std::vector<AgentCount> shorter = {2, 0};
+    EXPECT_THROW(p.consensus_output(std::span<const AgentCount>(shorter)), std::logic_error);
+}
+
+TEST(Protocol, CopiesShareTheirTables) {
+    const Protocol p = protocols::collector_threshold(6);
+    const Protocol copy = p;
+    EXPECT_EQ(copy.transitions().data(), p.transitions().data());
+    EXPECT_EQ(copy.state_names().data(), p.state_names().data());
+    EXPECT_EQ(copy.nonsilent_pairs().data(), p.nonsilent_pairs().data());
+    Protocol assigned = build_example21_p1();
+    assigned = p;
+    EXPECT_EQ(assigned.transitions().data(), p.transitions().data());
+    EXPECT_EQ(&assigned.leaders(), &p.leaders());
+}
+
+TEST(Protocol, MovedFromProtocolStaysSafeToCall) {
+    // A move copies the handle, so the source still describes the same
+    // protocol: every call on it is as valid as before the move.
+    Protocol p = protocols::collector_threshold(6);
+    const std::string text = p.to_text();
+    const Protocol moved = std::move(p);
+    EXPECT_EQ(p.num_states(), moved.num_states());
+    EXPECT_EQ(p.to_text(), text);
+    EXPECT_EQ(p.initial_config(7), moved.initial_config(7));
+    EXPECT_EQ(p.consensus_output(moved.initial_config(7)), 0);
+    Protocol target = build_example21_p1();
+    target = std::move(p);
+    EXPECT_EQ(target.to_text(), text);
+    EXPECT_EQ(p.to_text(), text);
+    EXPECT_EQ(p.transitions().data(), moved.transitions().data());
 }
 
 TEST(Protocol, EnabledAndFire) {

@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
@@ -97,16 +98,42 @@ TEST(PairWeightFenwick, TrajectoriesMatchTheReferenceScanPerSeed) {
     const Protocol protocol = protocols::double_exp_threshold_dense(3);  // eta = 255
     const Simulator fenwick(protocol, PairSelect::fenwick);
     const Simulator scan(protocol, PairSelect::scan);
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        Config a = protocol.initial_config(300);  // above threshold: rich dynamics
-        Config b = protocol.initial_config(300);
-        Rng rng_a(seed), rng_b(seed);
-        for (int chunk = 0; chunk < 40; ++chunk) {
-            const std::uint64_t done_a = fenwick.run_batch(a, rng_a, 500);
-            const std::uint64_t done_b = scan.run_batch(b, rng_b, 500);
-            ASSERT_EQ(done_a, done_b) << "seed " << seed << " chunk " << chunk;
-            ASSERT_TRUE(a == b) << "seed " << seed << " chunk " << chunk;
-            if (done_a < 500) break;  // silent
+    const auto state = [&protocol](const char* name) { return *protocol.find_state(name); };
+    // Starts with several occupied states, so the step context's initial
+    // pair weights include cross pairs between occupied partners.
+    Config spread(protocol.num_states());
+    spread.set(state("t0"), 40);
+    spread.set(state("t1"), 25);
+    spread.set(state("t3"), 12);
+    spread.set(state("c7"), 3);
+    spread.set(state("c4"), 2);
+    spread.set(state("z"), 60);
+    Config spread_wide = spread;
+    spread_wide.set(state("t0"), 200);
+    spread_wide.set(state("t5"), 7);
+    spread_wide.set(state("T"), 1);
+    // 2000 agents in t0: every encounter fires until t0 falls to about a
+    // third of the population — hundreds of steps, each changing several
+    // pair weights — so the dirty queue (#pairs/8 + 16 entries here)
+    // overflows and the first sparse selection rebuilds the pair tree.
+    const std::vector<std::pair<const char*, Config>> starts = {
+        {"IC(300)", protocol.initial_config(300)},  // above threshold: rich dynamics
+        {"spread", spread},
+        {"spread, more states", spread_wide},
+        {"IC(2000)", protocol.initial_config(2000)},
+    };
+    for (const auto& [label, start] : starts) {
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+            Config a = start;
+            Config b = start;
+            Rng rng_a(seed), rng_b(seed);
+            for (int chunk = 0; chunk < 40; ++chunk) {
+                const std::uint64_t done_a = fenwick.run_batch(a, rng_a, 500);
+                const std::uint64_t done_b = scan.run_batch(b, rng_b, 500);
+                ASSERT_EQ(done_a, done_b) << label << " seed " << seed << " chunk " << chunk;
+                ASSERT_TRUE(a == b) << label << " seed " << seed << " chunk " << chunk;
+                if (done_a < 500) break;  // silent
+            }
         }
     }
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "protocols/modulo.hpp"
 #include "protocols/threshold.hpp"
 #include "sim/experiment.hpp"
@@ -92,6 +94,39 @@ TEST(Simulator, IsProvablyStableSoundness) {
         const InputVerdict verdict = verifier.verify_input(input);
         ASSERT_TRUE(verdict.well_specified);
         EXPECT_EQ(result.output, verdict.computed) << "input " << input;
+    }
+}
+
+TEST(Simulator, ProbesRejectConfigurationsOfAnotherSize) {
+    // A configuration over another state count would index past the trap
+    // bitmaps and the protocol's tables; both probes refuse it in every
+    // build mode.
+    const Protocol p = protocols::collector_threshold(5);
+    const Simulator sim(p);
+    Config shorter(p.num_states() - 1);
+    shorter.set(0, 3);
+    Config wider(p.num_states() + 4);
+    wider.set(static_cast<StateId>(p.num_states() + 3), 3);
+    for (const Config* config : {&shorter, &wider}) {
+        EXPECT_THROW(sim.is_silent(*config), std::logic_error);
+        EXPECT_THROW(sim.is_provably_stable(*config), std::logic_error);
+    }
+}
+
+TEST(Simulator, KeepsATemporaryProtocolAlive) {
+    // The simulator shares the protocol's tables, so one built from a
+    // temporary owns them past the full expression (the ASan leg flags a
+    // dangling table) and runs exactly like one built from a named copy.
+    const Simulator from_temporary(protocols::collector_threshold(6));
+    const Protocol p = protocols::collector_threshold(6);
+    const Simulator named(p);
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Rng rng_a(seed), rng_b(seed);
+        const SimulationResult a = from_temporary.run_input(10, rng_a);
+        const SimulationResult b = named.run_input(10, rng_b);
+        EXPECT_EQ(a.final_config, b.final_config) << "seed " << seed;
+        EXPECT_EQ(a.interactions, b.interactions) << "seed " << seed;
+        EXPECT_EQ(a.output, b.output) << "seed " << seed;
     }
 }
 
