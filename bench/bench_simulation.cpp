@@ -24,8 +24,10 @@
 #include <vector>
 
 #include "analyze/analyze.hpp"
+#include "core/protocol_parser.hpp"
 #include "diophantine/realisable.hpp"
 #include "protocols/double_exp_threshold.hpp"
+#include "protocols/families.hpp"
 #include "protocols/threshold.hpp"
 #include "search/busy_beaver.hpp"
 #include "sim/checkpoint.hpp"
@@ -445,6 +447,35 @@ void BM_E11FlagshipConvergence(benchmark::State& state) {
     state.SetLabel("|Q|=" + std::to_string(protocol.num_states()));
 }
 BENCHMARK(BM_E11FlagshipConvergence)->Arg(17)->Unit(benchmark::kMillisecond);
+
+// Protocol construction, the fixed cost in front of every flagship sweep:
+// build_family("double_exp", {n}) — 2ⁿ + 3 states and ~3·2ⁿ transitions
+// through ProtocolBuilder, the tables freed inside the timed region.
+void BM_BuildFamily(benchmark::State& state) {
+    const std::vector<std::string> args{std::to_string(state.range(0))};
+    std::size_t states = 0;
+    for (auto _ : state) {
+        const Protocol protocol = protocols::build_family("double_exp", args);
+        states = protocol.num_states();
+        benchmark::DoNotOptimize(states);
+    }
+    state.SetLabel("|Q|=" + std::to_string(states));
+}
+BENCHMARK(BM_BuildFamily)->Arg(17)->Unit(benchmark::kMillisecond);
+
+// The .pp parser on format_protocol(double_exp_threshold(n)): what the
+// CLI longrun pays before its first step.  Bytes = input text.
+void BM_ParseProtocol(benchmark::State& state) {
+    const std::string text =
+        format_protocol(protocols::double_exp_threshold(static_cast<int>(state.range(0))));
+    for (auto _ : state) {
+        const Protocol protocol = parse_protocol(text);
+        benchmark::DoNotOptimize(protocol.num_transitions());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseProtocol)->Arg(13)->Unit(benchmark::kMillisecond);
 
 void BM_ExhaustiveVerification(benchmark::State& state) {
     const Protocol protocol = protocols::unary_threshold(3);

@@ -1,6 +1,7 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +18,25 @@ void sort_pair(StateId& a, StateId& b) noexcept {
     if (a > b) std::swap(a, b);
 }
 
+std::uint64_t name_hash(std::string_view name) noexcept {
+    return std::hash<std::string_view>{}(name);
+}
+
+/// The state named `name` in a name index over `names`.
+std::optional<StateId> find_name(const FlatIndexSet& index, const std::vector<std::string>& names,
+                                 std::string_view name) {
+    const std::uint32_t id =
+        index.find(name_hash(name), [&](std::uint32_t q) { return names[q] == name; });
+    if (id == FlatIndexSet::kMissing) return std::nullopt;
+    return static_cast<StateId>(id);
+}
+
+void require_text_name(std::string_view name, const char* where) {
+    if (!is_text_name(name))
+        throw std::invalid_argument(std::string(where) + ": name '" + std::string(name) +
+                                    "' is empty, contains whitespace or starts with '#'");
+}
+
 }  // namespace
 
 std::size_t Protocol::rule_table_bytes() const noexcept {
@@ -28,9 +48,7 @@ std::size_t Protocol::rule_table_bytes() const noexcept {
 }
 
 std::optional<StateId> Protocol::find_state(std::string_view name) const {
-    auto it = tables_->name_to_state.find(std::string(name));
-    if (it == tables_->name_to_state.end()) return std::nullopt;
-    return it->second;
+    return find_name(tables_->name_index, tables_->names, name);
 }
 
 bool Protocol::is_leaderless() const noexcept {
@@ -148,15 +166,15 @@ std::string Protocol::to_dot() const {
 StateId ProtocolBuilder::add_state(std::string name, int output) {
     if (output != 0 && output != 1)
         throw std::invalid_argument("ProtocolBuilder::add_state: output must be 0 or 1");
-    if (name.empty()) throw std::invalid_argument("ProtocolBuilder::add_state: empty name");
-    if (name_to_state_.contains(name))
+    require_text_name(name, "ProtocolBuilder::add_state");
+    const auto id = static_cast<std::uint32_t>(names_.size());
+    if (!name_index_.insert(name_hash(name), id, [&](std::uint32_t q) { return names_[q] == name; })
+             .second)
         throw std::invalid_argument("ProtocolBuilder::add_state: duplicate state name '" + name +
                                     "'");
-    const StateId id = static_cast<StateId>(names_.size());
-    name_to_state_.emplace(name, id);
     names_.push_back(std::move(name));
     outputs_.push_back(static_cast<std::uint8_t>(output));
-    return id;
+    return static_cast<StateId>(id);
 }
 
 void ProtocolBuilder::set_output(StateId state, int output) {
@@ -175,15 +193,19 @@ void ProtocolBuilder::add_transition(StateId p, StateId q, StateId p2, StateId q
     sort_pair(p2, q2);
     const Transition t{p, q, p2, q2};
     if (t.is_silent()) return;  // silent transitions are implicit
-    // Full 32-bit ids in the dedup key: 16-bit packing would alias distinct
+    // Full 32-bit ids in both keys: 16-bit packing would alias distinct
     // transitions once protocols pass 2¹⁶ states (the double-exponential
     // threshold family gets there).
-    const auto pack = [](StateId a, StateId b) {
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-               static_cast<std::uint32_t>(b);
-    };
-    if (!seen_transitions_.insert({pack(p, q), pack(p2, q2)}).second) return;
+    const std::uint64_t pre = Protocol::pack_pair(p, q);
+    const std::uint64_t hash = mix64(mix64(pre) ^ Protocol::pack_pair(p2, q2));
+    const auto id = static_cast<std::uint32_t>(transitions_.size());
+    if (!transition_index_.insert(hash, id, [&](std::uint32_t i) { return transitions_[i] == t; })
+             .second)
+        return;
     transitions_.push_back(t);
+    const auto [pair, new_pair] = pair_ids_.insert(pre);
+    if (new_pair) nonsilent_pairs_.emplace_back(p, q);
+    transition_pairs_.push_back(pair);
 }
 
 void ProtocolBuilder::add_transition(std::string_view p, std::string_view q, std::string_view p2,
@@ -191,17 +213,22 @@ void ProtocolBuilder::add_transition(std::string_view p, std::string_view q, std
     add_transition(require_state(p), require_state(q), require_state(p2), require_state(q2));
 }
 
+std::optional<StateId> ProtocolBuilder::find_state(std::string_view name) const {
+    return find_name(name_index_, names_, name);
+}
+
 StateId ProtocolBuilder::require_state(std::string_view name) const {
-    auto it = name_to_state_.find(std::string(name));
-    if (it == name_to_state_.end())
+    const std::optional<StateId> state = find_state(name);
+    if (!state)
         throw std::invalid_argument("ProtocolBuilder: unknown state name '" + std::string(name) +
                                     "'");
-    return it->second;
+    return *state;
 }
 
 void ProtocolBuilder::set_input(std::string name, StateId state) {
     if (state < 0 || static_cast<std::size_t>(state) >= names_.size())
         throw std::invalid_argument("ProtocolBuilder::set_input: unknown state id");
+    require_text_name(name, "ProtocolBuilder::set_input");
     for (const auto& existing : input_names_) {
         if (existing == name)
             throw std::invalid_argument("ProtocolBuilder::set_input: duplicate input variable '" +
@@ -230,34 +257,29 @@ Protocol ProtocolBuilder::build() && {
     p.transitions = std::move(transitions_);
     p.input_names = std::move(input_names_);
     p.input_states = std::move(input_states_);
-    p.name_to_state = std::move(name_to_state_);
+    p.name_index = std::move(name_index_);
+    p.pair_to_id = std::move(pair_ids_);
+    p.nonsilent_pairs = std::move(nonsilent_pairs_);
 
     Config leaders(p.names.size());
     for (const auto& [state, count] : leaders_) leaders.add(state, count);
     p.leaders = std::move(leaders);
 
-    // Sparse non-silent pair structure: the deduped pre-pairs as a flat
-    // list in first-seen transition order (PairId = list index — the order
-    // every downstream consumer, and therefore every trajectory, depends
-    // on), the self-pair ids, and the CSR adjacency of the non-self "has a
-    // non-silent rule with" relation.  Simulators use the adjacency as the
-    // per-pair weight-delta table for incremental pair-weight maintenance.
+    // Sparse non-silent pair structure: add_transition gave each pre-pair
+    // its PairId in first-seen transition order (the order every
+    // downstream consumer, and therefore every trajectory, depends on);
+    // here come the self-pair ids and the CSR adjacency of the non-self
+    // "has a non-silent rule with" relation.  Simulators use the adjacency
+    // as the per-pair weight-delta table for incremental pair-weight
+    // maintenance.
     const std::size_t n = p.names.size();
+    const std::size_t num_pairs = p.nonsilent_pairs.size();
     p.self_pair.assign(n, Protocol::kNoPair);
     std::vector<std::uint32_t> degree(n, 0);
-    // Build-time only: pre-pair key → PairId (the persistent lookup is
-    // pair_to_id, assigned below).
-    std::unordered_map<std::uint64_t, Protocol::PairId> pair_of;
-    pair_of.reserve(p.transitions.size());
-    for (const Transition& t : p.transitions) {
-        const StateId q1 = t.pre1, q2 = t.pre2;  // canonical: q1 ≤ q2
-        const auto [it, inserted] = pair_of.try_emplace(
-            Protocol::pack_pair(q1, q2),
-            static_cast<Protocol::PairId>(p.nonsilent_pairs.size()));
-        if (!inserted) continue;
-        p.nonsilent_pairs.emplace_back(q1, q2);
+    for (std::size_t i = 0; i < num_pairs; ++i) {
+        const auto [q1, q2] = p.nonsilent_pairs[i];
         if (q1 == q2) {
-            p.self_pair[static_cast<std::size_t>(q1)] = it->second;
+            p.self_pair[static_cast<std::size_t>(q1)] = static_cast<Protocol::PairId>(i);
         } else {
             ++degree[static_cast<std::size_t>(q1)];
             ++degree[static_cast<std::size_t>(q2)];
@@ -267,24 +289,14 @@ Protocol ProtocolBuilder::build() && {
     // Compact CSR rule table keyed by PairId: count rules per pair,
     // prefix-sum into offsets, then fill.  TransitionIds stay ordered
     // within a pair (fill order follows transition order).
-    const std::size_t num_pairs = p.nonsilent_pairs.size();
     p.rule_offsets.assign(num_pairs + 1, 0);
-    for (const Transition& t : p.transitions)
-        ++p.rule_offsets[pair_of.at(Protocol::pack_pair(t.pre1, t.pre2)) + 1];
+    for (const Protocol::PairId pair : transition_pairs_) ++p.rule_offsets[pair + 1];
     for (std::size_t i = 1; i <= num_pairs; ++i)
         p.rule_offsets[i] += p.rule_offsets[i - 1];
     p.pair_rule_ids.resize(p.transitions.size());
     std::vector<std::uint32_t> cursor(p.rule_offsets.begin(), p.rule_offsets.end() - 1);
-    for (std::size_t i = 0; i < p.transitions.size(); ++i) {
-        const Transition& t = p.transitions[i];
-        p.pair_rule_ids[cursor[pair_of.at(Protocol::pack_pair(t.pre1, t.pre2))]++] =
-            static_cast<TransitionId>(i);
-    }
-
-    std::vector<std::uint64_t> keys;
-    keys.reserve(num_pairs);
-    for (const auto& [q1, q2] : p.nonsilent_pairs) keys.push_back(Protocol::pack_pair(q1, q2));
-    p.pair_to_id.assign(keys);
+    for (std::size_t i = 0; i < transition_pairs_.size(); ++i)
+        p.pair_rule_ids[cursor[transition_pairs_[i]]++] = static_cast<TransitionId>(i);
 
     p.neighbor_offsets.assign(n + 1, 0);
     for (std::size_t q = 0; q < n; ++q)

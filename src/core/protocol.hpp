@@ -25,8 +25,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -245,13 +243,33 @@ private:
         std::vector<std::string> input_names;
         std::vector<StateId> input_states;
         Config leaders{0};
-        std::unordered_map<std::string, StateId> name_to_state;
+        FlatIndexSet name_index;  // StateIds, hashed on their names
     };
 
     std::shared_ptr<const Tables> tables_;
 };
 
+/// Separators of the text format (core/protocol_parser.hpp): the bytes
+/// `std::isspace` accepts in the "C" locale.
+constexpr bool is_text_space(char c) noexcept {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// True iff `name` survives format_protocol → parse_protocol as one token:
+/// non-empty, no separator, and no leading '#' (which starts a comment).
+constexpr bool is_text_name(std::string_view name) noexcept {
+    if (name.empty() || name.front() == '#') return false;
+    for (const char c : name)
+        if (is_text_space(c)) return false;
+    return true;
+}
+
 /// Incremental, validating construction of protocols.
+///
+/// The builder fills the flat tables a Protocol keeps as it goes: a
+/// transition gets its pre-pair's PairId on arrival (first-seen order),
+/// duplicates are dropped through an open-addressed index, and names are
+/// indexed once, so build() only lays out the CSR tables.
 ///
 /// Example (the 2-state "at least one agent in A" detector):
 ///     ProtocolBuilder b;
@@ -262,8 +280,9 @@ private:
 ///     Protocol p = std::move(b).build();
 class ProtocolBuilder {
 public:
-    /// Declares a state. Throws std::invalid_argument on duplicate name or
-    /// output not in {0,1}.
+    /// Declares a state. Throws std::invalid_argument on a duplicate name,
+    /// a name the text format cannot carry (see is_text_name), or output
+    /// not in {0,1}.
     StateId add_state(std::string name, int output);
 
     /// Changes the output of an existing state.
@@ -277,13 +296,18 @@ public:
     void add_transition(std::string_view p, std::string_view q, std::string_view p2,
                         std::string_view q2);
 
-    /// Declares input variable `name` mapped to `state`.
+    /// Declares input variable `name` mapped to `state`.  Throws
+    /// std::invalid_argument on a duplicate or a name the text format
+    /// cannot carry.
     void set_input(std::string name, StateId state);
 
     /// Adds `count` leader agents in `state`.
     void add_leaders(StateId state, AgentCount count);
 
     std::size_t num_states() const noexcept { return names_.size(); }
+
+    /// Looks up a declared state by name; nullopt if absent.
+    std::optional<StateId> find_state(std::string_view name) const;
 
     /// Finalises the protocol. Throws std::invalid_argument if no states or
     /// no input variable were declared.
@@ -292,24 +316,17 @@ public:
 private:
     StateId require_state(std::string_view name) const;
 
-    struct PackedTransitionHash {
-        std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& key) const noexcept {
-            std::size_t seed = static_cast<std::size_t>(key.first);
-            hash_combine(seed, static_cast<std::size_t>(key.second));
-            return seed;
-        }
-    };
-
     std::vector<std::string> names_;
     std::vector<std::uint8_t> outputs_;
+    FlatIndexSet name_index_;  // StateIds, hashed on their names
     std::vector<Transition> transitions_;
-    /// Canonical (pre-pair, post-pair), each as two full 32-bit state ids.
-    std::unordered_set<std::pair<std::uint64_t, std::uint64_t>, PackedTransitionHash>
-        seen_transitions_;
+    FlatIndexSet transition_index_;  // TransitionIds, hashed on (pre, post)
+    std::vector<Protocol::PairId> transition_pairs_;  // PairId of each transition
+    DenseIndexMap pair_ids_;  // packed canonical pre-pair → PairId
+    std::vector<std::pair<StateId, StateId>> nonsilent_pairs_;  // by PairId
     std::vector<std::string> input_names_;
     std::vector<StateId> input_states_;
     std::vector<std::pair<StateId, AgentCount>> leaders_;
-    std::unordered_map<std::string, StateId> name_to_state_;
 };
 
 }  // namespace ppsc

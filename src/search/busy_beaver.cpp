@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -128,15 +127,14 @@ struct CandidateResult {
 };
 
 /// The candidate pass: canonicity and the optional screens.  A survivor
-/// gets a `verifier` and goes on to exact verification, its verdict left
-/// to the fold; any other candidate's verifier is reset.  Depends on
-/// nothing but its arguments, so candidates can be screened in any order
-/// on any thread.
+/// comes back as no_threshold and goes on to exact verification, its
+/// verdict left to the fold.  Depends on nothing but its arguments, so
+/// candidates can be screened in any order on any thread; the protocol a
+/// screen builds stays on its worker.
 CandidateResult screen_candidate(const Encoding& encoding, const SearchOptions& options,
-                                 const ReachabilityOptions& reach,
-                                 std::unique_ptr<Verifier>& verifier) {
-    verifier.reset();
+                                 const ReachabilityOptions& reach) {
     if (!is_canonical(encoding)) return {Verdict::non_canonical};
+    if (!options.static_screen && !options.screen) return {Verdict::no_threshold};
     Protocol protocol = build_protocol(encoding);
     // Phase 0 (optional): the StaticScreen stage — zero-simulation
     // refutation by certificate.  If every output-1 state is proven
@@ -153,14 +151,12 @@ CandidateResult screen_candidate(const Encoding& encoding, const SearchOptions& 
         if (analyze::analyze_protocol(protocol, screen_options).consensus_refuted[1])
             return {Verdict::static_refuted};
     }
-    auto survivor = std::make_unique<Verifier>(std::move(protocol), reach);
     // Phase 1 (optional): cheap randomized falsification.  Sound — a
     // refuted candidate's exact infer_threshold is guaranteed nullopt
     // (verify/verifier.hpp), so skipping it changes nothing but cost.
-    if (options.screen &&
-        survivor->screening_refutes_threshold(options.max_input, options.screening))
+    if (options.screen && Verifier(std::move(protocol), reach)
+                              .screening_refutes_threshold(options.max_input, options.screening))
         return {Verdict::screened_out};
-    verifier = std::move(survivor);
     return {Verdict::no_threshold};
 }
 
@@ -284,15 +280,23 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
     const unsigned max_workers = worker_count(options.parallelism, block_size * num_inputs);
     const std::size_t horizon = static_cast<std::size_t>(std::max<AgentCount>(options.max_input, 0));
     const std::size_t max_nodes = capped_binomial(horizon + n - 1, n - 1, reach.max_nodes);
-    std::vector<ReachabilityGraph> arenas(max_workers);
-    for (ReachabilityGraph& arena : arenas) arena.reserve(n, max_nodes, max_nodes * num_pairs);
+    // A worker writes its arena on every explored edge while every worker
+    // reads the survivors' tables, which the calling thread builds.  So the
+    // arenas sit on cache lines of their own, and a worker reserves its
+    // arena on its first item, which puts the buffers in that worker's
+    // malloc arena, apart from the tables; sharing a cache line with them
+    // measurably slows the input pass.
+    struct alignas(64) WorkerArena {
+        ReachabilityGraph graph;
+        bool reserved = false;
+    };
+    std::vector<WorkerArena> arenas(max_workers);
 
     std::map<AgentCount, std::uint64_t> histogram;
     std::vector<Encoding> block(block_size);
     std::vector<CandidateResult> results(block_size);
-    // Survivors' verifiers, freed by the next block's candidate pass.
-    std::vector<std::unique_ptr<Verifier>> verifiers(block_size);
-    std::vector<std::size_t> survivors;       // block indices, in order
+    // One verifier per survivor of the current block, in candidate order.
+    std::vector<Verifier> verifiers;
     std::vector<InputOutcome> outcomes;       // survivor-major, input 2 first
     while (true) {
         std::size_t size = 0;
@@ -301,20 +305,24 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
         // Candidate pass: canonicity and the screens.
         parallel_for(size, worker_count(options.parallelism, size),
                      [&](unsigned, std::size_t i) {
-                         results[i] = screen_candidate(block[i], options, reach, verifiers[i]);
+                         results[i] = screen_candidate(block[i], options, reach);
                      });
-        survivors.clear();
+        // The survivors' tables are built here, on the calling thread, so
+        // they sit apart from the per-input scratch the workers write (see
+        // WorkerArena).
+        verifiers.clear();
         for (std::size_t i = 0; i < size; ++i)
-            if (verifiers[i]) survivors.push_back(i);
+            if (results[i].verdict == Verdict::no_threshold)
+                verifiers.emplace_back(build_protocol(block[i]), reach);
         // Input pass: one item per (survivor, input), claimed survivor by
         // survivor, each exploring one graph in its worker's arena.  A
         // survivor's first decisive input — the smallest seen ill-specified
         // or over budget — only ever falls, towards its final value, and
         // items above the current value are skipped: every input at or
         // below the final value runs, and the fold reads no input past it.
-        const std::size_t items = survivors.size() * num_inputs;
+        const std::size_t items = verifiers.size() * num_inputs;
         outcomes.resize(items);
-        std::vector<std::atomic<AgentCount>> first_decisive(survivors.size());
+        std::vector<std::atomic<AgentCount>> first_decisive(verifiers.size());
         for (std::atomic<AgentCount>& decisive : first_decisive)
             decisive.store(options.max_input);
         parallel_for(items, worker_count(options.parallelism, items),
@@ -323,8 +331,13 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
                          const auto input = static_cast<AgentCount>(2 + item % num_inputs);
                          std::atomic<AgentCount>& decisive = first_decisive[s];
                          if (input > decisive.load()) return;
-                         const InputOutcome result = verify_one_input(
-                             *verifiers[survivors[s]], input, arenas[worker]);
+                         WorkerArena& arena = arenas[worker];
+                         if (!arena.reserved) {
+                             arena.graph.reserve(n, max_nodes, max_nodes * num_pairs);
+                             arena.reserved = true;
+                         }
+                         const InputOutcome result =
+                             verify_one_input(verifiers[s], input, arena.graph);
                          outcomes[item] = result;
                          if (result == InputOutcome::ill_specified ||
                              result == InputOutcome::over_budget)
@@ -335,7 +348,7 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
         // the serial search's.
         std::size_t survivor = 0;
         for (std::size_t i = 0; i < size; ++i) {
-            if (verifiers[i])
+            if (results[i].verdict == Verdict::no_threshold)
                 results[i] = fold_inputs(
                     std::span(outcomes).subspan(survivor++ * num_inputs, num_inputs),
                     options.max_input);

@@ -235,6 +235,30 @@ TEST(Protocol, FindStateMissingReturnsNullopt) {
     EXPECT_EQ(p.find_state("missing"), std::nullopt);
 }
 
+TEST(Protocol, FindStateResolvesLongNames) {
+    // Names past the small-string buffer live on the heap; the name index
+    // hashes the characters, so a lookup through a string_view over other
+    // storage, or a prefix of a declared name, resolves exactly.
+    ProtocolBuilder b;
+    std::vector<std::string> names;
+    for (int i = 0; i < 300; ++i)
+        names.push_back("state_with_a_long_name_" +
+                        std::string(static_cast<std::size_t>(i % 7), 'x') + std::to_string(i));
+    for (const std::string& name : names) b.add_state(name, 0);
+    for (std::size_t i = 0; i < names.size(); ++i)
+        ASSERT_EQ(b.find_state(std::string_view(names[i])), static_cast<StateId>(i));
+    EXPECT_EQ(b.find_state("state_with_a_long_name_"), std::nullopt);
+    EXPECT_THROW(b.add_state(names[123], 1), std::invalid_argument);
+    b.set_input("x", 0);
+    const Protocol p = std::move(b).build();
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const std::string copy = names[i] + "?";
+        ASSERT_EQ(p.find_state(std::string_view(copy).substr(0, names[i].size())),
+                  static_cast<StateId>(i));
+        ASSERT_EQ(p.find_state(copy), std::nullopt);
+    }
+}
+
 TEST(Protocol, CsrRuleTableMatchesNaiveMapExhaustively) {
     // The CSR pair→rules table (offsets + flat id array + silent bitset)
     // must agree, for every unordered pair, with a naive map rebuilt from

@@ -5,7 +5,9 @@
 // checks every lookup against a naive map.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -39,14 +41,72 @@ TEST(DenseIndexMap, FindsEveryKeyAndMissesOthers) {
         for (std::uint64_t q = p; q < 40; q += (p % 3) + 1) keys.push_back((p << 32) | q);
     }
     DenseIndexMap map;
-    map.assign(keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const auto [index, inserted] = map.insert(keys[i]);
+        EXPECT_EQ(index, i);
+        EXPECT_TRUE(inserted);
+    }
     for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(map.find(keys[i]), i);
     EXPECT_EQ(map.find((std::uint64_t{41} << 32) | 41), DenseIndexMap::kMissing);
     EXPECT_EQ(map.find(0x7fffffff00000000ull), DenseIndexMap::kMissing);
     EXPECT_GT(map.memory_bytes(), keys.size() * 12);  // ≥ 2× load headroom
 
-    map.assign({});
+    map = DenseIndexMap{};
     EXPECT_EQ(map.find(0), DenseIndexMap::kMissing);
+}
+
+TEST(DenseIndexMap, InsertKeepsIndicesAcrossDoublings) {
+    // 5000 keys take the table from 8 slots through ten doublings.  After
+    // every insert that crossed a power of two, every key inserted so far
+    // still maps to its index, re-inserting one is a no-op, and absent
+    // keys (the next keys of the sequence, and high-half neighbours) miss.
+    const auto key = [](std::uint64_t i) { return ((i % 71) << 32) | (i / 71); };
+    DenseIndexMap map;
+    std::size_t last_bytes = 0;
+    for (std::uint64_t n = 1; n <= 5000; ++n) {
+        ASSERT_EQ(map.insert(key(n - 1)), (std::pair<std::uint32_t, bool>{n - 1, true}));
+        ASSERT_EQ(map.size(), n);
+        if (!std::has_single_bit(n)) continue;
+        EXPECT_GE(map.memory_bytes(), last_bytes);
+        last_bytes = map.memory_bytes();
+        for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(map.find(key(i)), i);
+        for (std::uint64_t i = n; i < n + 64; ++i) {
+            ASSERT_EQ(map.find(key(i)), DenseIndexMap::kMissing);
+            ASSERT_EQ(map.find(key(i - n) | (std::uint64_t{1} << 40)), DenseIndexMap::kMissing);
+        }
+        ASSERT_EQ(map.insert(key(n / 2)), (std::pair<std::uint32_t, bool>{n / 2, false}));
+        ASSERT_EQ(map.size(), n);
+    }
+    // Load stays at most 0.5: 5000 keys in 2¹⁴ slots of 12 bytes each.
+    EXPECT_EQ(map.memory_bytes(), (std::size_t{1} << 14) * 12);
+}
+
+TEST(FlatIndexSet, FindsByHashAndElement) {
+    // Elements live in the caller's array; equal hashes (every element
+    // hashed to its value mod 7) must still resolve through `equal`.
+    std::vector<std::uint64_t> elements;
+    FlatIndexSet set;
+    const auto hash = [](std::uint64_t v) { return v % 7; };
+    for (std::uint64_t v = 0; v < 3000; v += 3) {
+        const auto index = static_cast<std::uint32_t>(elements.size());
+        const auto [stored, inserted] =
+            set.insert(hash(v), index, [&](std::uint32_t i) { return elements[i] == v; });
+        ASSERT_TRUE(inserted);
+        ASSERT_EQ(stored, index);
+        elements.push_back(v);
+    }
+    ASSERT_EQ(set.size(), elements.size());
+    for (std::uint64_t v = 0; v < 3000; ++v) {
+        const auto same = [&](std::uint32_t i) { return elements[i] == v; };
+        const std::uint32_t found = set.find(hash(v), same);
+        if (v % 3 == 0) {
+            ASSERT_EQ(found, v / 3);
+            ASSERT_EQ(set.insert(hash(v), 99'999, same),
+                      (std::pair<std::uint32_t, bool>{found, false}));
+        } else {
+            ASSERT_EQ(found, FlatIndexSet::kMissing);
+        }
+    }
 }
 
 TEST(PairLookup, ZeroNonsilentPairs) {

@@ -176,6 +176,120 @@ TEST(ProtocolParser, TransPlusDeclaresNondeterminism) {
         std::invalid_argument);
 }
 
+TEST(ProtocolParser, ManyRulesOnOnePairParseInLinearTime) {
+    // 2·10⁵ distinct rules on the pre-pair {s0, s1}, one `trans` and the
+    // rest `trans+`.  The duplicate check keys on (pre-pair, post-pair), so
+    // this parses in well under a second in Release; a check that scans the
+    // pair's earlier rules needs ~16 s per parse on a 4-core Xeon, past the
+    // ctest TIMEOUT of this suite (CMakeLists.txt).  A hostile .pp file must
+    // never hang.
+    constexpr std::size_t kRules = 200'000;
+    constexpr std::size_t kStates = 640;  // 640·641/2 ≥ kRules post-pairs
+    std::string text;
+    for (std::size_t q = 0; q < kStates; ++q) text += "state s" + std::to_string(q) + " 0\n";
+    text += "input x -> s0\n";
+    std::size_t rules = 0;
+    for (std::size_t q = 0; q < kStates && rules < kRules; ++q) {
+        for (std::size_t p = 0; p <= q && rules < kRules; ++p, ++rules)
+            text += std::string(rules == 0 ? "trans" : "trans+") + " s1 s0 -> s" +
+                    std::to_string(q) + " s" + std::to_string(p) + "\n";
+    }
+    // One identical duplicate (post-pair written the other way round) and
+    // one conflicting plain `trans`, after all of them.
+    const std::size_t first_rule_line = kStates + 2;
+    std::vector<ParseWarning> warnings;
+    const Protocol p = parse_protocol(text + "trans+ s0 s1 -> s0 s1\n", &warnings);
+    ASSERT_EQ(p.rules_for_pair(0, 1).size(), kRules - 1);  // s0 s1 -> s0 s1 is silent
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_EQ(warnings[0].line, first_rule_line + kRules);
+    EXPECT_NE(warnings[0].message.find("{s0, s1} (identical to line " +
+                                       std::to_string(first_rule_line + 1) + ")"),
+              std::string::npos)
+        << warnings[0].message;
+    try {
+        parse_protocol(text + "trans s0 s1 -> s639 s639\n");
+        FAIL() << "expected DuplicateRuleError";
+    } catch (const DuplicateRuleError& e) {
+        EXPECT_EQ(e.line(), first_rule_line + kRules);
+        EXPECT_EQ(e.previous_line(), first_rule_line);
+    }
+}
+
+TEST(ProtocolParser, SilentRulesKeepTheirDuplicateChecks) {
+    // Silent rules never reach the protocol, but the parser still tracks
+    // them: a conflicting `trans` after one is an error, an identical
+    // repeat a warning naming the first line.
+    EXPECT_THROW(
+        parse_protocol("state a 0\nstate b 1\ninput x -> a\ntrans a b -> b a\ntrans b a -> b b\n"),
+        DuplicateRuleError);
+    std::vector<ParseWarning> warnings;
+    const Protocol p = parse_protocol(
+        "state a 0\nstate b 1\ninput x -> a\ntrans a b -> a b\ntrans b a -> b a\n", &warnings);
+    EXPECT_EQ(p.num_transitions(), 0u);
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_EQ(warnings[0].message, "duplicate rule for pair {a, b} (identical to line 4)");
+}
+
+TEST(ProtocolParser, NamesTheFormatCannotCarryAreRejected) {
+    // A name with whitespace or a leading '#' would be formatted into text
+    // the parser rejects or reads as a comment, so the builder refuses it.
+    ProtocolBuilder b;
+    EXPECT_THROW(b.add_state("a b", 0), std::invalid_argument);
+    EXPECT_THROW(b.add_state("tab\there", 0), std::invalid_argument);
+    EXPECT_THROW(b.add_state("#q", 0), std::invalid_argument);
+    const StateId q = b.add_state("q", 0);
+    EXPECT_THROW(b.set_input("#x", q), std::invalid_argument);
+    EXPECT_THROW(b.set_input("x y", q), std::invalid_argument);
+    EXPECT_THROW(b.set_input("", q), std::invalid_argument);
+    EXPECT_EQ(b.num_states(), 1u);
+
+    // Everything else round-trips, '#' inside a name and "->" included.
+    const std::string long_name(40, 'L');  // past the small-string buffer
+    const StateId odd = b.add_state("a#b", 1);
+    const StateId arrow = b.add_state("->", 0);
+    const StateId big = b.add_state(long_name, 1);
+    b.set_input("x#1", q);
+    b.set_input("->", arrow);
+    b.add_transition(q, odd, big, big);
+    b.add_transition(arrow, arrow, q, odd);
+    b.add_transition(arrow, arrow, odd, odd);
+    b.add_leaders(big, 2);
+    const Protocol built = std::move(b).build();
+    const std::string text = format_protocol(built);
+    const Protocol reparsed = parse_protocol(text);
+    EXPECT_EQ(format_protocol(reparsed), text);
+    EXPECT_EQ(reparsed.find_state(long_name), big);
+    EXPECT_EQ(reparsed.find_state("a#b"), odd);
+    EXPECT_EQ(reparsed.input_variables()[0], "x#1");
+    EXPECT_EQ(reparsed.leaders()[big], 2);
+    ASSERT_EQ(reparsed.num_transitions(), 3u);
+    EXPECT_EQ(reparsed.rules_for_pair(arrow, arrow).size(), 2u);
+}
+
+TEST(ProtocolParser, TokensSplitOnEveryFormatSeparator) {
+    // Tabs, carriage returns and the other "C"-locale spaces separate
+    // tokens; a token starting with '#' ends the line; a last line
+    // without a newline still counts.
+    const Protocol p = parse_protocol(
+        "state\tx 0\r\nstate T\v1 # output\n\f\ninput x -> x\n"
+        "trans x x -> T T #c\ntrans x T -> T T");
+    EXPECT_EQ(p.num_states(), 2u);
+    EXPECT_EQ(p.num_transitions(), 2u);
+    try {
+        parse_protocol("state x 0\n\nstate x 1\n");
+        FAIL() << "expected a duplicate-name error";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+    }
+    try {
+        parse_protocol("state x 0\nstate y 1 extra tokens here too\n");
+        FAIL() << "expected an arity error";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("line 2: expected: state"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ProtocolFamilies, EveryRegisteredFamilyBuildsAndRoundTrips) {
     // The registry is the source of the tool's help text; each listed name
     // must build from its documented example parameters, serialise, and
