@@ -531,65 +531,27 @@ void BM_RealisableBasisSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_RealisableBasisSparse)->Arg(5)->Unit(benchmark::kMillisecond);
 
-// The two-phase busy-beaver sweep at n = 5 — a state count whose sampled
-// sweep was infeasible for the seed code (every candidate, oscillators
-// included, paid for exact reachability graphs on all inputs; screening
-// rejects most candidates after a few thousand simulated interactions).
-// Items = candidates processed; the screened_out counter reports how much
-// of the sample the fast path absorbed.  The search verifies candidates on
-// one worker per hardware thread (SearchOptions::parallelism = 0), so the
-// rows are timed, and items counted, in wall-clock time.
-void busy_beaver_sweep_bench(benchmark::State& state, bool screen, bool static_screen = false) {
+// The sampled busy-beaver sweep at n = 4 and n = 5, every canonical
+// candidate verified exactly on inputs 2..24.  Items = candidates
+// processed.  The search verifies candidates on one worker per hardware
+// thread (SearchOptions::parallelism = 0), so the rows are timed, and items
+// counted, in wall-clock time.
+void BM_BusyBeaverSweepExact(benchmark::State& state) {
     search::SearchOptions options;
-    // The horizon is where the cost asymmetry lives: exact verification
-    // explores C(i + n − 1, n − 1)-node graphs for every input i up to 24,
-    // screening simulates about a thousand interactions on populations ≤ 24.
     options.max_input = 24;
     options.sample_limit = 64;
     options.max_nodes_per_graph = 60'000;  // blown-budget candidates skip fast
-    options.screen = screen;
-    // Populations ≤ 16 that converge at all do so within a few hundred
-    // interactions; one short run per input keeps the phase-1 cost of the
-    // never-converging majority near zero.
-    options.screening.runs = 1;
-    options.screening.max_interactions = 1'000;
-    options.screening.max_inconclusive_inputs = 2;
-    options.static_screen = static_screen;
     const auto n = static_cast<std::size_t>(state.range(0));
-    std::uint64_t screened_out = 0;
-    std::uint64_t static_refuted = 0;
     std::uint64_t candidates = 0;
     for (auto _ : state) {
         options.seed = 0xbeefcafe + candidates;  // fresh sample per iteration
         const auto outcome = search::busy_beaver_search(n, options);
-        screened_out += outcome.screened_out;
-        static_refuted += outcome.static_refuted;
         candidates += outcome.enumerated;
         benchmark::DoNotOptimize(outcome.best_eta);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(candidates));
-    state.counters["screened_out"] =
-        candidates > 0 ? static_cast<double>(screened_out) / static_cast<double>(candidates) : 0;
-    if (static_screen)
-        state.counters["static_refuted"] =
-            candidates > 0 ? static_cast<double>(static_refuted) / static_cast<double>(candidates)
-                           : 0;
 }
-void BM_BusyBeaverSweepScreened(benchmark::State& state) {
-    busy_beaver_sweep_bench(state, true);
-}
-void BM_BusyBeaverSweepExact(benchmark::State& state) {
-    busy_beaver_sweep_bench(state, false);
-}
-// The zero-simulation static pre-screen (analyze/) stacked ahead of the
-// simulation screen: candidates whose acceptance is refuted by certificate
-// never touch the simulator; the counter reports the absorbed fraction.
-void BM_BusyBeaverSweepStaticScreened(benchmark::State& state) {
-    busy_beaver_sweep_bench(state, true, true);
-}
-BENCHMARK(BM_BusyBeaverSweepScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_BusyBeaverSweepExact)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_BusyBeaverSweepStaticScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Exact exploration alone, as the busy-beaver search drives it: a fixed
 // seeded set of 4 random deterministic 5-state tables, every input 2..24,

@@ -9,7 +9,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "analyze/analyze.hpp"
 #include "support/check.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -114,51 +113,17 @@ constexpr std::size_t kBlockSize = 4096;
 /// What one candidate contributes to the outcome.
 enum class Verdict : std::uint8_t {
     non_canonical,
-    static_refuted,
-    screened_out,
     budget_skipped,
     no_threshold,
     threshold,
 };
 
 struct CandidateResult {
+    /// A canonical candidate starts as no_threshold; the fold of its
+    /// inputs decides its verdict.
     Verdict verdict = Verdict::non_canonical;
     AgentCount eta = 0;  ///< the verified threshold, when verdict == threshold
 };
-
-/// The candidate pass: canonicity and the optional screens.  A survivor
-/// comes back as no_threshold and goes on to exact verification, its
-/// verdict left to the fold.  Depends on nothing but its arguments, so
-/// candidates can be screened in any order on any thread; the protocol a
-/// screen builds stays on its worker.
-CandidateResult screen_candidate(const Encoding& encoding, const SearchOptions& options,
-                                 const ReachabilityOptions& reach) {
-    if (!is_canonical(encoding)) return {Verdict::non_canonical};
-    if (!options.static_screen && !options.screen) return {Verdict::no_threshold};
-    Protocol protocol = build_protocol(encoding);
-    // Phase 0 (optional): the StaticScreen stage — zero-simulation
-    // refutation by certificate.  If every output-1 state is proven
-    // unreachable, every reachable configuration has consensus 0, so
-    // the exact threshold scan would find no threshold; dropping the
-    // candidate here changes cost, never verdicts.
-    if (options.static_screen) {
-        // Linear-time analysis only (no cone completion): the candidates
-        // are leaderless, where every invariant claim is subsumed by the
-        // closure certificate anyway — the cone would add per-candidate
-        // Hilbert cost and zero extra refutations.
-        analyze::AnalysisOptions screen_options;
-        screen_options.cone_state_cap = 0;
-        if (analyze::analyze_protocol(protocol, screen_options).consensus_refuted[1])
-            return {Verdict::static_refuted};
-    }
-    // Phase 1 (optional): cheap randomized falsification.  Sound — a
-    // refuted candidate's exact infer_threshold is guaranteed nullopt
-    // (verify/verifier.hpp), so skipping it changes nothing but cost.
-    if (options.screen && Verifier(std::move(protocol), reach)
-                              .screening_refutes_threshold(options.max_input, options.screening))
-        return {Verdict::screened_out};
-    return {Verdict::no_threshold};
-}
 
 /// One input of a survivor, explored in `arena`: an item of the input pass.
 InputOutcome verify_one_input(const Verifier& verifier, AgentCount input,
@@ -302,10 +267,11 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
         std::size_t size = 0;
         while (size < block_size && draw(block[size])) ++size;
         if (size == 0) break;
-        // Candidate pass: canonicity and the screens.
+        // Candidate pass: canonicity.
         parallel_for(size, worker_count(options.parallelism, size),
                      [&](unsigned, std::size_t i) {
-                         results[i] = screen_candidate(block[i], options, reach);
+                         results[i] = {is_canonical(block[i]) ? Verdict::no_threshold
+                                                              : Verdict::non_canonical};
                      });
         // The survivors' tables are built here, on the calling thread, so
         // they sit apart from the per-input scratch the workers write (see
@@ -358,12 +324,6 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
             switch (result.verdict) {
                 case Verdict::non_canonical:
                 case Verdict::no_threshold:
-                    break;
-                case Verdict::static_refuted:
-                    ++outcome.static_refuted;
-                    break;
-                case Verdict::screened_out:
-                    ++outcome.screened_out;
                     break;
                 case Verdict::budget_skipped:
                     ++outcome.budget_skipped;

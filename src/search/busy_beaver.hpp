@@ -36,26 +36,7 @@ struct SearchOptions {
     /// candidates (needed from n = 4 up, where the space has 10^10 tables).
     std::uint64_t sample_limit = 0;
     std::uint64_t seed = 0xbeefcafe;
-    /// Two-phase mode (PR 6): screen each canonical candidate on the
-    /// simulation fast path first and build reachability graphs only for
-    /// survivors.  Screening is sound falsification (see verify/verifier.hpp)
-    /// so the reported thresholds, histogram, and witness are identical to a
-    /// screen-free run; only the cost profile changes.  This is what makes
-    /// sampled sweeps feasible at state counts whose dense per-candidate
-    /// verification was the bottleneck.
-    bool screen = false;
-    ScreeningOptions screening;
-    /// Zero-simulation pre-screen (the StaticScreen stage): run the static
-    /// analyzer (analyze/analyze.hpp) on each canonical candidate before
-    /// any simulation or reachability work, and drop candidates whose
-    /// acceptance is statically refuted — every output-1 state proven
-    /// unreachable by a linear-invariant or interaction-closure
-    /// certificate.  Sound: such a candidate's every reachable
-    /// configuration has consensus 0, so its exact infer_threshold is
-    /// guaranteed nullopt and verdicts/histogram/witness are identical to
-    /// an unscreened run (asserted in tests/analyze_test.cpp).
-    bool static_screen = false;
-    /// Worker threads screening candidates and verifying their inputs:
+    /// Worker threads checking candidates and verifying their inputs:
     /// 1 = serial, 0 = one per hardware thread.  The outcome does not
     /// depend on this setting.
     unsigned parallelism = 0;
@@ -67,8 +48,6 @@ struct SearchOutcome {
     std::uint64_t canonical = 0;           ///< survivors of symmetry reduction
     std::uint64_t threshold_protocols = 0; ///< verified threshold behaviours
     std::uint64_t budget_skipped = 0;      ///< skipped on verification budget
-    std::uint64_t static_refuted = 0;      ///< refuted by static analysis (no simulation)
-    std::uint64_t screened_out = 0;        ///< refuted by simulation screening
     AgentCount best_eta = 0;               ///< empirical BB(n)
     std::string best_protocol_text;        ///< description of a witness
     /// histogram[η] = number of canonical protocols computing x ≥ η.
@@ -82,14 +61,14 @@ struct SearchOutcome {
 ///
 /// Candidates are drawn serially in fixed-size blocks (the sampling stream
 /// and the exhaustive enumeration order are those of a serial search).
-/// Each block runs two passes on the worker pool: a candidate pass
-/// (canonicity and the screens), then an input pass with one item per
-/// (survivor, input), each exploring one reachability graph in its
-/// worker's arena and recording that input's outcome.  A survivor's inputs
-/// above its smallest ill-specified or over-budget input seen so far are
-/// skipped; the serial fold, in candidate order, scans each survivor's
-/// outcomes with scan_threshold (verify/verifier.hpp), which stops at the
-/// first deciding input and so never reads a skipped one.  Every outcome
+/// Each block runs two passes on the worker pool: a canonicity pass, then
+/// an input pass with one item per (canonical candidate, input), each
+/// exploring one reachability graph in its worker's arena and recording
+/// that input's outcome.  A candidate's inputs above its smallest
+/// ill-specified or over-budget input seen so far are skipped; the serial
+/// fold, in candidate order, scans each candidate's outcomes with
+/// scan_threshold (verify/verifier.hpp), which stops at the first deciding
+/// input and so never reads a skipped one.  Every outcome
 /// field, including the witness (the first candidate reaching the strict
 /// maximum), is therefore the serial search's.
 SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options = {});

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 
 #include "protocols/double_exp_threshold.hpp"
 #include "sim/checkpoint.hpp"
@@ -27,6 +29,10 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
                                               const std::vector<AgentCount>& populations,
                                               const std::function<int(AgentCount)>& expected,
                                               const ConvergenceSweepOptions& options) {
+    const std::uint64_t runs = options.runs_per_size;
+    if (runs != 0 && populations.size() > std::numeric_limits<std::size_t>::max() / runs)
+        throw std::invalid_argument(
+            "convergence_sweep: populations x runs_per_size overflows the trial count");
     // Epoch stepping needs the pair-weight Fenwick tree; `automatic` would
     // pick the scan for protocols with few non-silent pairs.
     const Simulator simulator(protocol,
@@ -34,7 +40,6 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
                                   ? PairSelect::fenwick
                                   : PairSelect::automatic,
                               options.trap_compute);
-    const std::uint64_t runs = options.runs_per_size;
     const std::size_t total_trials = populations.size() * static_cast<std::size_t>(runs);
 
     const bool checkpointing = !options.checkpoint_dir.empty() && options.checkpoint_every != 0;
@@ -152,8 +157,7 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                                 protocols::double_exp_threshold_dense(n)});
         }
         for (const Variant& variant : variants) {
-            const Simulator simulator(variant.protocol, options.selection,
-                                      options.trap_compute);
+            const Simulator simulator(variant.protocol, PairSelect::fenwick);
             for (const AgentCount population : options.populations) {
                 Rng rng(options.seed ^ (row_index++ << 32));
                 Config config = variant.protocol.initial_config(population);

@@ -67,7 +67,8 @@ struct ConvergenceSweepOptions {
 
 /// Runs `runs_per_size` seeded simulations of IC(i) for each population
 /// size i in `populations`; `expected(i)` gives the ground-truth output.
-/// Single-input protocols only.
+/// Single-input protocols only.  Throws std::invalid_argument when the
+/// trial count, populations.size() × runs_per_size, overflows.
 std::vector<ConvergenceRow> convergence_sweep(
     const Protocol& protocol, const std::vector<AgentCount>& populations,
     const std::function<int(AgentCount)>& expected, const ConvergenceSweepOptions& options = {});
@@ -116,20 +117,11 @@ struct E11Options {
     /// the flagship-only n ≥ 13 rows (|Q| > 8000) worth sweeping
     /// separately.
     int max_dense_n = 10;
-    /// Fired-step pair selection of the simulators driven by the sweep —
-    /// sweeping both values benchmarks the pair-weight Fenwick against the
-    /// reference scan on identical trajectories.
-    PairSelect selection = PairSelect::fenwick;
-    /// Trap-computation algorithm of the swept simulators (identical traps
-    /// either way; the CI smoke runs a forced-`reference` leg).
-    /// `trap_setup_seconds` makes the difference visible as a column.
-    TrapCompute trap_compute = TrapCompute::worklist;
     /// Stepping mode of the swept simulators: `epoch` batches the fired
     /// interactions of the merge frontier into multinomial draws
     /// (sim/simulator.hpp, engine idea 5), which is what pushes the n ≥ 2⁴⁰
-    /// flagship rows past 10⁹ fired interactions per second.  Requires
-    /// Fenwick selection: with `selection == scan` (or `automatic` resolved
-    /// to the scan) the sweep throws std::invalid_argument.
+    /// flagship rows past 10⁹ fired interactions per second.  The swept
+    /// simulators select fired pairs by Fenwick tree, as epochs require.
     StepMode step_mode = StepMode::per_step;
     EpochOptions epoch;
 };

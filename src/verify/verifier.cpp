@@ -209,19 +209,13 @@ bool Verifier::screening_refutes_threshold(AgentCount max_input,
             if (min_one && max_zero && *min_one <= *max_zero) return true;
         }
         // Oscillator cut-off: candidates that never converge cannot be
-        // refuted here, only drained of budget.  Hand them to phase 2.
+        // refuted here, only drained of budget.  Report them inconclusive.
         inconclusive_streak = any_converged ? 0 : inconclusive_streak + 1;
         if (screening.max_inconclusive_inputs > 0 &&
             inconclusive_streak >= screening.max_inconclusive_inputs)
             return false;
     }
     return false;
-}
-
-std::optional<AgentCount> Verifier::infer_threshold(AgentCount max_input,
-                                                    const ScreeningOptions& screening) const {
-    if (screening_refutes_threshold(max_input, screening)) return std::nullopt;
-    return infer_threshold(max_input);
 }
 
 }  // namespace ppsc

@@ -14,21 +14,16 @@
 // statement for *all* (infinitely many) inputs — callers choose the input
 // range and the reports say exactly what was checked.
 //
-// Two-phase mode (PR 6): before paying for exact reachability graphs, a
-// candidate can be *screened* on the simulation fast path.  A converged
-// simulation run is a sound witness — the engine's convergence conditions
+// One simulation-based check remains beside the exact one:
+// screening_refutes_threshold simulates each input a few times.  A
+// converged run is a sound witness — the engine's convergence conditions
 // (silence, output traps; sim/simulator.hpp) prove the reached
-// configuration is stable, and it is reachable from IC(i), so some fair
-// execution from IC(i) stabilises to that output.  Hence observing
-// converged output 1 at input i and converged output 0 at input j ≥ i
-// refutes "computes a threshold x ≥ η" outright (the exact verdicts could
-// not form the monotone 0…0 1…1 pattern), a converged output 0 at the
-// largest checked input refutes on its own (the pattern could not end in an
-// acceptance), and a converged run with no consensus output (a silent mixed
-// configuration) proves the input ill-specified.  Screening therefore
-// rejects only candidates whose exact
-// infer_threshold would return nullopt — it is falsification, never
-// approximation — and exact verification runs only on the survivors.
+// configuration stable, and it is reachable from IC(i).  So converged
+// output 1 at input i with converged output 0 at some j ≥ i, converged
+// output 0 at the largest checked input, or a converged run without
+// consensus each refute "computes x ≥ η" for every η.  It is
+// falsification, never approximation: whenever it refutes,
+// infer_threshold returns nullopt.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +103,7 @@ struct PredicateCheck {
     std::size_t total_nodes = 0;
 };
 
-/// Phase-1 budget of the two-phase mode (see the module comment).  The
+/// Budget of screening_refutes_threshold (see the module comment).  The
 /// defaults are tuned for busy-beaver candidates: populations ≤ max_input
 /// agents converge (or provably fail to) within a few thousand interactions
 /// when they converge at all.
@@ -125,8 +120,8 @@ struct ScreeningOptions {
     /// the interaction budget without converging (0 = never give up).
     /// Oscillating candidates never produce converged witnesses, so each
     /// further input would burn runs × max_interactions steps and learn
-    /// nothing; giving up just defers them to exact verification, which
-    /// keeps screening sound.
+    /// nothing; giving up answers "inconclusive", which keeps screening
+    /// sound.
     int max_inconclusive_inputs = 3;
 };
 
@@ -171,23 +166,17 @@ public:
     std::optional<AgentCount> infer_threshold(AgentCount max_input,
                                               ReachabilityGraph& arena) const;
 
-    /// Phase 1 of the two-phase mode: randomized falsification on the
-    /// simulation fast path.  Returns true iff simulation *refuted*
-    /// threshold behaviour on [start, max_input] — a converged run with no
-    /// consensus, converged output 0 at max_input, or converged output 1 at
-    /// some input i with converged output 0 at some j ≥ i.  Inputs are
-    /// checked from max_input downward so the second condition can fire on
-    /// the very first run.  Sound: whenever this returns true,
-    /// infer_threshold(max_input) returns nullopt (asserted on exhaustive
-    /// sweeps in tests/analysis_sparse_test.cpp); false is inconclusive.
+    /// Randomized falsification on the simulation fast path.  Returns true
+    /// iff simulation *refuted* threshold behaviour on [start, max_input] —
+    /// a converged run with no consensus, converged output 0 at max_input,
+    /// or converged output 1 at some input i with converged output 0 at
+    /// some j ≥ i.  Inputs are checked from max_input downward so the
+    /// second condition can fire on the very first run.  Sound: whenever
+    /// this returns true, infer_threshold(max_input) returns nullopt
+    /// (asserted on exhaustive sweeps in tests/analysis_sparse_test.cpp);
+    /// false is inconclusive.
     bool screening_refutes_threshold(AgentCount max_input,
                                      const ScreeningOptions& screening) const;
-
-    /// Two-phase infer_threshold: screen first, run the exact verdict only
-    /// on survivors.  Result-identical to infer_threshold(max_input); the
-    /// saving is that refuted candidates never build reachability graphs.
-    std::optional<AgentCount> infer_threshold(AgentCount max_input,
-                                              const ScreeningOptions& screening) const;
 
 private:
     // Owned copy: the verifier may outlive a temporary the caller built

@@ -5,8 +5,9 @@
 // backward_closure against a deque BFS, StableAnalysis, the pumping
 // selection against the per-component rescan, hilbert_basis_equalities
 // against brute force up to the Pottier bound, realisable_multiset_basis
-// against the displacement-built system — and screening soundness: a
-// candidate the simulation phase refutes has no exact threshold.
+// against the displacement-built system — and refutation soundness: a
+// candidate that simulation screening or the static analyzer refutes has
+// no exact threshold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "analyze/analyze.hpp"
 #include "bounds/pumping.hpp"
 #include "diophantine/realisable.hpp"
 #include "oracle/graph.hpp"
@@ -262,17 +264,19 @@ TEST(AnalysisSparse, StableAnalysisIsLazy) {
     EXPECT_THROW(analysis.stability(too_big), std::invalid_argument);
 }
 
-// Screening soundness, exhaustively: whenever phase 1 refutes a candidate,
-// the exact threshold is nullopt — and therefore the two-phase
-// infer_threshold is result-identical to the exact one.  Same 3-state
-// space as above, with a deliberately small interaction budget (soundness
-// may not depend on it).
+// Refutation soundness, exhaustively: whenever simulation screening or the
+// static analyzer refutes a candidate, its exact threshold is nullopt.  Same
+// 3-state space as above, with a deliberately small interaction budget
+// (soundness may not depend on it) and the analyzer at linear time only
+// (no cone completion).
 TEST(AnalysisSparse, ScreeningIsSoundOnExhaustiveThreeStateSweep) {
     ScreeningOptions screening;
     screening.runs = 1;
     screening.max_interactions = 1'000;
+    analyze::AnalysisOptions linear;
+    linear.cone_state_cap = 0;
 
-    std::size_t screened = 0, checked = 0;
+    std::size_t screened = 0, refuted = 0, checked = 0;
     const auto sweep = [&](StateId p, StateId q, StateId p2, StateId q2) {
         for (int outputs = 0; outputs < 8; ++outputs) {
             ProtocolBuilder b;
@@ -288,7 +292,11 @@ TEST(AnalysisSparse, ScreeningIsSoundOnExhaustiveThreeStateSweep) {
                 EXPECT_EQ(exact, std::nullopt)
                     << "screening refuted a genuine threshold: outputs mask " << outputs;
             }
-            EXPECT_EQ(verifier.infer_threshold(5, screening), exact);
+            if (analyze::analyze_protocol(protocol, linear).consensus_refuted[1]) {
+                ++refuted;
+                EXPECT_EQ(exact, std::nullopt)
+                    << "the analyzer refuted a genuine threshold: outputs mask " << outputs;
+            }
             ++checked;
         }
     };
@@ -300,9 +308,11 @@ TEST(AnalysisSparse, ScreeningIsSoundOnExhaustiveThreeStateSweep) {
                     sweep(p, q, p2, q2);
                 }
     EXPECT_EQ(checked, 8u * 30);
-    // The sweep is full of oscillators and mixed-sink protocols; screening
-    // must actually catch some of them or phase 1 is dead code.
+    // The sweep is full of oscillators, mixed-sink protocols and
+    // unreachable accepting states; both checks must actually catch some of
+    // them or they are dead code.
     EXPECT_GT(screened, 0u);
+    EXPECT_GT(refuted, 0u);
 }
 
 // The completion on raw systems (not just protocol-shaped ones), including

@@ -3,9 +3,8 @@
 // 3-state corpus, a clean certified run over every registered family,
 // checker acceptance of every emitted certificate,
 // serialisation round trips, tamper rejection (a mutated certificate must
-// never pass the independent checker), the leader-counting power of
-// invariant certificates over the structural closure, and exact verdict
-// preservation of the busy-beaver static pre-screen.
+// never pass the independent checker), and the leader-counting power of
+// invariant certificates over the structural closure.
 #include "analyze/analyze.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "analyze/checker.hpp"
 #include "protocols/families.hpp"
 #include "protocols/threshold.hpp"
-#include "search/busy_beaver.hpp"
 #include "verify/reachability.hpp"
 
 namespace ppsc {
@@ -372,56 +370,6 @@ TEST(CertificateFormat, ParserRejectsMalformedText) {
         FAIL() << "expected parse error";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
-    }
-}
-
-// The static pre-screen is sound falsification: a statically refuted
-// candidate's exact threshold inference is guaranteed nullopt, so every
-// reported field except the cost counters matches an unscreened run bit
-// for bit — asserted exhaustively at n = 2 and on sampled sweeps at
-// n = 4 and n = 5, where a nonzero refuted fraction is also required.
-TEST(BusyBeaverStaticScreen, PreservesResultsExactlyTwoStatesExhaustive) {
-    search::SearchOptions exact;
-    exact.max_input = 8;
-    search::SearchOptions screened = exact;
-    screened.static_screen = true;
-
-    const auto a = search::busy_beaver_search(2, exact);
-    const auto b = search::busy_beaver_search(2, screened);
-    EXPECT_EQ(a.best_eta, b.best_eta);
-    EXPECT_EQ(a.threshold_protocols, b.threshold_protocols);
-    EXPECT_EQ(a.eta_histogram, b.eta_histogram);
-    EXPECT_EQ(a.best_protocol_text, b.best_protocol_text);
-    EXPECT_EQ(a.canonical, b.canonical);
-    EXPECT_EQ(a.static_refuted, 0u);
-    EXPECT_GT(b.static_refuted, 0u);
-}
-
-TEST(BusyBeaverStaticScreen, PreservesSampledSweepsAtFourAndFiveStates) {
-    for (const std::size_t n : {std::size_t{4}, std::size_t{5}}) {
-        search::SearchOptions exact;
-        exact.max_input = n == 4 ? 6 : 5;
-        exact.sample_limit = n == 4 ? 1500 : 500;
-        exact.seed = 7;
-        search::SearchOptions screened = exact;
-        screened.static_screen = true;
-        // Stacking the PR 6 simulation screen on top must stay exact too.
-        search::SearchOptions both = screened;
-        both.screen = true;
-        both.screening.runs = 2;
-        both.screening.max_interactions = 2'000;
-
-        const auto a = search::busy_beaver_search(n, exact);
-        const auto b = search::busy_beaver_search(n, screened);
-        const auto c = search::busy_beaver_search(n, both);
-        for (const auto* run : {&b, &c}) {
-            EXPECT_EQ(a.best_eta, run->best_eta) << n;
-            EXPECT_EQ(a.threshold_protocols, run->threshold_protocols) << n;
-            EXPECT_EQ(a.eta_histogram, run->eta_histogram) << n;
-            EXPECT_EQ(a.best_protocol_text, run->best_protocol_text) << n;
-            EXPECT_EQ(a.canonical, run->canonical) << n;
-            EXPECT_GT(run->static_refuted, 0u) << n;
-        }
     }
 }
 

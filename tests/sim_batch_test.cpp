@@ -341,6 +341,12 @@ TEST(ParallelSweep, ZeroTrialsAndEmptyPopulationsReturnCleanly) {
 
     ConvergenceSweepOptions defaults;
     EXPECT_TRUE(convergence_sweep(p, {}, expected, defaults).empty());
+
+    // A trial count that overflows is rejected before any trial runs.
+    ConvergenceSweepOptions overflowing;
+    overflowing.runs_per_size = std::uint64_t{1} << 62;
+    EXPECT_THROW(convergence_sweep(p, {2, 3, 4, 5}, expected, overflowing),
+                 std::invalid_argument);
 }
 
 TEST(RunBatch, FiredCountIsPerCallAndSumsCleanlyAcrossRestarts) {

@@ -126,6 +126,15 @@ TEST_F(ToolFixture, RejectsCheckpointFlagsTheCommandWouldIgnore) {
     EXPECT_FALSE(fs::exists(dir / "ck")) << "a rejected command must not start checkpointing";
 }
 
+TEST_F(ToolFixture, RejectsSweepWhoseTrialCountOverflows) {
+    // 4 populations × 2⁶² runs wraps a 64-bit trial count to 0; the sweep
+    // must refuse it instead of reading trial results it never ran.
+    const RunResult r = run_tool("sweep " + pp + " 4 2,3,4,5 4611686018427387904");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_EQ(r.term_signal, 0) << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos) << r.output;
+}
+
 TEST_F(ToolFixture, HelpAndDemoSucceed) {
     EXPECT_EQ(run_tool("help").exit_code, 0);
     EXPECT_EQ(run_tool("demo").exit_code, 0);
