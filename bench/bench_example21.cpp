@@ -2,8 +2,7 @@
 //
 // Regenerates the example's quantitative content: P_k computes x >= 2^k
 // with 2^k + 1 states, P'_k with the states {0, 2^0..2^k} (k + 2 states;
-// the paper's prose says k + 1 — an off-by-one in the example's counting,
-// see EXPERIMENTS.md).  Both are exhaustively verified for small k, and
+// the paper's prose says k + 1, one fewer than the state set it lists).  Both are exhaustively verified for small k, and
 // their convergence speeds compared under the random scheduler.
 #include <cstdio>
 

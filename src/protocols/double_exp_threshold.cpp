@@ -141,8 +141,8 @@ Protocol succinct_threshold(const BigNat& eta) {
         }
     }
     // Two collectors each hold ≥ 2^k: combined ≥ 2^{k+1} > η.  (Ascending
-    // bit order, matching collector_threshold's transition order so the two
-    // constructions stay textually identical on the shared range.)
+    // bit order: protocol_fingerprint hashes transitions in order, and the
+    // tests pin it, so checkpoints of earlier builds still resume.)
     for (std::size_t i = infos.size(); i-- > 0;) {
         for (std::size_t j = i + 1; j-- > 0;) {
             b.add_transition(collector[static_cast<std::size_t>(infos[i].bit)],

@@ -8,9 +8,9 @@
 // merges pairwise, and a collector walks down the set bits of η — deciding
 // thresholds up to 2^(2^n), with |Q| = Θ(2^n) = Θ(log η) states.
 //
-// Honesty note (mirroring leader.hpp): this is the collector construction
-// of collector_threshold lifted from int64 thresholds to arbitrary-precision
-// η, i.e. the O(log η) succinctness of Blondin–Esparza–Jaax at thresholds
+// Honesty note: succinct_threshold is the library's one collector
+// construction (collector_threshold is its int64 entry point), i.e. the
+// O(log η) succinctness of Blondin–Esparza–Jaax at thresholds
 // double-exponential in n.  Czerner's O(n) = O(log log η) construction
 // additionally needs phase clocks and restart machinery; what the engine
 // needs from the family is the state-space blow-up itself: |Q| ≫ 10³ and —
@@ -18,7 +18,7 @@
 // the pair-weight Fenwick sampler exists for.
 //
 // All protocols here are leaderless and single-input ("x"); small instances
-// are exhaustively verified in the test suite against collector_threshold.
+// are exhaustively verified in the test suite.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +38,8 @@ inline constexpr std::uint64_t kSuccinctThresholdMaxBits = (std::uint64_t{1} << 
 
 /// Leaderless threshold protocol for arbitrary-precision η ≥ 1 with
 /// Θ(log η) states (tokens t_0..t_k of value 2^i, collectors per set bit,
-/// accepting epidemic).  Agrees with collector_threshold(η) for η in int64
-/// range.  Throws std::invalid_argument on η < 1 or
+/// accepting epidemic).  collector_threshold(η) is this protocol for
+/// η < 2^40.  Throws std::invalid_argument on η < 1 or
 /// η.bit_length() > kSuccinctThresholdMaxBits.
 Protocol succinct_threshold(const BigNat& eta);
 

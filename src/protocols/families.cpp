@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/leader.hpp"
@@ -21,11 +22,11 @@ namespace {
 constexpr std::array<ProtocolFamily, 9> kFamilies = {{
     {"unary", 1, "<eta>", "eta >= 1", "x >= eta with eta + 1 states (Section 2 baseline)", "3"},
     {"binary", 1, "<k>", "0 <= k <= 40", "x >= 2^k via doubling tokens, k + 2 states", "3"},
-    {"collector", 1, "<eta>", "eta >= 1 (int64)",
+    {"collector", 1, "<eta>", "1 <= eta < 2^40",
      "x >= eta with O(log eta) states (succinct collector)", "5"},
     {"majority", 0, "", "no parameters", "2-input majority: is x >= y?", ""},
     {"leader", 1, "<eta>", "eta >= 1", "x >= eta with a leader agent driving the count", "3"},
-    {"cascade", 2, "<base> <digits>", "base >= 2, digits >= 1, base^digits in int64",
+    {"cascade", 2, "<base> <digits>", "base >= 2, digits >= 1, base^digits <= 2^20",
      "leader-driven base-ary counter cascade deciding x >= base^digits", "3 2"},
     {"double_exp", 1, "<n>", "0 <= n <= 17",
      "x >= 2^(2^n) with 2^n + 3 states (E11 flagship; sparse rule table past ~4k states)", "2"},
@@ -35,8 +36,9 @@ constexpr std::array<ProtocolFamily, 9> kFamilies = {{
      "x >= eta for arbitrary-precision eta with O(log eta) states", "19"},
 }};
 
-// ppsc-lint: validated-parser (full-token check: used must equal value.size, typed error otherwise)
-long long parse_int(std::string_view family, std::string_view value) {
+// ppsc-lint: validated-parser (full token within Int's range, else a typed error; never narrows)
+template <typename Int = long long>
+Int parse_int(std::string_view family, std::string_view value) {
     std::size_t used = 0;
     long long parsed = 0;
     try {
@@ -47,7 +49,10 @@ long long parse_int(std::string_view family, std::string_view value) {
     if (used != value.size())
         throw std::invalid_argument("family " + std::string(family) + ": parameter '" +
                                     std::string(value) + "' is not an integer");
-    return parsed;
+    if (!std::in_range<Int>(parsed))
+        throw std::invalid_argument("family " + std::string(family) + ": parameter '" +
+                                    std::string(value) + "' is out of range");
+    return static_cast<Int>(parsed);
 }
 
 }  // namespace
@@ -74,17 +79,15 @@ Protocol build_family(std::string_view name, std::span<const std::string> args) 
                                     std::to_string(args.size()));
 
     if (name == "unary") return unary_threshold(parse_int(name, args[0]));
-    if (name == "binary") return binary_threshold_power(static_cast<int>(parse_int(name, args[0])));
+    if (name == "binary") return binary_threshold_power(parse_int<int>(name, args[0]));
     if (name == "collector") return collector_threshold(parse_int(name, args[0]));
     if (name == "majority") return majority();
     if (name == "leader") return leader_threshold(parse_int(name, args[0]));
     if (name == "cascade")
-        return leader_counter_cascade(static_cast<int>(parse_int(name, args[0])),
-                                      static_cast<int>(parse_int(name, args[1])));
-    if (name == "double_exp")
-        return double_exp_threshold(static_cast<int>(parse_int(name, args[0])));
+        return leader_counter_cascade(parse_int<int>(name, args[0]), parse_int<int>(name, args[1]));
+    if (name == "double_exp") return double_exp_threshold(parse_int<int>(name, args[0]));
     if (name == "double_exp_dense")
-        return double_exp_threshold_dense(static_cast<int>(parse_int(name, args[0])));
+        return double_exp_threshold_dense(parse_int<int>(name, args[0]));
     if (name == "succinct") return succinct_threshold(BigNat::from_decimal(args[0]));
     throw std::logic_error("protocol family registered but not dispatched: " +
                            std::string(name));

@@ -16,9 +16,9 @@
 //                               classic "multiplying counting power"
 //                               mechanism that leader constructions (e.g.
 //                               [12]) push further; our family reaches
-//                               exponential η, and EXPERIMENTS.md reports
-//                               honestly that the 2^(2^n) family of [12]
-//                               requires machinery beyond this cascade.
+//                               exponential η; the 2^(2^n) family of
+//                               [12] needs machinery beyond this cascade
+//                               (honesty note, double_exp_threshold.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,12 @@
 #include "protocols/threshold.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "support/check.hpp"
+#include "protocols/double_exp_threshold.hpp"
+#include "support/bignat.hpp"
 
 namespace ppsc::protocols {
 
@@ -61,131 +63,16 @@ Protocol binary_threshold_power(int k) {
     return std::move(b).build();
 }
 
-namespace {
-
-int top_bit(AgentCount value) {
-    PPSC_CHECK(value > 0);
-    int bit = 0;
-    while ((AgentCount{1} << (bit + 1)) <= value) ++bit;
-    return bit;
-}
-
-}  // namespace
-
 std::size_t collector_threshold_states(AgentCount eta) {
     if (eta < 1) throw std::invalid_argument("collector_threshold_states: eta must be >= 1");
-    if (eta == 1) return 2;
-    const int k = top_bit(eta);
-    std::size_t collectors = 0;
-    // One collector state per set bit whose residual need is non-zero.
-    for (int m = k; m >= 0; --m) {
-        if (((eta >> m) & 1) != 0 && (eta % (AgentCount{1} << m)) > 0) ++collectors;
-    }
-    // z + tokens t_0..t_k + collectors + top.
-    return 1 + static_cast<std::size_t>(k) + 1 + collectors + 1;
+    return succinct_threshold_states(BigNat(static_cast<std::uint64_t>(eta)));
 }
 
 Protocol collector_threshold(AgentCount eta) {
     if (eta < 1) throw std::invalid_argument("collector_threshold: eta must be >= 1");
     if (eta >= (AgentCount{1} << 40))
         throw std::invalid_argument("collector_threshold: eta too large");
-
-    if (eta == 1) {
-        // 2-state detector: any agent triggers the accepting epidemic.
-        ProtocolBuilder b;
-        const StateId x = b.add_state("x", 0);
-        const StateId top = b.add_state("T", 1);
-        b.set_input("x", x);
-        b.add_transition(x, x, top, top);
-        b.add_transition(x, top, top, top);
-        return std::move(b).build();
-    }
-
-    const int k = top_bit(eta);
-
-    ProtocolBuilder b;
-    const StateId z = b.add_state("z", 0);
-    std::vector<StateId> token(static_cast<std::size_t>(k) + 1);
-    for (int i = 0; i <= k; ++i) token[static_cast<std::size_t>(i)] =
-        b.add_state("t" + std::to_string(i), 0);
-    const StateId top = b.add_state("T", 1);
-
-    // Collector state c_m exists for each set bit m of η whose residual
-    // need r_m = η mod 2^m is non-zero.  c_m "holds" value η − r_m.
-    std::vector<StateId> collector(static_cast<std::size_t>(k) + 1, -1);
-    std::vector<AgentCount> need(static_cast<std::size_t>(k) + 1, 0);
-    for (int m = k; m >= 0; --m) {
-        if (((eta >> m) & 1) == 0) continue;
-        const AgentCount r = eta % (AgentCount{1} << m);
-        if (r == 0) continue;
-        collector[static_cast<std::size_t>(m)] = b.add_state("c" + std::to_string(m), 0);
-        need[static_cast<std::size_t>(m)] = r;
-    }
-    b.set_input("x", token[0]);
-
-    // Token merging: t_i, t_i ↦ z, t_{i+1};  top tokens overflow to T.
-    for (int i = 0; i < k; ++i)
-        b.add_transition(token[static_cast<std::size_t>(i)], token[static_cast<std::size_t>(i)],
-                         z, token[static_cast<std::size_t>(i) + 1]);
-    b.add_transition(token[static_cast<std::size_t>(k)], token[static_cast<std::size_t>(k)], top,
-                     top);  // 2^{k+1} > η
-
-    // A top token starts collecting (or accepts outright if η = 2^k).
-    // The partner is unchanged; every state can be the partner.
-    const bool exact_power = (eta == (AgentCount{1} << k));
-    const std::size_t num_states_now = b.num_states();
-    for (std::size_t partner = 0; partner < num_states_now; ++partner) {
-        const auto y = static_cast<StateId>(partner);
-        if (y == token[static_cast<std::size_t>(k)]) continue;  // t_k,t_k handled above
-        if (exact_power) {
-            b.add_transition(token[static_cast<std::size_t>(k)], y, top, top);
-        } else {
-            b.add_transition(token[static_cast<std::size_t>(k)], y,
-                             collector[static_cast<std::size_t>(k)], y);
-        }
-    }
-
-    if (!exact_power) {
-        // Collector absorption and completion.
-        for (int m = k; m >= 0; --m) {
-            if (collector[static_cast<std::size_t>(m)] < 0) continue;
-            const StateId c = collector[static_cast<std::size_t>(m)];
-            const AgentCount r = need[static_cast<std::size_t>(m)];
-            for (int j = 0; j <= k; ++j) {
-                const AgentCount tok = AgentCount{1} << j;
-                if (tok >= r) {
-                    // Witnessed (η − r) + 2^j ≥ η: accept.
-                    b.add_transition(c, token[static_cast<std::size_t>(j)], top, top);
-                } else if (j == top_bit(r)) {
-                    const AgentCount rest = r - tok;
-                    if (rest == 0) {
-                        b.add_transition(c, token[static_cast<std::size_t>(j)], top, top);
-                    } else {
-                        PPSC_CHECK(collector[static_cast<std::size_t>(j)] >= 0);
-                        b.add_transition(c, token[static_cast<std::size_t>(j)],
-                                         collector[static_cast<std::size_t>(j)], z);
-                    }
-                }
-                // Other tokens: silent (they wait to merge upward).
-            }
-        }
-        // Two collectors each hold ≥ 2^k: combined ≥ 2^{k+1} > η.
-        for (int m1 = 0; m1 <= k; ++m1) {
-            if (collector[static_cast<std::size_t>(m1)] < 0) continue;
-            for (int m2 = m1; m2 <= k; ++m2) {
-                if (collector[static_cast<std::size_t>(m2)] < 0) continue;
-                b.add_transition(collector[static_cast<std::size_t>(m1)],
-                                 collector[static_cast<std::size_t>(m2)], top, top);
-            }
-        }
-    }
-
-    // Accepting epidemic.
-    for (std::size_t partner = 0; partner < b.num_states(); ++partner) {
-        const auto y = static_cast<StateId>(partner);
-        if (y != top) b.add_transition(top, y, top, top);
-    }
-    return std::move(b).build();
+    return succinct_threshold(BigNat(static_cast<std::uint64_t>(eta)));
 }
 
 }  // namespace ppsc::protocols

@@ -42,7 +42,8 @@ public:
     /// element-wise checks: (B', S') ⊆ ⋃ᵢ (Bᵢ, Sᵢ) is checked by testing
     /// the element's dominating corner against each candidate (sound and
     /// complete when S' ⊆ Sᵢ for the covering element — conservative
-    /// otherwise; see DESIGN.md).
+    /// otherwise: an element that only the union of several elements
+    /// contains is reported as not covered).
     bool covers(const DownwardClosedSet& other) const;
 
     /// Union (concatenate + normalise).

@@ -94,8 +94,9 @@ public:
     /// accepted as a pumpable direction of C if C + j·q stays b-stable for
     /// every j that keeps the size within max_population (at least
     /// `min_pump_margin` steps must be checkable).  Elements subsumed by
-    /// another element are dropped.  This is an under/over-approximation
-    /// pair discussed in DESIGN.md — exact bases need unbounded pumping.
+    /// another element are dropped.  Pumping is checked only up to
+    /// max_population, so this approximates SC_b's basis; exact bases need
+    /// unbounded pumping.
     /// Forces all slices.
     std::vector<BasisElement> empirical_basis(int b, AgentCount min_pump_margin = 2) const;
 

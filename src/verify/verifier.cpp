@@ -81,6 +81,26 @@ InputVerdict Verifier::verify_input(AgentCount input) const {
     return verify_input(values);
 }
 
+namespace {
+
+/// One input of check_predicate and check_predicate_all_tuples: verifies it
+/// in `arena`, counts it in `check`, and records it as a failure unless it
+/// is well-specified with the predicate's value.
+void check_input(const Verifier& verifier, const Predicate& predicate,
+                 std::span<const AgentCount> input, ReachabilityGraph& arena,
+                 PredicateCheck& check) {
+    InputVerdict verdict = verifier.verify_input(input, arena);
+    ++check.inputs_checked;
+    check.total_nodes += verdict.explored_nodes;
+    if (!verdict.well_specified ||
+        *verdict.computed != static_cast<int>(predicate.evaluate(input))) {
+        check.holds = false;
+        check.failures.push_back(std::move(verdict));
+    }
+}
+
+}  // namespace
+
 PredicateCheck Verifier::check_predicate(const Predicate& predicate, AgentCount min_input,
                                          AgentCount max_input) const {
     if (protocol_.input_variables().size() != 1)
@@ -93,14 +113,7 @@ PredicateCheck Verifier::check_predicate(const Predicate& predicate, AgentCount 
          i <= max_input; ++i) {
         if (protocol_.leaders().size() + i < 2) continue;
         const AgentCount values[] = {i};
-        InputVerdict verdict = verify_input(values, arena);
-        ++check.inputs_checked;
-        check.total_nodes += verdict.explored_nodes;
-        const bool expected = predicate.evaluate(i);
-        if (!verdict.well_specified || *verdict.computed != static_cast<int>(expected)) {
-            check.holds = false;
-            check.failures.push_back(std::move(verdict));
-        }
+        check_input(*this, predicate, values, arena, check);
     }
     return check;
 }
@@ -119,15 +132,7 @@ PredicateCheck Verifier::check_predicate_all_tuples(const Predicate& predicate,
                 AgentCount total = protocol_.leaders().size();
                 for (const AgentCount v : tuple) total += v;
                 if (total < 2) continue;
-                InputVerdict verdict = verify_input(tuple, arena);
-                ++check.inputs_checked;
-                check.total_nodes += verdict.explored_nodes;
-                const bool expected = predicate.evaluate(tuple);
-                if (!verdict.well_specified ||
-                    *verdict.computed != static_cast<int>(expected)) {
-                    check.holds = false;
-                    check.failures.push_back(std::move(verdict));
-                }
+                check_input(*this, predicate, tuple, arena, check);
             }
             return;
         }

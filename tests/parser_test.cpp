@@ -316,6 +316,16 @@ TEST(ProtocolFamilies, RejectsUnknownNamesAndBadArity) {
     EXPECT_THROW(protocols::build_family("unary", two), std::invalid_argument);
     const std::vector<std::string> junk = {"xyz"};
     EXPECT_THROW(protocols::build_family("double_exp", junk), std::invalid_argument);
+    // Parameters the builders take as int are range-checked, not narrowed
+    // (2^32 + 2 would narrow to 2).
+    const std::vector<std::string> wide = {"4294967298"};
+    EXPECT_THROW(protocols::build_family("binary", wide), std::invalid_argument);
+    EXPECT_THROW(protocols::build_family("double_exp", wide), std::invalid_argument);
+    EXPECT_THROW(protocols::build_family("double_exp_dense", wide), std::invalid_argument);
+    const std::vector<std::string> wide_base = {"4294967298", "2"};
+    const std::vector<std::string> wide_digits = {"3", "-4294967294"};
+    EXPECT_THROW(protocols::build_family("cascade", wide_base), std::invalid_argument);
+    EXPECT_THROW(protocols::build_family("cascade", wide_digits), std::invalid_argument);
     // The usage text behind `protocol_tool help` lists every family.
     const std::string usage = protocols::family_usage();
     for (const protocols::ProtocolFamily& family : protocols::protocol_families())

@@ -32,7 +32,7 @@ TEST(BusyBeaverSearch, ThreeStatesExhaustiveMeasuredValue) {
     options.max_input = 9;
     const auto outcome = search::busy_beaver_search(3, options);
     EXPECT_TRUE(outcome.exhaustive);
-    // Measured result (EXPERIMENTS.md, E9): among all deterministic
+    // Measured result (experiment E9): among all deterministic
     // 3-state protocols the best threshold is x >= 3, realised by 104
     // canonical protocols.  (Definition 1 also allows nondeterministic
     // protocols, which this enumeration does not cover.)

@@ -74,6 +74,18 @@ TEST_F(ToolFixture, RejectsNonNumericEta) {
     EXPECT_NE(r.output.find("eta"), std::string::npos) << r.output;
 }
 
+TEST_F(ToolFixture, RejectsFamilyParametersOutsideIntRange) {
+    // Narrowed to int, these would build double_exp(2), double_exp_dense(1),
+    // binary(3) and cascade(3, 2).  The collector family stops at 2^40.
+    for (const char* args : {"double_exp 4294967298", "double_exp_dense 4294967297",
+                             "binary 4294967299", "cascade 4294967299 2",
+                             "collector 1099511627776"}) {
+        const RunResult r = run_tool(std::string("family ") + args);
+        EXPECT_EQ(r.exit_code, 1) << args << ": " << r.output;
+        EXPECT_NE(r.output.find("error: "), std::string::npos) << args << ": " << r.output;
+    }
+}
+
 TEST_F(ToolFixture, RejectsMissingFile) {
     const RunResult r = run_tool("info " + (dir / "no-such-file.pp").string());
     EXPECT_EQ(r.exit_code, 1);
