@@ -253,6 +253,14 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
         for (const std::string& rejection : latest.rejected)
             std::fprintf(stderr, "resume: skipping %s\n", rejection.c_str());
         if (latest.checkpoint) {
+            // The fingerprint pins the protocol only: carrying on another
+            // population's trajectory (and restarting from this one's IC)
+            // would mix two runs in one digest.
+            if (latest.checkpoint->config.size() != config.size())
+                throw std::invalid_argument(
+                    "longrun --resume: " + latest.path + " is a run of " +
+                    std::to_string(latest.checkpoint->config.size()) + " agents, not " +
+                    std::to_string(config.size()));
             config = latest.checkpoint->config;
             rng.set_state(latest.checkpoint->rng_state);
             done = latest.checkpoint->interactions;

@@ -15,32 +15,22 @@ std::optional<Config> stable_configuration_for_input(const Protocol& protocol, A
 
     // Deterministic choice: the least component id that is a consensus
     // bottom SCC, then the lexicographically least member configuration.
-    // One pass over the nodes aggregates, per bottom component, both the
-    // consensus verdict (2 = no member seen, −1 = mixed or non-consensus,
-    // 0/1 = agreed so far) and the lexicographically least member, so the
-    // selection is Θ(nodes) even on graphs with many bottom SCCs.
+    // One pass over the nodes keeps the lexicographically least member of
+    // each consensus bottom component, so the selection is Θ(nodes) even on
+    // graphs with many bottom SCCs.
     constexpr NodeId kNoNode = -1;
-    std::vector<std::int8_t> value(static_cast<std::size_t>(scc.num_components), 2);
+    const std::vector<std::int8_t> value = bottom_scc_outputs(graph, scc);
     std::vector<NodeId> least(static_cast<std::size_t>(scc.num_components), kNoNode);
     for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
         const auto component = static_cast<std::size_t>(scc.component_of[node]);
-        if (!scc.is_bottom[component]) continue;
+        if (value[component] < 0) continue;
         const std::span<const AgentCount> counts = graph.row(static_cast<NodeId>(node));
-        const std::optional<int> member = graph.protocol().consensus_output(counts);
-        const std::int8_t v = member ? static_cast<std::int8_t>(*member) : std::int8_t{-1};
-        if (value[component] == 2)
-            value[component] = v;
-        else if (value[component] != v)
-            value[component] = -1;
         if (least[component] == kNoNode ||
             std::ranges::lexicographical_compare(counts, graph.row(least[component])))
             least[component] = static_cast<NodeId>(node);
     }
-    for (std::int32_t component = 0; component < scc.num_components; ++component) {
-        const auto c = static_cast<std::size_t>(component);
-        if (!scc.is_bottom[c] || value[c] < 0 || value[c] == 2) continue;
-        return graph.config(least[c]);
-    }
+    for (std::size_t c = 0; c < value.size(); ++c)
+        if (value[c] >= 0) return graph.config(least[c]);
     return std::nullopt;
 }
 

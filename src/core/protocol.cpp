@@ -44,7 +44,7 @@ std::size_t Protocol::rule_table_bytes() const noexcept {
     return t.rule_offsets.capacity() * sizeof(std::uint32_t) +
            t.pair_rule_ids.capacity() * sizeof(TransitionId) +
            t.nonsilent_pairs.capacity() * sizeof(t.nonsilent_pairs[0]) +
-           t.pair_to_id.memory_bytes();
+           t.pair_ids.memory_bytes();
 }
 
 std::optional<StateId> Protocol::find_state(std::string_view name) const {
@@ -203,7 +203,9 @@ void ProtocolBuilder::add_transition(StateId p, StateId q, StateId p2, StateId q
              .second)
         return;
     transitions_.push_back(t);
-    const auto [pair, new_pair] = pair_ids_.insert(pre);
+    const auto [pair, new_pair] =
+        pair_ids_.insert(mix64(pre), static_cast<std::uint32_t>(nonsilent_pairs_.size()),
+                         [&](std::uint32_t i) { return nonsilent_pairs_[i] == std::pair{p, q}; });
     if (new_pair) nonsilent_pairs_.emplace_back(p, q);
     transition_pairs_.push_back(pair);
 }
@@ -258,7 +260,7 @@ Protocol ProtocolBuilder::build() && {
     p.input_names = std::move(input_names_);
     p.input_states = std::move(input_states_);
     p.name_index = std::move(name_index_);
-    p.pair_to_id = std::move(pair_ids_);
+    p.pair_ids = std::move(pair_ids_);
     p.nonsilent_pairs = std::move(nonsilent_pairs_);
 
     Config leaders(p.names.size());

@@ -86,7 +86,10 @@ public:
     /// than Θ(|Q|²) and rule-sparse protocols scale past |Q| = 10⁵.
     PairId pair_id(StateId p, StateId q) const {
         if (p > q) std::swap(p, q);
-        return tables_->pair_to_id.find(pack_pair(p, q));
+        const Tables& t = *tables_;
+        return t.pair_ids.find(mix64(pack_pair(p, q)), [&](PairId id) {
+            return t.nonsilent_pairs[id] == std::pair{p, q};
+        });
     }
 
     /// The rules of the non-silent pair `id` as indices into transitions(),
@@ -229,9 +232,10 @@ private:
         // pair id are pair_rule_ids[rule_offsets[id] .. rule_offsets[id+1]).
         std::vector<std::uint32_t> rule_offsets;
         std::vector<TransitionId> pair_rule_ids;
-        // Pair → PairId lookup: an open-addressed hash map over the
-        // non-silent pairs only (a miss ⇔ silent).
-        DenseIndexMap pair_to_id;
+        // Pair → PairId lookup: the PairIds of the non-silent pairs only
+        // (a miss ⇔ silent), hashed on mix64(pack_pair(p, q)) and compared
+        // against nonsilent_pairs.
+        FlatIndexSet pair_ids;
         // Sparse non-silent pair structure (see nonsilent_pairs()/pair_neighbors).
         std::vector<std::pair<StateId, StateId>> nonsilent_pairs;
         std::vector<std::uint32_t> neighbor_offsets;  // size |Q|+1
@@ -322,7 +326,7 @@ private:
     std::vector<Transition> transitions_;
     FlatIndexSet transition_index_;  // TransitionIds, hashed on (pre, post)
     std::vector<Protocol::PairId> transition_pairs_;  // PairId of each transition
-    DenseIndexMap pair_ids_;  // packed canonical pre-pair → PairId
+    FlatIndexSet pair_ids_;  // PairIds, hashed on the packed canonical pre-pair
     std::vector<std::pair<StateId, StateId>> nonsilent_pairs_;  // by PairId
     std::vector<std::string> input_names_;
     std::vector<StateId> input_states_;

@@ -70,14 +70,14 @@ Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnin
     std::size_t line_number = 0;
     bool any_input = false;
     // Duplicate/conflict detection on `trans`/`trans+` lines, keyed on the
-    // canonical pairs: each pre-pair's first defining line (indexed by the
-    // pre-pair's number in `pre_pairs`), and every distinct (pre-pair,
-    // post-pair) rule with its line.  Flat tables, so a file with many
+    // canonical pairs: every distinct (pre-pair, post-pair) rule with its
+    // line, and each pre-pair's first defining rule (indexed by the
+    // pre-pair's number in `pre_pairs`).  Flat tables, so a file with many
     // rules on one pair costs O(1) per line.
-    DenseIndexMap pre_pairs;
-    std::vector<std::size_t> first_line;
     std::vector<RuleLine> rules;
     FlatIndexSet rule_index;
+    std::vector<std::uint32_t> first_rule;
+    FlatIndexSet pre_pairs;
     for (std::size_t pos = 0; pos < text.size();) {
         const std::size_t newline = std::min(text.find('\n', pos), text.size());
         const Tokens tokens = tokenize(text.substr(pos, newline - pos));
@@ -147,8 +147,11 @@ Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnin
             const auto pair_text = [&] {
                 return "{" + std::string(p_name) + ", " + std::string(q_name) + "}";
             };
-            const std::uint32_t pre = pre_pairs.find(pre_key);
-            const bool defined = pre != DenseIndexMap::kMissing;
+            const auto same_pre = [&](std::uint32_t i) {
+                return rules[first_rule[i]].pre == pre_key;
+            };
+            const std::uint32_t pre = pre_pairs.find(mix64(pre_key), same_pre);
+            const bool defined = pre != FlatIndexSet::kMissing;
             if (keyword == "trans+" && !defined)
                 fail(line_number, "trans+ extends pair " + pair_text() +
                                       ", which has no prior rule (use trans)");
@@ -164,17 +167,19 @@ Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnin
                                                           " (identical to line " +
                                                           std::to_string(rules[rule].line) + ")"});
             } else if (keyword == "trans" && defined) {
+                const std::size_t first_line = rules[first_rule[pre]].line;
                 throw DuplicateRuleError(
-                    line_number, first_line[pre],
+                    line_number, first_line,
                     "protocol parse error, line " + std::to_string(line_number) +
                         ": conflicting redefinition of pair " + pair_text() +
-                        " (first defined at line " + std::to_string(first_line[pre]) +
+                        " (first defined at line " + std::to_string(first_line) +
                         "; use trans+ to add a nondeterministic rule)");
             } else {
                 rules.push_back({pre_key, post_key, line_number});
                 if (!defined) {
-                    pre_pairs.insert(pre_key);
-                    first_line.push_back(line_number);
+                    pre_pairs.insert(mix64(pre_key), static_cast<std::uint32_t>(first_rule.size()),
+                                     same_pre);
+                    first_rule.push_back(rule);
                 }
             }
             b.add_transition(p, q, p2, q2);

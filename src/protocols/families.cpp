@@ -20,12 +20,12 @@ namespace {
 // remains the source of truth and still throws on out-of-range values; the
 // registry only documents the ranges.
 constexpr std::array<ProtocolFamily, 9> kFamilies = {{
-    {"unary", 1, "<eta>", "eta >= 1", "x >= eta with eta + 1 states (Section 2 baseline)", "3"},
+    {"unary", 1, "<eta>", "1 <= eta <= 2^10", "x >= eta with eta + 1 states (Section 2 baseline)", "3"},
     {"binary", 1, "<k>", "0 <= k <= 40", "x >= 2^k via doubling tokens, k + 2 states", "3"},
     {"collector", 1, "<eta>", "1 <= eta < 2^40",
      "x >= eta with O(log eta) states (succinct collector)", "5"},
     {"majority", 0, "", "no parameters", "2-input majority: is x >= y?", ""},
-    {"leader", 1, "<eta>", "eta >= 1", "x >= eta with a leader agent driving the count", "3"},
+    {"leader", 1, "<eta>", "1 <= eta <= 2^20", "x >= eta with a leader agent driving the count", "3"},
     {"cascade", 2, "<base> <digits>", "base >= 2, digits >= 1, base^digits <= 2^20",
      "leader-driven base-ary counter cascade deciding x >= base^digits", "3 2"},
     {"double_exp", 1, "<n>", "0 <= n <= 17",

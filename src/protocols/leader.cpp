@@ -9,6 +9,8 @@ namespace ppsc::protocols {
 
 Protocol leader_threshold(AgentCount eta) {
     if (eta < 1) throw std::invalid_argument("leader_threshold: eta must be >= 1");
+    if (eta > (AgentCount{1} << 20))
+        throw std::invalid_argument("leader_threshold: eta must be <= 2^20");
 
     ProtocolBuilder b;
     const StateId x = b.add_state("x", 0);

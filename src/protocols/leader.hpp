@@ -29,7 +29,8 @@ namespace ppsc::protocols {
 
 /// One leader counts input agents up to η, then starts an accepting
 /// epidemic.  States: counters ℓ_0..ℓ_η, consumed token "d", accept "T",
-/// input "x" — η + 4 states.  Throws std::invalid_argument if η < 1.
+/// input "x" — η + 4 states.  Throws std::invalid_argument unless
+/// 1 ≤ η ≤ 2²⁰.
 Protocol leader_threshold(AgentCount eta);
 
 /// Cascade of `digits` base-`base` counters: the leader absorbs input

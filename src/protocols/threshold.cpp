@@ -12,6 +12,9 @@ namespace ppsc::protocols {
 
 Protocol unary_threshold(AgentCount eta) {
     if (eta < 1) throw std::invalid_argument("unary_threshold: eta must be >= 1");
+    // (η+1)(η+2)/2 transitions: about 5·10⁵ at the bound.
+    if (eta > (AgentCount{1} << 10))
+        throw std::invalid_argument("unary_threshold: eta must be <= 2^10");
 
     ProtocolBuilder b;
     std::vector<StateId> value(static_cast<std::size_t>(eta) + 1);

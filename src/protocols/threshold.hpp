@@ -31,7 +31,8 @@ namespace ppsc::protocols {
 
 /// Example 2.1 P_k generalised: states {0..η}, value-summing transitions
 /// capped at η, output 1 iff value η.  Computes x ≥ η with η+1 states.
-/// Throws std::invalid_argument if η < 1.
+/// Throws std::invalid_argument unless 1 ≤ η ≤ 2¹⁰ (it builds
+/// (η+1)(η+2)/2 transitions).
 Protocol unary_threshold(AgentCount eta);
 
 /// Example 2.1 P'_k: computes x ≥ 2^k with states {0, 2^0, ..., 2^k}.

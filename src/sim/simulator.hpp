@@ -242,10 +242,6 @@ public:
     /// The selection mode actually in use (`automatic` resolved).
     PairSelect pair_selection() const noexcept { return pair_select_; }
 
-    /// The trap-computation algorithm this simulator was seeded with (both
-    /// produce identical traps; see sim/traps.hpp).
-    TrapCompute trap_compute() const noexcept { return trap_compute_; }
-
     /// Wall-clock seconds the constructor spent computing the output traps
     /// — the quantity the worklist fixpoint collapses at |Q| ≥ 10⁵
     /// (surfaced as the E11 `trap_setup_seconds` column).
@@ -410,7 +406,7 @@ private:
         return population <= (AgentCount{1} << 31);
     }
 
-    void compute_output_traps();
+    void compute_output_traps(TrapCompute trap_compute);
 
     template <typename W>
     void init_context(StepContextT<W>& ctx, const Config& config) const;
@@ -491,7 +487,6 @@ private:
     // simulator never dangles on a temporary.
     Protocol protocol_;
     PairSelect pair_select_;
-    TrapCompute trap_compute_;
     double trap_setup_seconds_ = 0.0;
     std::vector<bool> traps_[2];  // traps_[b][q]: q belongs to the b-trap
     /// outside_mask_[q]: bit b set ⟺ q lies *outside* trap b — one byte

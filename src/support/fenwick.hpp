@@ -10,10 +10,11 @@
 // weight-bearing slots in O(log n) per slot.
 //
 // Two instantiations are used:
-//   * FenwickTree    — int64 weights, the per-state agent counts;
-//   * FenwickTree128 — __int128 weights, the ordered non-silent *pair*
-//     weights of the simulator (2·c_p·c_q can exceed int64 as soon as the
-//     population passes 2³¹ agents, so the pair tree is 128-bit throughout).
+//   * FenwickTree    — int64 weights: the per-state agent counts, and the
+//     simulator's ordered non-silent *pair* weights up to 2³¹ agents;
+//   * FenwickTree128 — __int128 weights: the pair weights beyond 2³¹
+//     agents, where 2·c_p·c_q can exceed int64 (the simulator picks the
+//     pair tree's weight type per population).
 //
 // Stored prefix.  The tree keeps its logical size() but stores nodes only for
 // the slots [0, cap), where cap is a power of two, or size() itself, and

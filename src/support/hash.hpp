@@ -1,6 +1,7 @@
 // Hashing utilities shared across the library.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -27,89 +28,13 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
     return x;
 }
 
-/// Open-addressed hash map from 64-bit keys to dense 32-bit indices: the
-/// n-th distinct key inserted maps to n − 1.  The rule-table lookup of
-/// Protocol (packed state pair → PairId), grown one pair at a time while
-/// the builder adds transitions and read-only afterwards, sized by the
-/// number of *non-silent* pairs instead of a Θ(|Q|²) triangular table.
-///
-/// Linear probing over a power-of-two table that doubles before its load
-/// passes 0.5, so a lookup is one mix + a short probe run in two parallel
-/// flat arrays.  Keys must not be the all-ones word (it marks an empty
-/// slot); packed state pairs never are.
-class DenseIndexMap {
-public:
-    static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-    static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
-
-    DenseIndexMap() = default;
-
-    /// The index of `key`, and whether it was new: a new key gets the next
-    /// dense index, size().  O(1) amortised.
-    std::pair<std::uint32_t, bool> insert(std::uint64_t key) {
-        PPSC_DASSERT(key != kEmptyKey);
-        if (keys_.empty()) rehash(8);
-        std::size_t slot = probe(key);
-        if (keys_[slot] == key) return {values_[slot], false};
-        if ((size_ + 1) * 2 > keys_.size()) {
-            rehash(keys_.size() * 2);
-            slot = probe(key);
-        }
-        keys_[slot] = key;
-        values_[slot] = size_;
-        return {size_++, true};
-    }
-
-    /// The index assigned to `key`, or kMissing.  O(1) expected.
-    std::uint32_t find(std::uint64_t key) const noexcept {
-        if (keys_.empty()) return kMissing;
-        const std::size_t slot = probe(key);
-        return keys_[slot] == key ? values_[slot] : kMissing;
-    }
-
-    /// Number of keys inserted.
-    std::size_t size() const noexcept { return size_; }
-
-    /// Heap footprint of the table arrays, for memory accounting.
-    std::size_t memory_bytes() const noexcept {
-        return keys_.capacity() * sizeof(std::uint64_t) +
-               values_.capacity() * sizeof(std::uint32_t);
-    }
-
-private:
-    /// The slot holding `key`, else the empty slot ending its probe run.
-    std::size_t probe(std::uint64_t key) const noexcept {
-        std::size_t slot = static_cast<std::size_t>(mix64(key)) & mask_;
-        while (keys_[slot] != key && keys_[slot] != kEmptyKey) slot = (slot + 1) & mask_;
-        return slot;
-    }
-
-    void rehash(std::size_t capacity) {
-        std::vector<std::uint64_t> keys(capacity, kEmptyKey);
-        std::vector<std::uint32_t> values(capacity, kMissing);
-        std::swap(keys, keys_);
-        std::swap(values, values_);
-        mask_ = capacity - 1;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            if (keys[i] == kEmptyKey) continue;
-            const std::size_t slot = probe(keys[i]);
-            keys_[slot] = keys[i];
-            values_[slot] = values[i];
-        }
-    }
-
-    std::vector<std::uint64_t> keys_;
-    std::vector<std::uint32_t> values_;
-    std::size_t mask_ = 0;
-    std::uint32_t size_ = 0;
-};
-
 /// Open-addressed set of 32-bit indices into an array the caller owns, for
-/// keys too wide to store inline (names, transitions): the caller supplies
-/// an element's hash and an equality test against stored indices.  Each
-/// slot keeps the index and 32 bits of its hash, so a probe compares
-/// elements only on a hash match and growth rehashes without the caller.
-/// Linear probing, doubling before the load passes 0.5.
+/// keys stored outside the table (names, transitions, state pairs,
+/// reachability rows): the caller supplies an element's hash and an
+/// equality test against stored indices.  Each slot keeps the index and 32
+/// bits of its hash, so a probe compares elements only on a hash match and
+/// growth rehashes without the caller.  Linear probing over a power-of-two
+/// table, doubling in place before the load passes 0.5.
 class FlatIndexSet {
 public:
     static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
@@ -128,20 +53,38 @@ public:
     template <typename Equal>
     std::pair<std::uint32_t, bool> insert(std::uint64_t hash, std::uint32_t index, Equal&& equal) {
         PPSC_DASSERT(index != kMissing);
-        if (slots_.empty()) rehash(8);
+        if (slots_.empty()) clear(8);
         const auto tag = static_cast<std::uint32_t>(hash);
         std::size_t slot = probe(tag, equal);
         if (slots_[slot].index != kMissing) return {slots_[slot].index, false};
         if ((size_ + 1) * 2 > slots_.size()) {
-            rehash(slots_.size() * 2);
-            slot = empty_slot(tag);
+            grow();
+            slot = probe(tag, equal);
         }
         slots_[slot] = {index, tag};
         ++size_;
         return {index, true};
     }
 
+    /// Empties the set into a table of `slots` slots (a power of two),
+    /// keeping the capacity already allocated.
+    void clear(std::size_t slots) {
+        PPSC_DASSERT(std::has_single_bit(slots));
+        slots_.assign(slots, Slot{});
+        mask_ = slots - 1;
+        size_ = 0;
+    }
+
+    /// Allocates room for `count` entries now: no later insert up to that
+    /// size reallocates the table.
+    void reserve(std::size_t count) {
+        slots_.reserve(std::bit_ceil(std::max<std::size_t>(8, 2 * count)));
+    }
+
     std::size_t size() const noexcept { return size_; }
+
+    /// Heap footprint of the table, for memory accounting.
+    std::size_t memory_bytes() const noexcept { return slots_.capacity() * sizeof(Slot); }
 
 private:
     struct Slot {
@@ -159,18 +102,28 @@ private:
         return slot;
     }
 
-    std::size_t empty_slot(std::uint32_t tag) const noexcept {
-        std::size_t slot = tag & mask_;
-        while (slots_[slot].index != kMissing) slot = (slot + 1) & mask_;
-        return slot;
-    }
-
-    void rehash(std::size_t capacity) {
-        std::vector<Slot> old(capacity);
-        std::swap(old, slots_);
-        mask_ = capacity - 1;
-        for (const Slot& s : old)
-            if (s.index != kMissing) slots_[empty_slot(s.tag)] = s;
+    /// Doubles the table in place, so growth within the capacity reserve()
+    /// allocated reallocates nothing.  Entries are lifted out and re-filed
+    /// one at a time in slot order, starting after an empty slot, so no old
+    /// probe run straddles the start.  A re-filed entry never moves again,
+    /// and each new probe passes only re-filed entries: a run in the new
+    /// lower half ends at the lifted entry's own slot at the latest, and the
+    /// new upper half has room for every entry filed there before the old
+    /// runs wrapping to the front are reached.
+    void grow() {
+        const std::size_t old_size = slots_.size();
+        std::size_t start = 0;
+        while (slots_[start].index != kMissing) ++start;
+        slots_.resize(2 * old_size);
+        mask_ = 2 * old_size - 1;
+        for (std::size_t k = 1; k < old_size; ++k) {
+            Slot& lifted = slots_[(start + k) & (old_size - 1)];
+            if (lifted.index == kMissing) continue;
+            const Slot entry = std::exchange(lifted, Slot{});
+            std::size_t slot = entry.tag & mask_;
+            while (slots_[slot].index != kMissing) slot = (slot + 1) & mask_;
+            slots_[slot] = entry;
+        }
     }
 
     std::vector<Slot> slots_;

@@ -1,8 +1,7 @@
 #include "verify/reachability.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <deque>
+#include <limits>
 #include <stdexcept>
 
 #include "support/check.hpp"
@@ -12,9 +11,9 @@ namespace ppsc {
 
 namespace {
 
-/// Initial slot-table size of every exploration.  Growth doubles, so the
-/// rehash work is O(nodes) in total, and a reused arena's vector keeps the
-/// largest size it ever reached as capacity.
+/// Initial index-table size of every exploration.  Growth doubles in
+/// place, so the rehash work is O(nodes) in total, and a reused arena keeps
+/// the largest table it ever reached as capacity.
 constexpr std::size_t kInitialSlots = 256;
 
 /// Enumerates all multisets of `population` agents over `counts.size()`
@@ -44,7 +43,7 @@ void ReachabilityGraph::reset(const Protocol& protocol) {
     width_ = protocol.num_states();
     num_nodes_ = 0;
     rows_.clear();
-    slots_.assign(kInitialSlots, kEmptySlot);
+    index_.clear(kInitialSlots);
     scratch_.assign(width_, 0);
     // Keys depend on the state index only, so a wider protocol extends them.
     for (std::size_t q = state_keys_.size(); q < width_; ++q)
@@ -63,47 +62,23 @@ std::uint64_t ReachabilityGraph::hash_row(std::span<const AgentCount> counts) co
     return hash;
 }
 
-std::size_t ReachabilityGraph::probe(std::span<const AgentCount> key,
-                                     std::uint64_t hash) const noexcept {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t slot = static_cast<std::size_t>(mix64(hash)) & mask;
-    while (slots_[slot] != kEmptySlot) {
-        const std::uint32_t id = slots_[slot];
-        if (std::ranges::equal(key, row(static_cast<NodeId>(id)))) break;
-        slot = (slot + 1) & mask;
-    }
-    return slot;
-}
-
 NodeId ReachabilityGraph::intern(std::uint64_t hash, const ReachabilityOptions& options) {
     const std::span<const AgentCount> key(scratch_);
-    const std::size_t slot = probe(key, hash);
-    if (slots_[slot] != kEmptySlot) return static_cast<NodeId>(slots_[slot]);
-    // A new node: check the budget before anything is inserted, so an abort
-    // leaves the table consistent with the rows.
+    const auto same_row = [&](std::uint32_t id) {
+        return std::ranges::equal(key, row(static_cast<NodeId>(id)));
+    };
+    const std::uint32_t found = index_.find(mix64(hash), same_row);
+    if (found != FlatIndexSet::kMissing) return static_cast<NodeId>(found);
+    // A new node: check the budget before the row is appended or indexed,
+    // so an abort leaves the index consistent with the rows.
     if (num_nodes() >= options.max_nodes ||
         num_nodes() >= static_cast<std::size_t>(std::numeric_limits<NodeId>::max()))
         throw std::length_error("ReachabilityGraph: node budget exhausted (raise max_nodes)");
     const auto id = static_cast<NodeId>(num_nodes());
     rows_.insert(rows_.end(), key.begin(), key.end());
     ++num_nodes_;
-    slots_[slot] = static_cast<std::uint32_t>(id);
-    if (2 * num_nodes() > slots_.size()) grow_slots();
+    index_.insert(mix64(hash), static_cast<std::uint32_t>(id), same_row);
     return id;
-}
-
-void ReachabilityGraph::grow_slots() {
-    // Rows are distinct, so re-placing them needs their hashes only, which
-    // are recomputed: a growth rehashes O(nodes) rows, O(nodes) in total
-    // over the doublings of one exploration.
-    slots_.assign(2 * slots_.size(), kEmptySlot);
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t id = 0; id < num_nodes(); ++id) {
-        const std::uint64_t hash = hash_row(row(static_cast<NodeId>(id)));
-        std::size_t slot = static_cast<std::size_t>(mix64(hash)) & mask;
-        while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
-        slots_[slot] = static_cast<std::uint32_t>(id);
-    }
 }
 
 void ReachabilityGraph::close(const ReachabilityOptions& options) {
@@ -193,8 +168,8 @@ void ReachabilityGraph::reexplore(const Protocol& protocol, std::span<const Conf
 
 void ReachabilityGraph::reserve(std::size_t width, std::size_t nodes, std::size_t edges) {
     rows_.reserve(nodes * width);
-    // intern() doubles the table while 2·nodes exceeds it.
-    slots_.reserve(std::bit_ceil(std::max(kInitialSlots, 2 * nodes)));
+    // reset() starts every exploration's index at kInitialSlots.
+    index_.reserve(std::max(kInitialSlots / 2, nodes));
     scratch_.reserve(width);
     state_keys_.reserve(width);
     offsets_.reserve(nodes + 1);
@@ -232,11 +207,13 @@ Config ReachabilityGraph::config(NodeId node) const {
 }
 
 std::optional<NodeId> ReachabilityGraph::find(const Config& config) const {
-    if (config.num_states() != width_ || slots_.empty()) return std::nullopt;
+    if (config.num_states() != width_) return std::nullopt;
     const std::span<const AgentCount> key(config.counts());
-    const std::size_t slot = probe(key, hash_row(key));
-    if (slots_[slot] == kEmptySlot) return std::nullopt;
-    return static_cast<NodeId>(slots_[slot]);
+    const std::uint32_t id = index_.find(mix64(hash_row(key)), [&](std::uint32_t i) {
+        return std::ranges::equal(key, row(static_cast<NodeId>(i)));
+    });
+    if (id == FlatIndexSet::kMissing) return std::nullopt;
+    return static_cast<NodeId>(id);
 }
 
 std::span<const NodeId> ReachabilityGraph::successors(NodeId node) const {
@@ -335,21 +312,24 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
     return result;
 }
 
-std::vector<bool> ReachabilityGraph::forward_closure(NodeId start) const {
-    std::vector<bool> visited(num_nodes(), false);
-    std::deque<NodeId> queue{start};
-    visited[static_cast<std::size_t>(start)] = true;
-    while (!queue.empty()) {
-        const NodeId node = queue.front();
-        queue.pop_front();
-        for (const NodeId next : out_edges(static_cast<std::size_t>(node))) {
-            if (!visited[static_cast<std::size_t>(next)]) {
-                visited[static_cast<std::size_t>(next)] = true;
-                queue.push_back(next);
-            }
-        }
+std::vector<std::int8_t> bottom_scc_outputs(const ReachabilityGraph& graph,
+                                            const ReachabilityGraph::SccResult& scc) {
+    // 2 marks a bottom component none of whose members was seen yet; every
+    // component has a member, so none is left at 2.
+    std::vector<std::int8_t> value(static_cast<std::size_t>(scc.num_components));
+    for (std::size_t c = 0; c < value.size(); ++c) value[c] = scc.is_bottom[c] ? 2 : -1;
+    for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
+        const auto component = static_cast<std::size_t>(scc.component_of[node]);
+        if (!scc.is_bottom[component]) continue;
+        const std::optional<int> member =
+            graph.protocol().consensus_output(graph.row(static_cast<NodeId>(node)));
+        const std::int8_t v = member ? static_cast<std::int8_t>(*member) : std::int8_t{-1};
+        if (value[component] == 2)
+            value[component] = v;
+        else if (value[component] != v)
+            value[component] = -1;
     }
-    return visited;
+    return value;
 }
 
 void ReachabilityGraph::build_reverse_csr() const {

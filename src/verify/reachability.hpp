@@ -13,12 +13,10 @@
 //
 // Storage is one flat arena:
 //   * node rows — |Q| counts per node, node-major in a single vector;
-//   * an open-addressed table of uint32 node ids (linear probing, power-of-
-//     two size, load ≤ 0.5) that interns rows.  Probes compare rows; no
-//     hash is stored per node — the BFS rehashes the node it expands, and
-//     a table growth rehashes every row.  Node ids are insertion order, so
-//     the hash decides slot placement only — nothing observable depends on
-//     it;
+//   * a FlatIndexSet of node ids (support/hash.hpp) that interns rows,
+//     hashed on mix64 of the row hash and compared by row.  Node ids are
+//     insertion order, so the hash decides slot placement only — nothing
+//     observable depends on it;
 //   * adjacency as a CSR (offsets + one contiguous target array).  The BFS
 //     processes node ids in increasing order, so each node's sorted,
 //     deduplicated successor list is appended as soon as it is known.
@@ -36,13 +34,13 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/protocol.hpp"
+#include "support/hash.hpp"
 
 namespace ppsc {
 
@@ -80,7 +78,7 @@ public:
                    const ReachabilityOptions& options = {});
 
     /// Sizes the arena once for every later graph of at most `nodes` nodes
-    /// and `edges` edges over `width` states: rows, slot table, CSR and the
+    /// and `edges` edges over `width` states: rows, index table, CSR and the
     /// compute_sccs scratch get that capacity now, so no
     /// reexplore() or compute_sccs() within the bounds reallocates.  Only
     /// capacity changes — the graph held is untouched — and a larger graph
@@ -128,30 +126,20 @@ public:
     /// not run this on two threads at once.
     SccResult compute_sccs() const;
 
-    /// All nodes reachable from `start` (forward BFS over the graph).
-    std::vector<bool> forward_closure(NodeId start) const;
-
     /// All nodes that can reach some node in `targets`: a round-structured
     /// worklist over a lazily built flat reverse CSR (offsets + one
     /// contiguous predecessor array).
     std::vector<bool> backward_closure(const std::vector<bool>& targets) const;
 
 private:
-    static constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
-
     void reset(const Protocol& protocol);
     /// Σ_q counts[q]·key(q) mod 2⁶⁴: linear, so firing a transition moves
-    /// the hash by four key terms.  Slots are placed by mix64 of it.
+    /// the hash by four key terms.  The index files rows under mix64 of it.
     std::uint64_t hash_row(std::span<const AgentCount> counts) const noexcept;
-    /// The slot holding the node whose row is `key` (hashing to `hash`), or
-    /// the empty slot where it would be inserted.  Occupied slots are
-    /// matched by comparing rows.
-    std::size_t probe(std::span<const AgentCount> key, std::uint64_t hash) const noexcept;
     /// Interns scratch_ (whose hash_row is `hash`): its existing node, or a
     /// new node appended to the arena (throws std::length_error past the
-    /// node budget, before the table is touched).
+    /// node budget, before the rows or the index are touched).
     NodeId intern(std::uint64_t hash, const ReachabilityOptions& options);
-    void grow_slots();
     void close(const ReachabilityOptions& options);
     std::span<const NodeId> out_edges(std::size_t node) const noexcept {
         return {targets_.data() + offsets_[node], targets_.data() + offsets_[node + 1]};
@@ -163,7 +151,7 @@ private:
     std::size_t num_nodes_ = 0;
     std::vector<AgentCount> rows_;         // node-major, width_ counts per node
     std::vector<std::uint64_t> state_keys_;  // odd per-state hash keys (grow only)
-    std::vector<std::uint32_t> slots_;     // open-addressed node ids / kEmptySlot
+    FlatIndexSet index_;                   // node ids, hashed on their rows
     std::vector<AgentCount> scratch_;      // the row being fired or interned
     std::vector<std::uint32_t> offsets_;   // CSR: node's successors are
     std::vector<NodeId> targets_;          //   targets_[offsets_[n] .. offsets_[n+1])
@@ -185,5 +173,12 @@ private:
     mutable std::vector<NodeId> scc_stack_;
     mutable std::vector<SccFrame> scc_frames_;
 };
+
+/// The consensus output of each bottom SCC of `graph` (component ids of
+/// `scc`, its compute_sccs()): 0 or 1 if every member is a consensus on
+/// that output, −1 if some member is not a consensus or two members
+/// disagree.  Non-bottom components are not inspected and hold −1.
+std::vector<std::int8_t> bottom_scc_outputs(const ReachabilityGraph& graph,
+                                            const ReachabilityGraph::SccResult& scc);
 
 }  // namespace ppsc

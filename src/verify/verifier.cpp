@@ -31,19 +31,7 @@ InputVerdict Verifier::verify_input(std::span<const AgentCount> input,
     const auto scc = graph.compute_sccs();
 
     // Consensus value of each bottom SCC: 0, 1, or -1 (none).
-    std::vector<std::int8_t> scc_value(static_cast<std::size_t>(scc.num_components), 2);
-    for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
-        const auto component = static_cast<std::size_t>(scc.component_of[node]);
-        if (!scc.is_bottom[component]) continue;
-        const std::optional<int> value =
-            protocol_.consensus_output(graph.row(static_cast<NodeId>(node)));
-        const std::int8_t v = value ? static_cast<std::int8_t>(*value) : std::int8_t{-1};
-        if (scc_value[component] == 2) {
-            scc_value[component] = v;
-        } else if (scc_value[component] != v) {
-            scc_value[component] = -1;
-        }
-    }
+    const std::vector<std::int8_t> scc_value = bottom_scc_outputs(graph, scc);
 
     // Aggregate across bottom SCCs (all nodes in `graph` are reachable from
     // the root by construction).

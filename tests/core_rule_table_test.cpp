@@ -1,6 +1,7 @@
-// The rule table: the open-addressed pair → id map, edge cases (no
-// non-silent pairs, a single self pair), memory that scales with the
-// non-silent pairs rather than |Q|², and the |Q| ≥ 10⁵ regime that buys.
+// The rule table: the open-addressed index set behind the pair → id map,
+// edge cases (no non-silent pairs, a single self pair), memory that scales
+// with the non-silent pairs rather than |Q|², and the |Q| ≥ 10⁵ regime
+// that buys.
 // Protocol.CsrRuleTableMatchesNaiveMapExhaustively (core_protocol_test)
 // checks every lookup against a naive map.
 #include <gtest/gtest.h>
@@ -33,52 +34,122 @@ Protocol merge_chain(std::size_t num_states) {
     return std::move(b).build();
 }
 
-TEST(DenseIndexMap, FindsEveryKeyAndMissesOthers) {
+/// Packed-pair keys in a caller-owned array, filed in a FlatIndexSet under
+/// mix64 of the key, the way Protocol files its PairIds.
+struct KeySet {
+    std::vector<std::uint64_t> keys;
+    FlatIndexSet set;
+
+    std::pair<std::uint32_t, bool> insert(std::uint64_t key) {
+        const auto result = set.insert(mix64(key), static_cast<std::uint32_t>(keys.size()),
+                                       [&](std::uint32_t i) { return keys[i] == key; });
+        if (result.second) keys.push_back(key);
+        return result;
+    }
+    std::uint32_t find(std::uint64_t key) const {
+        return set.find(mix64(key), [&](std::uint32_t i) { return keys[i] == key; });
+    }
+};
+
+TEST(FlatIndexSet, FindsEveryKeyAndMissesOthers) {
     // Adjacent packed pairs stress the mixer (dense in both halves); the
-    // map must resolve every inserted key and miss everything else.
+    // set must resolve every inserted key and miss everything else.
     std::vector<std::uint64_t> keys;
     for (std::uint64_t p = 0; p < 40; ++p) {
         for (std::uint64_t q = p; q < 40; q += (p % 3) + 1) keys.push_back((p << 32) | q);
     }
-    DenseIndexMap map;
+    KeySet map;
     for (std::size_t i = 0; i < keys.size(); ++i) {
         const auto [index, inserted] = map.insert(keys[i]);
         EXPECT_EQ(index, i);
         EXPECT_TRUE(inserted);
     }
     for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(map.find(keys[i]), i);
-    EXPECT_EQ(map.find((std::uint64_t{41} << 32) | 41), DenseIndexMap::kMissing);
-    EXPECT_EQ(map.find(0x7fffffff00000000ull), DenseIndexMap::kMissing);
-    EXPECT_GT(map.memory_bytes(), keys.size() * 12);  // ≥ 2× load headroom
+    EXPECT_EQ(map.find((std::uint64_t{41} << 32) | 41), FlatIndexSet::kMissing);
+    EXPECT_EQ(map.find(0x7fffffff00000000ull), FlatIndexSet::kMissing);
+    EXPECT_GT(map.set.memory_bytes(), keys.size() * 8);  // ≥ 2× load headroom
 
-    map = DenseIndexMap{};
-    EXPECT_EQ(map.find(0), DenseIndexMap::kMissing);
+    map = KeySet{};
+    EXPECT_EQ(map.find(0), FlatIndexSet::kMissing);
 }
 
-TEST(DenseIndexMap, InsertKeepsIndicesAcrossDoublings) {
+TEST(FlatIndexSet, InsertKeepsIndicesAcrossDoublings) {
     // 5000 keys take the table from 8 slots through ten doublings.  After
     // every insert that crossed a power of two, every key inserted so far
     // still maps to its index, re-inserting one is a no-op, and absent
     // keys (the next keys of the sequence, and high-half neighbours) miss.
     const auto key = [](std::uint64_t i) { return ((i % 71) << 32) | (i / 71); };
-    DenseIndexMap map;
+    KeySet map;
     std::size_t last_bytes = 0;
     for (std::uint64_t n = 1; n <= 5000; ++n) {
         ASSERT_EQ(map.insert(key(n - 1)), (std::pair<std::uint32_t, bool>{n - 1, true}));
-        ASSERT_EQ(map.size(), n);
+        ASSERT_EQ(map.set.size(), n);
         if (!std::has_single_bit(n)) continue;
-        EXPECT_GE(map.memory_bytes(), last_bytes);
-        last_bytes = map.memory_bytes();
+        EXPECT_GE(map.set.memory_bytes(), last_bytes);
+        last_bytes = map.set.memory_bytes();
         for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(map.find(key(i)), i);
         for (std::uint64_t i = n; i < n + 64; ++i) {
-            ASSERT_EQ(map.find(key(i)), DenseIndexMap::kMissing);
-            ASSERT_EQ(map.find(key(i - n) | (std::uint64_t{1} << 40)), DenseIndexMap::kMissing);
+            ASSERT_EQ(map.find(key(i)), FlatIndexSet::kMissing);
+            ASSERT_EQ(map.find(key(i - n) | (std::uint64_t{1} << 40)), FlatIndexSet::kMissing);
         }
         ASSERT_EQ(map.insert(key(n / 2)), (std::pair<std::uint32_t, bool>{n / 2, false}));
-        ASSERT_EQ(map.size(), n);
+        ASSERT_EQ(map.set.size(), n);
     }
-    // Load stays at most 0.5: 5000 keys in 2¹⁴ slots of 12 bytes each.
-    EXPECT_EQ(map.memory_bytes(), (std::size_t{1} << 14) * 12);
+    // Load stays at most 0.5: 5000 keys in 2¹⁴ slots of 8 bytes each.
+    EXPECT_EQ(map.set.memory_bytes(), (std::size_t{1} << 14) * 8);
+}
+
+TEST(FlatIndexSet, ClearRestartsIndicesAndReserveKeepsEntriesResolving) {
+    const auto key = [](std::uint64_t i) { return ((i % 97) << 32) | (i / 97); };
+    KeySet map;
+    for (std::uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(map.insert(key(i)).second);
+    const std::size_t bytes = map.set.memory_bytes();
+
+    // clear() empties the set but keeps its capacity; indices restart at 0.
+    map.set.clear(256);
+    map.keys.clear();
+    EXPECT_EQ(map.set.size(), 0u);
+    EXPECT_EQ(map.set.memory_bytes(), bytes);
+    for (std::uint64_t i = 0; i < 1000; ++i) ASSERT_EQ(map.find(key(i)), FlatIndexSet::kMissing);
+    for (std::uint64_t i = 0; i < 300; ++i)
+        ASSERT_EQ(map.insert(key(i + 5000)), (std::pair<std::uint32_t, bool>{i, true}));
+
+    // reserve() allocates once: growth up to the reserved count reuses it,
+    // and every entry, before and after the reservation, still resolves.
+    map.set.reserve(5000);
+    const std::size_t reserved = map.set.memory_bytes();
+    EXPECT_EQ(reserved, (std::size_t{1} << 14) * 8);
+    for (std::uint64_t i = 300; i < 5000; ++i)
+        ASSERT_EQ(map.insert(key(i + 5000)), (std::pair<std::uint32_t, bool>{i, true}));
+    EXPECT_EQ(map.set.memory_bytes(), reserved);
+    for (std::uint64_t i = 0; i < 5000; ++i) ASSERT_EQ(map.find(key(i + 5000)), i);
+    for (std::uint64_t i = 0; i < 1000; ++i) ASSERT_EQ(map.find(key(i)), FlatIndexSet::kMissing);
+}
+
+TEST(FlatIndexSet, DoublingInPlaceKeepsWrappedRuns) {
+    // Entry v's hash ends in j = 1 + v mod 12 one bits above random ones.
+    // At every table size 2^b ≤ 2¹², the entries with j ≥ b all start
+    // probing at the last slot, so one run wraps to the front, and a
+    // doubling sends those with j = b and a zero bit b back to the old last
+    // slot and the rest to the new one: the in-place re-placement must not
+    // break the run on either side.
+    std::vector<std::uint64_t> elements;
+    FlatIndexSet set;
+    const auto hash = [](std::uint64_t v) {
+        const std::uint64_t j = 1 + v % 12;
+        return (mix64(v) << j) | ((std::uint64_t{1} << j) - 1);
+    };
+    for (std::uint64_t v = 0; v < 2000; ++v) {
+        const auto same = [&](std::uint32_t i) { return elements[i] == v; };
+        ASSERT_TRUE(set.insert(hash(v), static_cast<std::uint32_t>(v), same).second);
+        elements.push_back(v);
+        if (!std::has_single_bit(v)) continue;  // the 2^k + 1st insert doubles the table
+        for (std::uint64_t w = 0; w <= v + 8; ++w) {
+            const std::uint32_t found =
+                set.find(hash(w), [&](std::uint32_t i) { return elements[i] == w; });
+            ASSERT_EQ(found, w <= v ? w : FlatIndexSet::kMissing) << "after " << v + 1;
+        }
+    }
 }
 
 TEST(FlatIndexSet, FindsByHashAndElement) {

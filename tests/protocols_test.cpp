@@ -77,6 +77,7 @@ TEST(CollectorThreshold, RejectsBadEta) {
     EXPECT_THROW(protocols::collector_threshold(0), std::invalid_argument);
     EXPECT_THROW(protocols::collector_threshold(AgentCount{1} << 41), std::invalid_argument);
     EXPECT_THROW(protocols::unary_threshold(0), std::invalid_argument);
+    EXPECT_THROW(protocols::unary_threshold((AgentCount{1} << 10) + 1), std::invalid_argument);
     EXPECT_THROW(protocols::binary_threshold_power(-1), std::invalid_argument);
     EXPECT_THROW(protocols::binary_threshold_power(41), std::invalid_argument);
 }
@@ -198,6 +199,7 @@ TEST(Cascade, StateEconomy) {
 
 TEST(Leader, RejectsBadParameters) {
     EXPECT_THROW(protocols::leader_threshold(0), std::invalid_argument);
+    EXPECT_THROW(protocols::leader_threshold((AgentCount{1} << 20) + 1), std::invalid_argument);
     EXPECT_THROW(protocols::leader_counter_cascade(1, 3), std::invalid_argument);
     EXPECT_THROW(protocols::leader_counter_cascade(2, 0), std::invalid_argument);
     EXPECT_THROW(protocols::leader_counter_cascade(2, 25), std::invalid_argument);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -228,10 +229,21 @@ TEST(ReachabilityArena, ReuseAfterBudgetAbortMatchesFreshExplore) {
     const Config small[] = {p.initial_config(6)};
     ReachabilityGraph arena;
     EXPECT_THROW(arena.reexplore(p, big, {.max_nodes = 20}), std::length_error);
-    // The budget is checked before a row is inserted: the aborted arena
-    // holds exactly the budget's nodes, and its table indexes exactly them.
+    // The budget is checked before a row is appended or indexed: the
+    // aborted arena holds exactly the budget's nodes, the first 20 of the
+    // unbounded exploration, and its index holds exactly them.  Looking up
+    // any later node (the one that hit the budget among them) misses
+    // without reading past the rows.
     ASSERT_EQ(arena.num_nodes(), 20u);
-    for (NodeId id = 0; id < 20; ++id) EXPECT_EQ(arena.find(arena.config(id)), id);
+    const ReachabilityGraph full = ReachabilityGraph::explore(p, big);
+    ASSERT_GT(full.num_nodes(), 20u);
+    for (NodeId id = 0; id < static_cast<NodeId>(full.num_nodes()); ++id) {
+        const std::optional<NodeId> found = arena.find(full.config(id));
+        if (id < 20)
+            EXPECT_EQ(found, id);
+        else
+            EXPECT_EQ(found, std::nullopt) << "node " << id;
+    }
     arena.reexplore(p, small);
     expect_same_graph(arena, ReachabilityGraph::explore(p, small), "after abort");
 }

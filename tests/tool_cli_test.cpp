@@ -7,11 +7,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -80,6 +82,18 @@ TEST_F(ToolFixture, RejectsFamilyParametersOutsideIntRange) {
     for (const char* args : {"double_exp 4294967298", "double_exp_dense 4294967297",
                              "binary 4294967299", "cascade 4294967299 2",
                              "collector 1099511627776"}) {
+        const RunResult r = run_tool(std::string("family ") + args);
+        EXPECT_EQ(r.exit_code, 1) << args << ": " << r.output;
+        EXPECT_NE(r.output.find("error: "), std::string::npos) << args << ": " << r.output;
+    }
+}
+
+TEST_F(ToolFixture, RejectsFamilyParametersPastTheirBounds) {
+    // unary builds (eta+1)(eta+2)/2 transitions and leader an eta-sized
+    // counter: past 2^10 and 2^20 they fail with a typed error instead of
+    // allocating without bound.
+    for (const char* args : {"unary 1025", "unary 1000000", "leader 1048577",
+                             "leader 1000000000000"}) {
         const RunResult r = run_tool(std::string("family ") + args);
         EXPECT_EQ(r.exit_code, 1) << args << ": " << r.output;
         EXPECT_NE(r.output.find("error: "), std::string::npos) << args << ": " << r.output;
@@ -177,6 +191,31 @@ TEST_F(ToolFixture, LongrunSurvivesSigkillAndResumesToReferenceDigest) {
     EXPECT_NE(resumed.output.find(reference_line), std::string::npos)
         << "resumed digest line differs:\nwant: " << reference_line
         << "\ngot:  " << resumed.output;
+}
+
+TEST_F(ToolFixture, LongrunRefusesToResumeAnotherPopulationsCheckpoint) {
+    // The checkpoint fingerprint pins the protocol, not the population: a
+    // resume with another population must fail loudly, before it writes a
+    // snapshot, instead of carrying on the other run's trajectory.
+    const std::string ck = (dir / "ck").string();
+    const std::string flags = " 7 --checkpoint-dir " + ck + " --checkpoint-every 100000";
+    const RunResult first = run_tool("longrun " + pp + " 512 400000" + flags);
+    ASSERT_EQ(first.exit_code, 0) << first.output;
+    const auto snapshots = [&] {
+        std::vector<std::string> names;
+        for (const auto& entry : fs::directory_iterator(ck)) names.push_back(entry.path().string());
+        std::sort(names.begin(), names.end());
+        return names;
+    };
+    const std::vector<std::string> before = snapshots();
+    ASSERT_FALSE(before.empty());
+
+    const RunResult resumed = run_tool("longrun " + pp + " 64 800000" + flags + " --resume");
+    EXPECT_EQ(resumed.exit_code, 1) << resumed.output;
+    EXPECT_NE(resumed.output.find("error: "), std::string::npos) << resumed.output;
+    EXPECT_NE(resumed.output.find("512 agents, not 64"), std::string::npos) << resumed.output;
+    EXPECT_EQ(resumed.output.find("resumed from"), std::string::npos) << resumed.output;
+    EXPECT_EQ(snapshots(), before);
 }
 
 }  // namespace

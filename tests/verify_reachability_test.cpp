@@ -97,7 +97,7 @@ TEST(ReachabilityGraph, FindLocatesConfigs) {
     EXPECT_FALSE(graph.find(absent).has_value());
 }
 
-TEST(ReachabilityGraph, ForwardAndBackwardClosures) {
+TEST(ReachabilityGraph, BackwardClosure) {
     const Protocol p = epidemic();
     Config root(2);
     root.set(*p.find_state("X"), 2);
@@ -105,10 +105,6 @@ TEST(ReachabilityGraph, ForwardAndBackwardClosures) {
     const Config roots[] = {root};
     const ReachabilityGraph graph = ReachabilityGraph::explore(p, roots, {});
     ASSERT_EQ(graph.num_nodes(), 3u);
-
-    const NodeId start = graph.roots()[0];
-    const auto forward = graph.forward_closure(start);
-    EXPECT_EQ(std::count(forward.begin(), forward.end(), true), 3);
 
     // Backward closure from the final all-A config covers everything.
     Config final_config(2);
