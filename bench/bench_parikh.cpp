@@ -35,14 +35,15 @@ Outcome run_experiment(const Protocol& protocol, std::uint64_t trials, std::uint
     for (std::uint64_t trial = 0; trial < trials; ++trial) {
         // Random execution from a random input.
         const AgentCount input = 4 + static_cast<AgentCount>(rng.below(12));
-        Config config = protocol.initial_config(input);
-        const Config start = config;
+        const Config start = protocol.initial_config(input);
+        Simulator::Trajectory trajectory(simulator, start);
         std::vector<TransitionId> sequence;
         const std::uint64_t steps = 1 + rng.below(60);
         for (std::uint64_t s = 0; s < steps; ++s) {
-            const auto fired = simulator.step(config, rng);
+            const auto fired = trajectory.step(rng);
             if (fired) sequence.push_back(*fired);
         }
+        const Config& config = trajectory.config();
 
         // Part (i): C' must equal C + Delta(pi).
         const ParikhImage parikh = parikh_of_sequence(protocol, sequence);

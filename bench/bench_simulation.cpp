@@ -51,30 +51,33 @@ void BM_SimulatorStep(benchmark::State& state) {
     const Protocol protocol = protocols::collector_threshold(1 << 20);
     const Simulator simulator(protocol);
     const auto population = static_cast<AgentCount>(state.range(0));
-    Config config = protocol.initial_config(population);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(11);
     constexpr std::uint64_t kBatch = 1 << 14;
     std::uint64_t executed = 0;
     for (auto _ : state) {
-        const std::uint64_t done = simulator.run_batch(config, rng, kBatch);
+        const std::uint64_t done = trajectory.run_batch(rng, kBatch);
         executed += done;
-        if (done < kBatch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
+        if (done < kBatch)  // went silent
+            trajectory.restart(protocol.initial_config(population));
+        benchmark::DoNotOptimize(trajectory.config());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
 BENCHMARK(BM_SimulatorStep)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
-// The per-call single-step API (one interaction per call, cached Fenwick
-// sampler) — the seed's original benchmark, kept for regression tracking.
+// The per-call single-step API (one interaction per call on a trajectory's
+// Fenwick sampler) — the seed's original benchmark, kept for regression
+// tracking.
 void BM_SimulatorSingleStep(benchmark::State& state) {
     const Protocol protocol = protocols::collector_threshold(1 << 20);
     const Simulator simulator(protocol);
-    Config config = protocol.initial_config(static_cast<AgentCount>(state.range(0)));
+    Simulator::Trajectory trajectory(
+        simulator, protocol.initial_config(static_cast<AgentCount>(state.range(0))));
     Rng rng(11);
     for (auto _ : state) {
-        simulator.step(config, rng);
-        benchmark::DoNotOptimize(config);
+        trajectory.step(rng);
+        benchmark::DoNotOptimize(trajectory.config());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -139,15 +142,16 @@ void BM_E11MergePhase(benchmark::State& state) {
     const auto population = static_cast<AgentCount>(state.range(1));
     const Protocol& protocol = e11_dense_protocol(n);
     const Simulator simulator(protocol);
-    Config config = protocol.initial_config(population);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
     constexpr std::uint64_t kBatch = 1 << 14;
     std::uint64_t executed = 0;
     for (auto _ : state) {
-        const std::uint64_t done = simulator.run_batch(config, rng, kBatch);
+        const std::uint64_t done = trajectory.run_batch(rng, kBatch);
         executed += done;
-        if (done < kBatch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
+        if (done < kBatch)  // went silent
+            trajectory.restart(protocol.initial_config(population));
+        benchmark::DoNotOptimize(trajectory.config());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
@@ -170,17 +174,18 @@ void e11_fired_step_bench(benchmark::State& state, const Protocol& protocol,
         config.set(t0, stragglers);
         return config;
     };
-    Config config = make_config();
+    Simulator::Trajectory trajectory(simulator, make_config());
     Rng rng(29);
     std::uint64_t fired = 0;
     for (auto _ : state) {
-        const auto transition = simulator.fired_step(config, rng, std::uint64_t{1} << 40);
+        const auto transition = trajectory.fired_step(rng, std::uint64_t{1} << 40);
         if (transition) {
             ++fired;
         } else {
-            config = make_config();  // epidemic finished: all agents in T
+            // Epidemic finished: all agents in T.
+            trajectory.restart(make_config());
         }
-        benchmark::DoNotOptimize(config);
+        benchmark::DoNotOptimize(trajectory.config());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(fired));
 }
@@ -217,7 +222,7 @@ void e11_fired_throughput_bench(benchmark::State& state, StepMode mode) {
     const AgentCount population = AgentCount{1} << static_cast<int>(state.range(1));
     const Protocol& protocol = e11_flagship_protocol(n);
     const Simulator simulator(protocol, PairSelect::fenwick);
-    Config config = protocol.initial_config(population);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
     // Interactions (fired + skipped) per call; epoch calls cover it in a
     // handful of multinomial draws, per-step calls one firing at a time.
@@ -227,10 +232,11 @@ void e11_fired_throughput_bench(benchmark::State& state, StepMode mode) {
     for (auto _ : state) {
         std::uint64_t fired_call = 0;
         const std::uint64_t done =
-            simulator.run_batch(config, rng, batch, false, nullptr, &fired_call, mode);
+            trajectory.run_batch(rng, batch, false, nullptr, &fired_call, mode);
         fired_total += fired_call;
-        if (done < batch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
+        if (done < batch)  // went silent
+            trajectory.restart(protocol.initial_config(population));
+        benchmark::DoNotOptimize(trajectory.config());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(fired_total));
     state.SetLabel(mode == StepMode::epoch ? "fired/s, epoch" : "fired/s, per-step");
@@ -251,15 +257,16 @@ void BM_E11SparseMergePhase(benchmark::State& state) {
     const auto population = static_cast<AgentCount>(state.range(1));
     const Protocol& protocol = e11_flagship_protocol(n);
     const Simulator simulator(protocol);
-    Config config = protocol.initial_config(population);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
     constexpr std::uint64_t kBatch = 1 << 14;
     std::uint64_t executed = 0;
     for (auto _ : state) {
-        const std::uint64_t done = simulator.run_batch(config, rng, kBatch);
+        const std::uint64_t done = trajectory.run_batch(rng, kBatch);
         executed += done;
-        if (done < kBatch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
+        if (done < kBatch)  // went silent
+            trajectory.restart(protocol.initial_config(population));
+        benchmark::DoNotOptimize(trajectory.config());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
@@ -333,7 +340,7 @@ void BM_E11MergePhaseCheckpointed(benchmark::State& state) {
     const Simulator simulator(protocol);
     CheckpointDir dir("bench-checkpoints.tmp", 2);
     const std::uint64_t fingerprint = protocol_fingerprint(protocol);
-    Config config = protocol.initial_config(population);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
     std::uint64_t executed = 0;
     CheckpointHook hook;
@@ -355,10 +362,11 @@ void BM_E11MergePhaseCheckpointed(benchmark::State& state) {
         // hook branch in play — exactly what a long-lived call sees).
         const std::uint64_t mark = (executed / kCadence + 1) * kCadence;
         hook.every = mark - executed <= kBatch ? mark - executed : kBatch + 1;
-        const std::uint64_t done = simulator.run_batch(config, rng, kBatch, false, &hook);
+        const std::uint64_t done = trajectory.run_batch(rng, kBatch, false, &hook);
         executed += done;
-        if (done < kBatch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
+        if (done < kBatch)  // went silent
+            trajectory.restart(protocol.initial_config(population));
+        benchmark::DoNotOptimize(trajectory.config());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(executed));
     std::filesystem::remove_all("bench-checkpoints.tmp");
@@ -394,11 +402,11 @@ BENCHMARK(BM_ComputeOutputTrapsWorklist)->Arg(10)->Arg(13)->Arg(17)->Unit(benchm
 BENCHMARK(BM_ComputeOutputTrapsReference)->Arg(10)->Arg(13)->Unit(benchmark::kMillisecond);
 
 // Stability probes on a wide-support flagship configuration (tokens spread
-// over every level).  `warm` probes the configuration the cached step
-// context owns — the O(1) counter read run()/run_batch() use after every
-// fired interaction; `cold` forces the cache miss and measures the
-// from-scratch probe (support scan + silence rescan) that every probe used
-// to pay.
+// over every level).  `warm` is Trajectory::provably_stable() — the O(1)
+// counter read run()/run_batch() use after every fired interaction; `cold`
+// is Simulator::is_provably_stable on the same configuration, the
+// from-scratch probe (support scan + silence rescan) of a bare
+// configuration.
 void stability_probe_bench(benchmark::State& state, bool warm) {
     const Protocol& protocol = e11_flagship_protocol(13);
     const Simulator simulator(protocol);
@@ -406,14 +414,10 @@ void stability_probe_bench(benchmark::State& state, bool warm) {
     const StateId t0 = protocol.input_state(0);
     for (std::uint64_t level = 0; level < (1u << 13); level += 2)
         config.add(t0 + static_cast<StateId>(level), 1);
-    Rng rng(5);
-    // A zero-budget batch adopts `config` into the sampler cache without
-    // executing an interaction.
-    simulator.run_batch(config, rng, 0);
-    const Config cold_copy = config;  // different object: never cached
-    const Config& probed = warm ? config : cold_copy;
+    const Simulator::Trajectory trajectory(simulator, std::move(config));
     for (auto _ : state) {
-        const bool stable = simulator.is_provably_stable(probed);
+        const bool stable = warm ? trajectory.provably_stable()
+                                 : simulator.is_provably_stable(trajectory.config());
         benchmark::DoNotOptimize(stable);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

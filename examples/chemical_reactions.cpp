@@ -28,7 +28,8 @@ int main() try {
 
     // One stochastic trajectory from 40 copies of the input species.
     const Simulator simulator(protocol);
-    Config mixture = protocol.initial_config(40);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(40));
+    const Config& mixture = trajectory.config();
     Rng rng(2024);
 
     std::printf("\ntrajectory (counts per species, sampled every 40 interactions):\n%9s",
@@ -44,9 +45,9 @@ int main() try {
                 std::printf(" %6lld",
                             static_cast<long long>(mixture[static_cast<StateId>(q)]));
             std::printf("\n");
-            if (simulator.is_provably_stable(mixture)) break;
+            if (trajectory.provably_stable()) break;
         }
-        simulator.step(mixture, rng);
+        trajectory.step(rng);
     }
 
     const auto output = protocol.consensus_output(mixture);

@@ -31,8 +31,10 @@
 // step, write a final checkpoint, exit cleanly), and --resume (longrun) /
 // re-running with the same flags (sweep) continues the trajectory
 // byte-identically — a resumed run prints the same final digest line as
-// an uninterrupted one.  Every other command rejects the checkpoint
-// flags, and sweep rejects --resume and --die-after:
+// an uninterrupted one.  longrun --resume refuses a snapshot of another
+// population or seed, and sweep one of another seed, with exit 1 before
+// anything is written.  Every other command rejects the checkpoint flags,
+// and sweep rejects --resume and --die-after:
 //
 //   $ ./protocol_tool family double_exp 3 > d3.pp
 //   $ ./protocol_tool longrun d3.pp 512 100000000 7 --checkpoint-dir ck
@@ -254,13 +256,17 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
             std::fprintf(stderr, "resume: skipping %s\n", rejection.c_str());
         if (latest.checkpoint) {
             // The fingerprint pins the protocol only: carrying on another
-            // population's trajectory (and restarting from this one's IC)
-            // would mix two runs in one digest.
+            // population's trajectory (and restarting from this one's IC),
+            // or another seed's stream, would mix two runs in one digest.
             if (latest.checkpoint->config.size() != config.size())
                 throw std::invalid_argument(
                     "longrun --resume: " + latest.path + " is a run of " +
                     std::to_string(latest.checkpoint->config.size()) + " agents, not " +
                     std::to_string(config.size()));
+            if (!resumes_seed(*latest.checkpoint, seed))
+                throw std::invalid_argument("longrun --resume: " + latest.path +
+                                            " is a run of another seed, not " +
+                                            std::to_string(seed));
             config = latest.checkpoint->config;
             rng.set_state(latest.checkpoint->rng_state);
             done = latest.checkpoint->interactions;
@@ -278,6 +284,7 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
                               std::uint64_t interactions, std::uint64_t fired_total) {
         Checkpoint ck;
         ck.fingerprint = fingerprint;
+        ck.seed_tag = checkpoint_seed_tag(seed);
         ck.config = at;
         ck.rng_state = rng_state;
         ck.interactions = interactions;
@@ -288,15 +295,23 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
             std::fprintf(stderr, "checkpoint write failed: %s\n", detail.c_str());
     };
 
+    // Snapshot marks count the whole run's interactions, restarts included.
+    // A hook's cadence starts over with each run_batch call, and
+    // sub-threshold trajectories restart long before `every` interactions,
+    // so each call's hook ticks first at the next mark and skips the ticks
+    // that fall short of the mark after it.
+    std::uint64_t next_mark = done + flags.every;
     while (done < budget && !g_stop.load()) {
         CheckpointHook hook;
         const CheckpointHook* hook_ptr = nullptr;
         if (dir) {
-            hook.every = flags.every;
+            hook.every = next_mark > done ? next_mark - done : 1;
             hook.callback = [&](const CheckpointTick& tick) {
-                snapshot(tick.config, tick.rng_state, done + tick.interactions,
-                         fired + tick.fired);
-                if (flags.die_after != 0 && done + tick.interactions >= flags.die_after) {
+                const std::uint64_t at = done + tick.interactions;
+                if (at < next_mark) return !g_stop.load();
+                snapshot(tick.config, tick.rng_state, at, fired + tick.fired);
+                next_mark = at + flags.every;
+                if (flags.die_after != 0 && at >= flags.die_after) {
                     // Deterministic crash injection for the CI smoke: a real
                     // SIGKILL — no cleanup, no final checkpoint, the rotation
                     // is all that survives.

@@ -177,12 +177,6 @@ StateId ProtocolBuilder::add_state(std::string name, int output) {
     return static_cast<StateId>(id);
 }
 
-void ProtocolBuilder::set_output(StateId state, int output) {
-    if (output != 0 && output != 1)
-        throw std::invalid_argument("ProtocolBuilder::set_output: output must be 0 or 1");
-    outputs_.at(static_cast<std::size_t>(state)) = static_cast<std::uint8_t>(output);
-}
-
 void ProtocolBuilder::add_transition(StateId p, StateId q, StateId p2, StateId q2) {
     const auto n = static_cast<StateId>(names_.size());
     for (const StateId s : {p, q, p2, q2}) {

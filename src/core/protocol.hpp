@@ -289,9 +289,6 @@ public:
     /// not in {0,1}.
     StateId add_state(std::string name, int output);
 
-    /// Changes the output of an existing state.
-    void set_output(StateId state, int output);
-
     /// Adds the transition {p,q} ↦ {p2,q2} (unordered on both sides).
     /// Silent transitions are accepted and ignored; duplicates are merged.
     void add_transition(StateId p, StateId q, StateId p2, StateId q2);

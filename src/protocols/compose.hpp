@@ -26,9 +26,6 @@ inline OutputCombiner combine_and() {
 inline OutputCombiner combine_or() {
     return [](int a, int b) { return a | b; };
 }
-inline OutputCombiner combine_xor() {
-    return [](int a, int b) { return a ^ b; };
-}
 
 /// Product of two leaderless protocols with identical input-variable lists.
 /// Throws std::invalid_argument if either has leaders or the variable lists

@@ -194,6 +194,17 @@ std::uint64_t config_digest(const Config& config) {
     return crc64(bytes.data(), bytes.size());
 }
 
+std::uint32_t checkpoint_seed_tag(std::uint64_t seed) {
+    std::vector<std::uint8_t> bytes;
+    put_u64(bytes, seed);
+    const auto tag = static_cast<std::uint32_t>(crc64(bytes.data(), bytes.size()) >> 32);
+    return tag != 0 ? tag : 1;
+}
+
+bool resumes_seed(const Checkpoint& checkpoint, std::uint64_t seed) {
+    return checkpoint.seed_tag == 0 || checkpoint.seed_tag == checkpoint_seed_tag(seed);
+}
+
 std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint) {
     std::vector<std::uint8_t> out;
     const std::vector<StateId> support = checkpoint.config.support();
@@ -201,7 +212,7 @@ std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint) {
 
     out.insert(out.end(), std::begin(kCheckpointMagic), std::end(kCheckpointMagic));
     put_u32(out, kCheckpointFormatVersion);
-    put_u32(out, 0);  // reserved
+    put_u32(out, checkpoint.seed_tag);
     put_u64(out, checkpoint.fingerprint);
 
     put_u64(out, checkpoint.config.num_states());
@@ -242,7 +253,7 @@ CheckpointParse parse_checkpoint(std::span<const std::uint8_t> bytes,
         return reject(CheckpointError::bad_version,
                       "format version " + std::to_string(version) + ", reader speaks " +
                           std::to_string(kCheckpointFormatVersion));
-    cursor.u32();  // reserved
+    const std::uint32_t seed_tag = cursor.u32();
 
     // Integrity before content: a CRC-valid file is byte-for-byte what the
     // writer produced, so every later check only guards against a buggy or
@@ -261,6 +272,7 @@ CheckpointParse parse_checkpoint(std::span<const std::uint8_t> bytes,
     // Compared any later, a forged CRC-valid file of ~100 bytes could make
     // the parse zero-fill 2³¹ counts (16 GiB) before being turned away.
     Checkpoint out;
+    out.seed_tag = seed_tag;
     out.fingerprint = cursor.u64();
     if (expected_fingerprint && out.fingerprint != *expected_fingerprint)
         return reject(CheckpointError::wrong_protocol,

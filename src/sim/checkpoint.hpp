@@ -16,7 +16,9 @@
 //   offset  size  field
 //        0     8  magic "PPSCCKPT"
 //        8     4  format version (u32)
-//       12     4  reserved (0)
+//       12     4  seed tag (u32): checkpoint_seed_tag() of the run's seed,
+//                 or 0 for an untagged snapshot (every file written
+//                 before the tag, when this word was reserved)
 //       16     8  protocol fingerprint (u64) — hash of states, outputs,
 //                 transitions, inputs and leaders, so a checkpoint
 //                 cannot silently load against the wrong protocol
@@ -76,6 +78,7 @@ const char* checkpoint_error_name(CheckpointError error) noexcept;
 // ppsc-lint: serialized-state
 struct Checkpoint {
     std::uint64_t fingerprint = 0;    ///< protocol_fingerprint() of the owner
+    std::uint32_t seed_tag = 0;       ///< checkpoint_seed_tag() of the run's seed; 0 = untagged
     Config config{0};                 ///< the counts; everything else is rebuilt
     std::uint64_t rng_state = 0;      ///< Rng::state() at the snapshot point
     std::uint64_t interactions = 0;   ///< interactions executed so far
@@ -89,6 +92,16 @@ struct Checkpoint {
 /// from identical seeds iff this matches, so a checkpoint is only resumed
 /// into a simulator with the same fingerprint.
 std::uint64_t protocol_fingerprint(const Protocol& protocol);
+
+/// A 32-bit digest of a run's seed for Checkpoint::seed_tag, never 0 (the
+/// untagged value).  Part of the on-disk format: the high half of the
+/// CRC-64/XZ of the seed's eight little-endian bytes, 1 if that is 0.
+std::uint32_t checkpoint_seed_tag(std::uint64_t seed);
+
+/// True iff `checkpoint` may continue a run of `seed`: it is untagged or
+/// tagged with that seed.  A resume of another seed's snapshot would carry
+/// on that seed's stream under this seed's name.
+bool resumes_seed(const Checkpoint& checkpoint, std::uint64_t seed);
 
 /// Order-independent-of-nothing digest of a configuration's counts (CRC-64
 /// over the sparse serialisation) — the quantity the kill-and-resume
@@ -130,9 +143,6 @@ CheckpointError write_checkpoint_file(const std::string& path, const Checkpoint&
 class CheckpointDir {
 public:
     explicit CheckpointDir(std::string dir, std::size_t keep_last = 3);
-
-    const std::string& dir() const noexcept { return dir_; }
-    std::size_t keep_last() const noexcept { return keep_last_; }
 
     /// Writes the next rotation slot (creating the directory if needed),
     /// prunes old slots and stale .tmp files.  On success *written_path

@@ -48,6 +48,31 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
         return options.stop != nullptr && options.stop->load(std::memory_order_relaxed);
     };
 
+    // One independent stream per (size, repetition) pair.
+    const auto trial_seed = [&](std::size_t index) {
+        const auto population = static_cast<std::uint64_t>(populations[index / runs]);
+        return options.seed ^ (population << 20) ^ (index % runs);
+    };
+    // One rotation directory per trial; the trial's identity is in the
+    // directory name, so re-sweeping with different populations or
+    // repetition counts can never cross-resume trials.
+    const auto trial_dir = [&](std::size_t index) {
+        const std::string slot = "p" + std::to_string(populations[index / runs]) + "-r" +
+                                 std::to_string(index % runs);
+        return (std::filesystem::path(options.checkpoint_dir) / slot).string();
+    };
+    if (checkpointing) {
+        // Another seed's snapshots are refused before any trial runs, so
+        // nothing is written or pruned.
+        for (std::size_t index = 0; index < total_trials; ++index) {
+            const CheckpointDir::Latest latest =
+                CheckpointDir(trial_dir(index)).load_latest(fingerprint);
+            if (latest.checkpoint && !resumes_seed(*latest.checkpoint, trial_seed(index)))
+                throw std::invalid_argument("convergence_sweep: " + latest.path +
+                                            " is a checkpoint of another seed");
+        }
+    }
+
     // Every trial is fully determined by its (population, repetition) seed,
     // so trials can run in any order on any thread; results land in a
     // per-trial slot and are aggregated serially afterwards, keeping the
@@ -56,20 +81,13 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
     std::vector<TrialResult> trials(total_trials);
     const auto run_trial = [&](std::size_t index) {
         const AgentCount population = populations[index / runs];
-        const std::uint64_t r = index % runs;
-        // One independent stream per (size, repetition) pair.
-        Rng rng(options.seed ^ (static_cast<std::uint64_t>(population) << 20) ^ r);
+        const std::uint64_t seed = trial_seed(index);
+        Rng rng(seed);
         Config start = protocol.initial_config(population);
         SimulationOptions simulation = options.simulation;
         std::optional<CheckpointDir> dir;
         if (checkpointing) {
-            // One rotation directory per trial; the trial's identity is in
-            // the directory name, so re-sweeping with different populations
-            // or repetition counts can never cross-resume trials.
-            const std::string slot =
-                "p" + std::to_string(population) + "-r" + std::to_string(r);
-            dir.emplace((std::filesystem::path(options.checkpoint_dir) / slot).string(),
-                        options.checkpoint_keep_last);
+            dir.emplace(trial_dir(index), options.checkpoint_keep_last);
             const CheckpointDir::Latest latest = dir->load_latest(fingerprint);
             if (latest.checkpoint && latest.checkpoint->config.size() == start.size() &&
                 latest.checkpoint->config.num_states() == start.num_states()) {
@@ -85,6 +103,7 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
             simulation.checkpoint.callback = [&](const CheckpointTick& tick) {
                 Checkpoint snapshot;
                 snapshot.fingerprint = fingerprint;
+                snapshot.seed_tag = checkpoint_seed_tag(seed);
                 snapshot.config = tick.config;
                 snapshot.rng_state = tick.rng_state;
                 snapshot.interactions = tick.interactions;
@@ -100,6 +119,7 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
             // an interrupted one continues from this exact point.
             Checkpoint snapshot;
             snapshot.fingerprint = fingerprint;
+            snapshot.seed_tag = checkpoint_seed_tag(seed);
             snapshot.config = result.final_config;
             snapshot.rng_state = rng.state();
             snapshot.interactions = result.interactions;
@@ -160,8 +180,9 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
             const Simulator simulator(variant.protocol, PairSelect::fenwick);
             for (const AgentCount population : options.populations) {
                 Rng rng(options.seed ^ (row_index++ << 32));
-                Config config = variant.protocol.initial_config(population);
                 const auto start = std::chrono::steady_clock::now();
+                Simulator::Trajectory trajectory(simulator,
+                                                 variant.protocol.initial_config(population));
                 std::uint64_t done = 0;
                 std::uint64_t fired = 0;
                 while (done < options.interactions_per_row) {
@@ -171,8 +192,8 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                     // each restart's firings exactly once.
                     std::uint64_t fired_call = 0;
                     const std::uint64_t got =
-                        simulator.run_batch(config, rng, want, false, nullptr, &fired_call,
-                                            options.step_mode, options.epoch);
+                        trajectory.run_batch(rng, want, false, nullptr, &fired_call,
+                                             options.step_mode, options.epoch);
                     done += got;
                     fired += fired_call;
                     if (got < want) {
@@ -181,7 +202,7 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                         if (got == 0) break;
                         // Sub-threshold trajectories end silent (≤ 1 token
                         // per level); restart from IC to keep measuring.
-                        config = variant.protocol.initial_config(population);
+                        trajectory.restart(variant.protocol.initial_config(population));
                     }
                 }
                 const std::chrono::duration<double> elapsed =

@@ -53,6 +53,8 @@ struct ConvergenceSweepOptions {
     /// snapshot instead of replaying it — finished trials restore their
     /// final state and complete immediately.  Per-trial results (and
     /// therefore the rows) are identical to an uninterrupted sweep.
+    /// Snapshots carry their trial's seed tag: a sweep that finds one of
+    /// another seed throws std::invalid_argument before any trial runs.
     std::string checkpoint_dir;
     std::uint64_t checkpoint_every = 0;
     std::size_t checkpoint_keep_last = 3;
@@ -68,7 +70,8 @@ struct ConvergenceSweepOptions {
 /// Runs `runs_per_size` seeded simulations of IC(i) for each population
 /// size i in `populations`; `expected(i)` gives the ground-truth output.
 /// Single-input protocols only.  Throws std::invalid_argument when the
-/// trial count, populations.size() × runs_per_size, overflows.
+/// trial count, populations.size() × runs_per_size, overflows, or when
+/// the checkpoint directory holds a snapshot of another seed.
 std::vector<ConvergenceRow> convergence_sweep(
     const Protocol& protocol, const std::vector<AgentCount>& populations,
     const std::function<int(AgentCount)>& expected, const ConvergenceSweepOptions& options = {});

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
 
 #include "support/check.hpp"
 
@@ -50,6 +49,26 @@ void check_state_count(const Protocol& protocol, const Config& config) {
                    "configuration does not match the simulator's protocol");
 }
 
+/// The states of a uniform ordered pair of distinct agents: two distinct
+/// agent ranks, mapped to states through the agent Fenwick tree
+/// (O(log |Q|) instead of a prefix scan).
+std::pair<StateId, StateId> sample_pair_in_agents(const FenwickTree& agents, Rng& rng) {
+    const std::int64_t n = agents.total();
+    PPSC_DASSERT(n >= 2);
+    const auto r1 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
+    auto r2 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n - 1)));
+    if (r2 >= r1) ++r2;
+    return {static_cast<StateId>(agents.sample(r1)), static_cast<StateId>(agents.sample(r2))};
+}
+
+/// Lends a caller's configuration to a trajectory for one full expression
+/// and hands it back at its end, whether the expression returns or throws.
+struct ConfigLoan {
+    Config& home;
+    Simulator::Trajectory trajectory;
+    ~ConfigLoan() { home = std::move(trajectory).config(); }
+};
+
 }  // namespace
 
 Simulator::Simulator(const Protocol& protocol, PairSelect pair_select, TrapCompute trap_compute)
@@ -85,12 +104,6 @@ void Simulator::compute_output_traps(TrapCompute trap_compute) {
 
 bool Simulator::is_silent(const Config& config) const {
     check_state_count(protocol_, config);
-    // O(1) along a trajectory: the cached step context maintains W (the
-    // ordered non-silent pair weight) exactly, and W == 0 ⟺ silent.
-    if (const auto* ctx = current_cached_context<std::int64_t>(config))
-        return ctx->active_weight == 0;
-    if (const auto* ctx = current_cached_context<Int128>(config))
-        return ctx->active_weight == 0;
     // Counts-based rescan over whichever candidate set is smaller: the
     // protocol's non-silent pairs (Θ(#pairs), independent of how the
     // population spreads) or the support-pair square.  Wide-support
@@ -115,12 +128,6 @@ bool Simulator::is_silent(const Config& config) const {
 
 bool Simulator::is_provably_stable(const Config& config) const {
     check_state_count(protocol_, config);
-    // O(1) along a trajectory: the cached step context carries the per-trap
-    // outside-support counters and the silence weight.
-    if (const auto* ctx = current_cached_context<std::int64_t>(config))
-        return ctx->provably_stable();
-    if (const auto* ctx = current_cached_context<Int128>(config))
-        return ctx->provably_stable();
     for (int b = 0; b < 2; ++b) {
         bool inside = true;
         for (const StateId q : config.support()) {
@@ -132,15 +139,6 @@ bool Simulator::is_provably_stable(const Config& config) const {
         if (inside) return true;
     }
     return is_silent(config);
-}
-
-template <typename W>
-Simulator::StepContextT<W>& Simulator::cache_slot() const noexcept {
-    if constexpr (std::is_same_v<W, Int128>) {
-        return cache128_;
-    } else {
-        return cache64_;
-    }
 }
 
 template <typename W>
@@ -200,26 +198,6 @@ void Simulator::init_context(StepContextT<W>& ctx, const Config& config) const {
         if (outside & 2u) ctx.outside_trap[1] += counts[q];
     }
     ctx.dirty.clear();
-    ctx.owner = nullptr;
-    ctx.version = 0;
-}
-
-template <typename W>
-const Simulator::StepContextT<W>* Simulator::current_cached_context(const Config& config) const {
-    const StepContextT<W>& cache = cache_slot<W>();
-    if (cache.owner == &config && cache.version == config.version()) return &cache;
-    return nullptr;
-}
-
-template <typename W>
-Simulator::StepContextT<W>& Simulator::cached_context(const Config& config) const {
-    StepContextT<W>& cache = cache_slot<W>();
-    if (cache.owner != &config || cache.version != config.version()) {
-        init_context(cache, config);
-        cache.owner = &config;
-        cache.version = config.version();
-    }
-    return cache;
 }
 
 template <typename W>
@@ -301,18 +279,6 @@ void Simulator::fire_in_context(StepContextT<W>& ctx, Config& config,
     for (int i = 0; i < 4; ++i) {
         if (deltas[i] != 0) apply_count_delta(ctx, config, states[i], deltas[i]);
     }
-}
-
-std::pair<StateId, StateId> Simulator::sample_pair_in_agents(const FenwickTree& agents,
-                                                             Rng& rng) const {
-    // Sample an ordered pair of distinct agent ranks, then map ranks to
-    // states through the Fenwick tree (O(log |Q|) instead of a prefix scan).
-    const std::int64_t n = agents.total();
-    PPSC_DASSERT(n >= 2);
-    const auto r1 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
-    auto r2 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n - 1)));
-    if (r2 >= r1) ++r2;
-    return {static_cast<StateId>(agents.sample(r1)), static_cast<StateId>(agents.sample(r2))};
 }
 
 template <typename W>
@@ -583,40 +549,6 @@ void Simulator::merge_epoch_stats(const EpochStats& stats) const noexcept {
     epoch_rejected_.fetch_add(stats.rejected_draws, std::memory_order_relaxed);
 }
 
-template <typename F>
-auto Simulator::on_cached_context(const Config& config, F&& body) const {
-    // Publishing the config's new version after `body` keeps the context
-    // current for the next call and for the O(1) is_silent /
-    // is_provably_stable probes.
-    const auto publish = [&](auto& ctx) {
-        auto result = body(ctx);
-        ctx.version = config.version();
-        return result;
-    };
-    if (pairs_fit_int64(config.size())) return publish(cached_context<std::int64_t>(config));
-    return publish(cached_context<Int128>(config));
-}
-
-std::optional<TransitionId> Simulator::step(Config& config, Rng& rng) const {
-    PPSC_CHECK_MSG(config.size() >= 2, "simulation needs at least two agents");
-    return on_cached_context(config, [&](auto& ctx) { return encounter(ctx, config, rng); });
-}
-
-std::pair<StateId, StateId> Simulator::sample_pair(const Config& config, Rng& rng) const {
-    PPSC_CHECK_MSG(config.size() >= 2, "sampling needs at least two agents");
-    return on_cached_context(config,
-                             [&](auto& ctx) { return sample_pair_in_agents(ctx.agents, rng); });
-}
-
-std::optional<TransitionId> Simulator::fired_step(Config& config, Rng& rng, std::uint64_t budget,
-                                                  std::uint64_t* consumed) const {
-    std::uint64_t local = 0;
-    std::uint64_t* out = consumed != nullptr ? consumed : &local;
-    // Populations of 0 or 1 agents weigh W == 0: advance reports them silent.
-    return on_cached_context(config,
-                             [&](auto& ctx) { return advance(ctx, config, rng, budget, out); });
-}
-
 template <typename W>
 void Simulator::step_loop(StepContextT<W>& ctx, Config& config, Rng& rng,
                           std::uint64_t max_interactions, bool stop_when_stable,
@@ -655,9 +587,6 @@ void Simulator::step_loop(StepContextT<W>& ctx, Config& config, Rng& rng,
         // No tick on the step that settles the run: its final state is the
         // caller's result.
         if (hooked && interactions >= next_hook && !settled()) {
-            // Publish the context before the callback: is_silent /
-            // is_provably_stable on `config` stay O(1) inside it.
-            ctx.version = config.version();
             if (!hook->callback({config, rng.state(), interactions, fired})) break;
             next_hook = interactions + hook->every;
         }
@@ -669,17 +598,8 @@ std::uint64_t Simulator::run_batch(Config& config, Rng& rng, std::uint64_t max_i
                                    bool stop_when_stable, const CheckpointHook* hook,
                                    std::uint64_t* fired_count, StepMode step_mode,
                                    const EpochOptions& epoch) const {
-    std::uint64_t fired = 0;
-    const std::uint64_t done = on_cached_context(config, [&](auto& ctx) {
-        std::uint64_t interactions = 0;
-        step_loop(ctx, config, rng, max_interactions, stop_when_stable, hook, step_mode, epoch,
-                  interactions, fired);
-        return interactions;
-    });
-    // Per-call out-param, overwritten (not accumulated): restart loops sum
-    // it themselves, so restarts are never double-counted.
-    if (fired_count != nullptr) *fired_count = fired;
-    return done;
+    return ConfigLoan{config, Trajectory(*this, std::move(config))}.trajectory.run_batch(
+        rng, max_interactions, stop_when_stable, hook, fired_count, step_mode, epoch);
 }
 
 SimulationResult Simulator::run(Config config, Rng& rng,
@@ -694,18 +614,13 @@ SimulationResult Simulator::run(Config config, Rng& rng,
     // uninterrupted run would have written.
     std::uint64_t interactions = options.initial_interactions;
     std::uint64_t fired = options.initial_fired;
-    // Per-run context on the stack: run() stays thread-safe.
-    const auto drive = [&](auto ctx) {
-        init_context(ctx, config);
-        step_loop(ctx, config, rng, options.max_interactions, true, &options.checkpoint,
-                  options.step_mode, options.epoch, interactions, fired);
-        return ctx.provably_stable();
-    };
-    const bool converged = pairs_fit_int64(population) ? drive(StepContextT<std::int64_t>{})
-                                                       : drive(StepContextT<Int128>{});
+    Trajectory trajectory(*this, std::move(config));
+    trajectory.drive(rng, options.max_interactions, true, &options.checkpoint, options.step_mode,
+                     options.epoch, interactions, fired);
+    const bool converged = trajectory.provably_stable();
 
-    SimulationResult result{std::move(config), interactions, fired, converged, std::nullopt,
-                            0.0};
+    SimulationResult result{std::move(trajectory).config(), interactions, fired, converged,
+                            std::nullopt, 0.0};
     result.output = protocol_.consensus_output(result.final_config);
     result.parallel_time =
         static_cast<double>(interactions) / static_cast<double>(population);
@@ -715,6 +630,80 @@ SimulationResult Simulator::run(Config config, Rng& rng,
 SimulationResult Simulator::run_input(AgentCount input, Rng& rng,
                                       const SimulationOptions& options) const {
     return run(protocol_.initial_config(input), rng, options);
+}
+
+Simulator::Trajectory::Trajectory(const Simulator& simulator, Config config)
+    : simulator_(&simulator), config_(std::move(config)) {
+    init();
+}
+
+void Simulator::Trajectory::restart(Config config) {
+    config_ = std::move(config);
+    init();
+}
+
+void Simulator::Trajectory::init() {
+    // Pair weights fit int64 exactly when n(n−1) does: n ≤ 2³¹ agents.  A
+    // restart at the same width keeps the context's buffers.
+    const bool wide = config_.size() > (AgentCount{1} << 31);
+    if (wide && context_.index() == 0) context_.emplace<1>();
+    if (!wide && context_.index() == 1) context_.emplace<0>();
+    std::visit([this](auto& ctx) { simulator_->init_context(ctx, config_); }, context_);
+}
+
+std::optional<TransitionId> Simulator::Trajectory::step(Rng& rng) {
+    PPSC_CHECK_MSG(config_.size() >= 2, "simulation needs at least two agents");
+    return std::visit([&](auto& ctx) { return simulator_->encounter(ctx, config_, rng); },
+                      context_);
+}
+
+std::optional<TransitionId> Simulator::Trajectory::fired_step(Rng& rng, std::uint64_t budget,
+                                                              std::uint64_t* consumed) {
+    std::uint64_t local = 0;
+    std::uint64_t* out = consumed != nullptr ? consumed : &local;
+    // Populations of 0 or 1 agents weigh W == 0: advance reports them silent.
+    return std::visit(
+        [&](auto& ctx) { return simulator_->advance(ctx, config_, rng, budget, out); },
+        context_);
+}
+
+std::pair<StateId, StateId> Simulator::Trajectory::sample_pair(Rng& rng) const {
+    PPSC_CHECK_MSG(config_.size() >= 2, "sampling needs at least two agents");
+    return std::visit([&](const auto& ctx) { return sample_pair_in_agents(ctx.agents, rng); },
+                      context_);
+}
+
+void Simulator::Trajectory::drive(Rng& rng, std::uint64_t max_interactions,
+                                  bool stop_when_stable, const CheckpointHook* hook,
+                                  StepMode step_mode, const EpochOptions& epoch,
+                                  std::uint64_t& interactions, std::uint64_t& fired) {
+    std::visit(
+        [&](auto& ctx) {
+            simulator_->step_loop(ctx, config_, rng, max_interactions, stop_when_stable, hook,
+                                  step_mode, epoch, interactions, fired);
+        },
+        context_);
+}
+
+std::uint64_t Simulator::Trajectory::run_batch(Rng& rng, std::uint64_t max_interactions,
+                                               bool stop_when_stable, const CheckpointHook* hook,
+                                               std::uint64_t* fired_count, StepMode step_mode,
+                                               const EpochOptions& epoch) {
+    std::uint64_t interactions = 0;
+    std::uint64_t fired = 0;
+    drive(rng, max_interactions, stop_when_stable, hook, step_mode, epoch, interactions, fired);
+    // Per-call out-param, overwritten (not accumulated): restart loops sum
+    // it themselves, so restarts are never double-counted.
+    if (fired_count != nullptr) *fired_count = fired;
+    return interactions;
+}
+
+bool Simulator::Trajectory::silent() const noexcept {
+    return std::visit([](const auto& ctx) { return ctx.active_weight == 0; }, context_);
+}
+
+bool Simulator::Trajectory::provably_stable() const noexcept {
+    return std::visit([](const auto& ctx) { return ctx.provably_stable(); }, context_);
 }
 
 }  // namespace ppsc

@@ -81,21 +81,20 @@
 // stabilised.  They are not complete; runs that stabilise in a form the
 // checks cannot see terminate at `max_interactions` with converged == false.
 //
-// Stability probes are O(1) along a trajectory: every step context carries
-// per-trap outside-support counters (agents sitting outside W_b) maintained
-// by the same count-delta machinery that maintains the silence weight W, so
-// is_provably_stable on the configuration the cached context owns — and the
-// early-stop checks inside run()/run_batch() — read two counters instead of
-// rescanning the support (previously O(|support|) + an O(|support|²)
-// silence re-scan per probe).
+// Stepping state.  Everything incremental — the Fenwick trees, the silence
+// weight W, the per-trap outside-support counters — is a pure function of
+// (protocol, counts) and lives in a step context.  A Simulator::Trajectory
+// owns one configuration together with its context, so the configuration
+// changes only through the trajectory and the context can never go stale;
+// run() builds its context the same way.  Along a trajectory the stability
+// probes are O(1): Trajectory::silent() and provably_stable() — and the
+// early-stop checks inside run()/run_batch() — read W and two counters
+// maintained by the same count-delta machinery, while Simulator::is_silent
+// and is_provably_stable probe a bare configuration from its counts.
 //
-// Thread safety: run()/run_input() are const and keep all mutable state on
-// the stack, so one Simulator may serve concurrent runs (this is what the
-// parallel convergence sweeps do).  step()/run_batch()/fired_step()/
-// sample_pair() share a per-simulator sampler cache and must not be called
-// concurrently — and is_silent()/is_provably_stable() *read* that cache
-// (the O(1) probe path), so they must not race with the cache-writing calls
-// either; concurrently with run()/run_input() they are fine.
+// Thread safety: every const Simulator method is thread-safe, so one
+// Simulator may serve any number of concurrent runs and trajectories (a
+// Trajectory itself belongs to one thread at a time).
 #pragma once
 
 #include <atomic>
@@ -103,6 +102,7 @@
 #include <functional>
 #include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/config.hpp"
@@ -248,41 +248,22 @@ public:
     double trap_setup_seconds() const noexcept { return trap_setup_seconds_; }
 
     /// Runs from `config` until a sound stability condition holds or the
-    /// interaction budget is exhausted.  Thread-safe.
+    /// interaction budget is exhausted.
     SimulationResult run(Config config, Rng& rng, const SimulationOptions& options = {}) const;
 
-    /// Runs from IC(input) (single-input protocols).  Thread-safe.
+    /// Runs from IC(input) (single-input protocols).
     SimulationResult run_input(AgentCount input, Rng& rng,
                                const SimulationOptions& options = {}) const;
 
-    /// Executes exactly one interaction step on `config`; returns the
-    /// transition fired (nullopt for a silent encounter).  Not thread-safe
-    /// (uses the sampler cache).
-    std::optional<TransitionId> step(Config& config, Rng& rng) const;
+    /// The state of one trajectory of the scheduler chain (see Trajectory
+    /// below): build one to step a configuration incrementally.
+    class Trajectory;
 
-    /// Executes up to `max_interactions` interactions on `config` (silent
-    /// encounters are counted and, when profitable, skipped in bulk without
-    /// changing the trajectory distribution).  Returns the number executed —
-    /// never more than `max_interactions`; less only when the configuration
-    /// became silent (no transition can ever fire again) or, with
-    /// `stop_when_stable`, provably stable (is_provably_stable — an O(1)
-    /// counter read per fired interaction; the trajectory up to the stop is
-    /// unchanged) or a checkpoint callback requested a stop.  Populations of
-    /// 0 or 1 agents have no pairs and return 0 cleanly.  `hook`, when
-    /// active, is invoked at fired-step boundaries every ≥ hook->every
-    /// interactions (see CheckpointHook — the trajectory is unchanged by
-    /// it); `fired_count`, when non-null, receives the number of non-silent
-    /// interactions executed by this call — per call, not accumulated across
-    /// calls: restart loops must sum the out-param themselves.  With
-    /// `stop_when_stable` the hook follows run()'s rule: no tick on the
-    /// step that makes the configuration provably stable, so run() and
-    /// run_batch(…, true, hook) tick identically from the same seed.  With
-    /// `step_mode == StepMode::epoch` fired steps are served in multinomial
-    /// epochs where profitable — hooks and stability probes then run at
-    /// epoch boundaries; the interaction/fired accounting is unchanged.
-    /// Epoch mode throws std::invalid_argument unless the simulator selects
-    /// pairs by Fenwick tree and `epoch` satisfies EpochOptions'
-    /// preconditions.  Not thread-safe.
+    /// Runs one Trajectory::run_batch call on `config`: the configuration
+    /// is moved into a fresh trajectory and moved back when that run_batch
+    /// returns or throws.  Each call builds a step context, O(|Q|) plus the
+    /// occupied states' degrees, so a loop of short batches belongs on one
+    /// Trajectory; this form suits callers that make one call per restart.
     std::uint64_t run_batch(Config& config, Rng& rng, std::uint64_t max_interactions,
                             bool stop_when_stable = false,
                             const CheckpointHook* hook = nullptr,
@@ -309,46 +290,29 @@ public:
         epoch_rejected_.store(0, std::memory_order_relaxed);
     }
 
-    /// Advances the chain to its next *fired* interaction: consumes the
-    /// (geometrically distributed) run of silent encounters, then fires one
-    /// non-silent transition and returns it.  Sets *consumed (if non-null)
-    /// to the interactions executed, silent run included.  Returns nullopt
-    /// with *consumed == 0 when the configuration is silent (or has < 2
-    /// agents), and nullopt with *consumed == budget when the budget ran
-    /// out inside the silent run.  Not thread-safe.
-    std::optional<TransitionId> fired_step(Config& config, Rng& rng, std::uint64_t budget,
-                                           std::uint64_t* consumed = nullptr) const;
-
-    /// Samples the states of a uniform ordered pair of distinct agents
-    /// without mutating `config` — the scheduler's encounter distribution.
-    /// Exposed for statistical tests.  Not thread-safe.
-    std::pair<StateId, StateId> sample_pair(const Config& config, Rng& rng) const;
-
     /// The output trap W_b used for convergence detection (exposed for
     /// tests and for the stable-set experiments).
     const std::vector<bool>& output_trap(int b) const { return traps_[b]; }
 
     /// True iff the configuration is silent: every enabled pair of states
-    /// has only the implicit silent transition.  O(1) when `config` owns the
-    /// cached step context (the W == 0 identity); otherwise a counts-based
-    /// rescan over min(#non-silent pairs, |support|²) candidates.  Throws
-    /// std::logic_error unless `config` has one entry per protocol state.
+    /// has only the implicit silent transition.  A counts-based rescan over
+    /// min(#non-silent pairs, |support|²) candidates (Trajectory::silent()
+    /// is the O(1) probe).  Throws std::logic_error unless `config` has one
+    /// entry per protocol state.
     bool is_silent(const Config& config) const;
 
-    /// True iff one of the two sound stability conditions holds.  O(1) when
-    /// `config` owns the cached step context (the per-trap outside-support
-    /// counters maintained along step/run_batch/fired_step trajectories);
-    /// otherwise a support scan plus a silence rescan.  Throws
-    /// std::logic_error unless `config` has one entry per protocol state.
+    /// True iff one of the two sound stability conditions holds.  A support
+    /// scan plus a silence rescan (Trajectory::provably_stable() is the O(1)
+    /// probe).  Throws std::logic_error unless `config` has one entry per
+    /// protocol state.
     bool is_provably_stable(const Config& config) const;
 
 private:
     /// Incremental per-configuration sampler state, templated on the pair
     /// weight type: int64 while every ordered pair weight fits (populations
     /// ≤ 2³¹ agents), Int128 beyond.  Everything here is a function of
-    /// (protocol, current counts); run() keeps one on the stack,
-    /// step()/run_batch()/fired_step() share the cached one (per width)
-    /// keyed on (config address, config version).
+    /// (protocol, current counts); a Trajectory owns one beside its
+    /// configuration.
     ///
     /// The ordered pair weights (c(c−1) for self pairs, 2·c_p·c_q
     /// otherwise, by PairId) live in two layers: `pair_weights` and
@@ -391,8 +355,6 @@ private:
         std::vector<AgentCount> epoch_delta;
         std::vector<StateId> epoch_rate_touched;
         std::vector<StateId> epoch_touched;
-        const Config* owner = nullptr;
-        std::uint64_t version = 0;
 
         /// The O(1) stable-consensus probe: a trap holds the whole
         /// population, or the configuration is silent (W == 0).
@@ -401,23 +363,10 @@ private:
         }
     };
 
-    /// Pair weights fit int64 exactly when n(n−1) does: n ≤ 2³¹ agents.
-    static bool pairs_fit_int64(AgentCount population) noexcept {
-        return population <= (AgentCount{1} << 31);
-    }
-
     void compute_output_traps(TrapCompute trap_compute);
 
     template <typename W>
     void init_context(StepContextT<W>& ctx, const Config& config) const;
-    template <typename W>
-    StepContextT<W>& cached_context(const Config& config) const;
-
-    /// The cached context of `config` iff it is current (same object, same
-    /// version — i.e. the incremental counters describe exactly this
-    /// value); nullptr otherwise.  Read-only: never (re)initialises.
-    template <typename W>
-    const StepContextT<W>* current_cached_context(const Config& config) const;
 
     /// Adds `delta` agents to state q, keeping the agent tree and the exact
     /// pair-weight layer in sync (O(deg(q)) via the protocol's per-pair
@@ -432,8 +381,6 @@ private:
     /// deltas, or rebuilds outright once that is cheaper.
     template <typename W>
     void flush_pair_tree(StepContextT<W>& ctx) const;
-
-    std::pair<StateId, StateId> sample_pair_in_agents(const FenwickTree& agents, Rng& rng) const;
 
     /// One scheduler encounter: a uniform ordered pair of distinct agents,
     /// firing one of its rules if it has any (nullopt: a silent encounter).
@@ -467,8 +414,8 @@ private:
 
     void merge_epoch_stats(const EpochStats& stats) const noexcept;
 
-    /// The one stepping loop behind run() (stack context, stop_when_stable)
-    /// and run_batch() (cached context).  `interactions` and `fired` are
+    /// The one stepping loop behind run() and Trajectory::run_batch().
+    /// `interactions` and `fired` are
     /// running totals, in/out: ticks report them and the loop stops once
     /// `interactions` reaches max_interactions.  In epoch mode it first
     /// validates the epoch options (throws std::invalid_argument).
@@ -477,11 +424,6 @@ private:
                    std::uint64_t max_interactions, bool stop_when_stable,
                    const CheckpointHook* hook, StepMode step_mode, const EpochOptions& epoch,
                    std::uint64_t& interactions, std::uint64_t& fired) const;
-
-    /// Runs body(ctx) on the cached context of `config` at its population's
-    /// weight width, then marks that context current for config's version.
-    template <typename F>
-    auto on_cached_context(const Config& config, F&& body) const;
 
     // A copy shares the protocol's tables (O(1)) and keeps them alive, so a
     // simulator never dangles on a temporary.
@@ -499,12 +441,103 @@ private:
     mutable std::atomic<std::uint64_t> epoch_fired_{0};
     mutable std::atomic<std::uint64_t> epoch_fallback_fired_{0};
     mutable std::atomic<std::uint64_t> epoch_rejected_{0};
+};
 
-    mutable StepContextT<std::int64_t> cache64_;
-    mutable StepContextT<Int128> cache128_;
+/// One trajectory of the scheduler chain: a configuration together with
+/// the step context that tracks it.  The configuration changes only through
+/// the trajectory, so the context always describes it, and the stepping
+/// calls and probes below cost what their comments say on every call.  The
+/// context's weight width is fixed at construction: transitions preserve
+/// the population.  Any number of trajectories may share one Simulator
+/// across threads.
+class Simulator::Trajectory {
+public:
+    /// Starts at `config` on `simulator`, which must outlive the trajectory.
+    /// Builds the step context: O(|Q|) plus the occupied states' degrees.
+    /// Throws std::logic_error unless `config` has one entry per protocol
+    /// state.
+    Trajectory(const Simulator& simulator, Config config);
 
-    template <typename W>
-    StepContextT<W>& cache_slot() const noexcept;
+    const Config& config() const& noexcept { return config_; }
+    /// Hands the configuration back; the trajectory is spent.
+    Config config() && noexcept { return std::move(config_); }
+
+    /// Starts over at `config`, as a new trajectory would, but in the
+    /// context's existing buffers: restart loops (a run that went silent
+    /// begins again from IC) pay no allocation per restart.
+    void restart(Config config);
+
+    /// Executes exactly one interaction; returns the transition fired
+    /// (nullopt for a silent encounter).  Needs at least two agents.
+    std::optional<TransitionId> step(Rng& rng);
+
+    /// Advances the chain to its next *fired* interaction: consumes the
+    /// (geometrically distributed) run of silent encounters, then fires one
+    /// non-silent transition and returns it.  Sets *consumed (if non-null)
+    /// to the interactions executed, silent run included.  Returns nullopt
+    /// with *consumed == 0 when the configuration is silent (or has < 2
+    /// agents), and nullopt with *consumed == budget when the budget ran
+    /// out inside the silent run.
+    std::optional<TransitionId> fired_step(Rng& rng, std::uint64_t budget,
+                                           std::uint64_t* consumed = nullptr);
+
+    /// Samples the states of a uniform ordered pair of distinct agents
+    /// without changing the configuration — the scheduler's encounter
+    /// distribution.  Exposed for statistical tests.  Needs two agents.
+    std::pair<StateId, StateId> sample_pair(Rng& rng) const;
+
+    /// Executes up to `max_interactions` interactions (silent encounters
+    /// are counted and, when profitable, skipped in bulk without changing
+    /// the trajectory distribution).  Returns the number executed — never
+    /// more than `max_interactions`; less only when the configuration
+    /// became silent (no transition can ever fire again) or, with
+    /// `stop_when_stable`, provably stable (an O(1) counter read per fired
+    /// interaction; the trajectory up to the stop is unchanged) or a
+    /// checkpoint callback requested a stop.  Populations of 0 or 1 agents
+    /// have no pairs and return 0 cleanly.  `hook`, when active, is invoked
+    /// at fired-step boundaries every ≥ hook->every interactions (see
+    /// CheckpointHook — the trajectory is unchanged by it); `fired_count`,
+    /// when non-null, receives the number of non-silent interactions
+    /// executed by this call — per call, not accumulated across calls:
+    /// restart loops must sum the out-param themselves.  With
+    /// `stop_when_stable` the hook follows run()'s rule: no tick on the
+    /// step that makes the configuration provably stable, so run() and
+    /// run_batch(…, true, hook) tick identically from the same seed.  With
+    /// `step_mode == StepMode::epoch` fired steps are served in multinomial
+    /// epochs where profitable — hooks and stability probes then run at
+    /// epoch boundaries; the interaction/fired accounting is unchanged.
+    /// Epoch mode throws std::invalid_argument, before any step, unless the
+    /// simulator selects pairs by Fenwick tree and `epoch` satisfies
+    /// EpochOptions' preconditions.  A trajectory draws exactly what a
+    /// fresh one over the same configuration would: chained calls and
+    /// Simulator::run_batch calls from the same seed agree.
+    std::uint64_t run_batch(Rng& rng, std::uint64_t max_interactions,
+                            bool stop_when_stable = false,
+                            const CheckpointHook* hook = nullptr,
+                            std::uint64_t* fired_count = nullptr,
+                            StepMode step_mode = StepMode::per_step,
+                            const EpochOptions& epoch = {});
+
+    /// Simulator::is_silent on the configuration, in O(1) (W == 0).
+    bool silent() const noexcept;
+
+    /// Simulator::is_provably_stable on the configuration, in O(1).
+    bool provably_stable() const noexcept;
+
+private:
+    friend class Simulator;
+
+    /// Builds the context for config_, at its population's weight width.
+    void init();
+
+    /// step_loop on this trajectory's context (see Simulator::step_loop).
+    void drive(Rng& rng, std::uint64_t max_interactions, bool stop_when_stable,
+               const CheckpointHook* hook, StepMode step_mode, const EpochOptions& epoch,
+               std::uint64_t& interactions, std::uint64_t& fired);
+
+    const Simulator* simulator_;
+    Config config_;
+    std::variant<StepContextT<std::int64_t>, StepContextT<Int128>> context_;
 };
 
 }  // namespace ppsc

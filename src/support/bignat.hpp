@@ -43,9 +43,6 @@ public:
     /// Number of bits in the binary representation; 0 for zero.
     std::uint64_t bit_length() const noexcept;
 
-    /// True iff the value fits in a std::uint64_t.
-    bool fits_u64() const noexcept { return bit_length() <= 64; }
-
     /// Value as std::uint64_t. Throws std::overflow_error if it does not fit.
     std::uint64_t to_u64() const;
 

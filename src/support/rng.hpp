@@ -82,9 +82,6 @@ public:
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /// True with probability p (0 ≤ p ≤ 1).
-    bool bernoulli(double p) noexcept { return uniform() < p; }
-
     /// Standard normal deviate (Box–Muller, one of the pair used).  Two
     /// uniforms per call, so the draw count per variate is deterministic.
     double normal() noexcept {

@@ -70,22 +70,6 @@ TEST(Config, SizeIsMaintainedIncrementally) {
     EXPECT_EQ(d.size(), 10);
 }
 
-TEST(Config, VersionChangesOnEveryMutation) {
-    Config c(2);
-    const std::uint64_t v0 = c.version();
-    c.set(0, 1);
-    const std::uint64_t v1 = c.version();
-    EXPECT_NE(v0, v1);
-    c.add(1, 3);
-    const std::uint64_t v2 = c.version();
-    EXPECT_NE(v1, v2);
-    // Copies are distinct objects: they never share a version with their
-    // source (samplers key caches on (address, version)).
-    const Config d = c;
-    EXPECT_NE(d.version(), c.version());
-    EXPECT_TRUE(d == c);
-}
-
 TEST(Config, AdditionAndSubtraction) {
     const Config a = Config::from_counts({1, 2, 0});
     const Config b = Config::from_counts({0, 1, 4});

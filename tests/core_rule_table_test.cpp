@@ -217,13 +217,13 @@ TEST(PairLookup, SingleSelfPair) {
     ASSERT_EQ(p.rules_for_pair_id(0).size(), 1u);
 
     const Simulator simulator(p);
-    Config config = p.initial_config(2);
+    Simulator::Trajectory trajectory(simulator, p.initial_config(2));
     Rng rng(7);
     std::uint64_t consumed = 0;
-    const auto fired = simulator.fired_step(config, rng, std::uint64_t{1} << 30, &consumed);
+    const auto fired = trajectory.fired_step(rng, std::uint64_t{1} << 30, &consumed);
     ASSERT_TRUE(fired.has_value());
-    EXPECT_EQ(config[t], 2);  // a,a -> t,t fired; now silent
-    EXPECT_FALSE(simulator.fired_step(config, rng, std::uint64_t{1} << 30, &consumed));
+    EXPECT_EQ(trajectory.config()[t], 2);  // a,a -> t,t fired; now silent
+    EXPECT_FALSE(trajectory.fired_step(rng, std::uint64_t{1} << 30, &consumed));
 }
 
 TEST(PairLookup, MemoryScalesWithNonsilentPairsNotStates) {

@@ -119,16 +119,16 @@ TEST_P(RandomProtocolTest, P4_ParikhConsistencyOfRandomWalks) {
         const Protocol p = random_protocol(rng, 2 + rng.below(4));
         const Simulator simulator(p);
         const AgentCount population = 3 + static_cast<AgentCount>(rng.below(5));
-        Config config = p.initial_config(population);
-        const Config start = config;
+        const Config start = p.initial_config(population);
+        Simulator::Trajectory trajectory(simulator, start);
         ParikhImage parikh(p.num_transitions(), 0);
         for (int step = 0; step < 50; ++step) {
-            const auto fired = simulator.step(config, rng);
+            const auto fired = trajectory.step(rng);
             if (fired) parikh[static_cast<std::size_t>(*fired)] += 1;
         }
         const auto predicted = apply_parikh(start, p, parikh);
         for (std::size_t q = 0; q < p.num_states(); ++q)
-            ASSERT_EQ(predicted[q], config[static_cast<StateId>(q)]);
+            ASSERT_EQ(predicted[q], trajectory.config()[static_cast<StateId>(q)]);
     }
 }
 

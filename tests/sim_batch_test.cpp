@@ -58,16 +58,16 @@ TEST(RunBatch, AgreesWithSingleSteppingUnderSameSeed) {
     const Simulator sim(p);
     const AgentCount inputs[] = {40, 24};
     Config batch_config = p.initial_config(inputs);
-    Config step_config = p.initial_config(inputs);
+    Simulator::Trajectory stepper(sim, p.initial_config(inputs));
     Rng batch_rng(99), step_rng(99);
     const std::uint64_t executed = sim.run_batch(batch_config, batch_rng, 200);
     std::uint64_t stepped = 0;
     for (std::uint64_t i = 0; i < executed; ++i) {
-        sim.step(step_config, step_rng);
+        stepper.step(step_rng);
         ++stepped;
     }
     EXPECT_EQ(executed, stepped);
-    EXPECT_EQ(batch_config.size(), step_config.size());
+    EXPECT_EQ(batch_config.size(), stepper.config().size());
 }
 
 TEST(RunBatch, ReturnsZeroCleanlyOnDegeneratePopulations) {
@@ -85,7 +85,8 @@ TEST(RunBatch, ReturnsZeroCleanlyOnDegeneratePopulations) {
     EXPECT_EQ(lonely.size(), 1);
     // fired_step reports the same boundary as "silent": nothing fires.
     std::uint64_t consumed = 99;
-    EXPECT_EQ(sim.fired_step(lonely, rng, 10, &consumed), std::nullopt);
+    Simulator::Trajectory alone(sim, lonely);
+    EXPECT_EQ(alone.fired_step(rng, 10, &consumed), std::nullopt);
     EXPECT_EQ(consumed, 0u);
 }
 
@@ -176,10 +177,10 @@ TEST(BatchedRun, InteractionCountDistributionMatchesPerStepReference) {
     double stepped_mean = 0.0;
     for (int s = 1; s <= trials; ++s) {
         Rng rng(static_cast<std::uint64_t>(1'000'000 + s));
-        Config config = p.initial_config(input);
+        Simulator::Trajectory trajectory(sim, p.initial_config(input));
         std::uint64_t interactions = 0;
-        while (!sim.is_provably_stable(config)) {
-            sim.step(config, rng);
+        while (!trajectory.provably_stable()) {
+            trajectory.step(rng);
             ++interactions;
             ASSERT_LT(interactions, 10'000'000u);
         }

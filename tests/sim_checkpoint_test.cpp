@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
@@ -66,6 +69,7 @@ Checkpoint reference_checkpoint() {
 void expect_matches_reference(const Checkpoint& got) {
     const Checkpoint want = reference_checkpoint();
     EXPECT_EQ(got.fingerprint, want.fingerprint);
+    EXPECT_EQ(got.seed_tag, want.seed_tag);
     ASSERT_EQ(got.config.num_states(), want.config.num_states());
     for (std::size_t q = 0; q < want.config.num_states(); ++q)
         EXPECT_EQ(got.config[static_cast<StateId>(q)], want.config[static_cast<StateId>(q)]);
@@ -121,6 +125,35 @@ TEST(Checkpoint, GoldenV1FileParsesAndBytesArePinned) {
     const std::vector<std::uint8_t> golden((std::istreambuf_iterator<char>(file)),
                                            std::istreambuf_iterator<char>());
     EXPECT_EQ(serialize_checkpoint(reference_checkpoint()), golden);
+}
+
+TEST(Checkpoint, SeedTagFillsTheFormerlyReservedHeaderWord) {
+    // The tag digest is part of the format: pinned, and never the untagged 0.
+    EXPECT_EQ(checkpoint_seed_tag(7), 0x043a6a56u);
+    EXPECT_EQ(checkpoint_seed_tag(8), 0x28fc62b5u);
+    for (std::uint64_t seed = 0; seed < 1000; ++seed) EXPECT_NE(checkpoint_seed_tag(seed), 0u);
+
+    Checkpoint tagged = reference_checkpoint();
+    tagged.seed_tag = checkpoint_seed_tag(7);
+    const auto bytes = serialize_checkpoint(tagged);
+    const auto untagged = serialize_checkpoint(reference_checkpoint());
+    ASSERT_EQ(bytes.size(), untagged.size());
+    // Only the header word at offset 12 and the CRC trailer differ.
+    for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+        if (i < 12 || i >= 16) {
+            EXPECT_EQ(bytes[i], untagged[i]) << "byte " << i;
+        }
+    }
+    const CheckpointParse parsed = parse_checkpoint(bytes, tagged.fingerprint);
+    ASSERT_TRUE(parsed.ok()) << parsed.detail;
+    EXPECT_EQ(parsed.checkpoint->seed_tag, checkpoint_seed_tag(7));
+
+    // An untagged snapshot (every file written before the tag) resumes
+    // under any seed; a tagged one only under its own.
+    EXPECT_TRUE(resumes_seed(reference_checkpoint(), 7));
+    EXPECT_TRUE(resumes_seed(reference_checkpoint(), 8));
+    EXPECT_TRUE(resumes_seed(tagged, 7));
+    EXPECT_FALSE(resumes_seed(tagged, 8));
 }
 
 // --- fault injection -------------------------------------------------------
@@ -466,6 +499,54 @@ TEST(Checkpoint, ConvergenceSweepRowsSurviveCheckpointingAndResume) {
             EXPECT_EQ((*rows)[i].stddev_parallel_time, reference[i].stddev_parallel_time);
             EXPECT_EQ((*rows)[i].correct_fraction, reference[i].correct_fraction);
         }
+    }
+}
+
+TEST(Checkpoint, ConvergenceSweepRefusesAnotherSeedsCheckpoints) {
+    const Protocol protocol = protocols::collector_threshold(5);
+    const std::vector<AgentCount> populations = {40, 60};
+    const auto expected = [](AgentCount i) { return i >= 5 ? 1 : 0; };
+    ConvergenceSweepOptions options;
+    options.runs_per_size = 3;
+    options.seed = 99;
+    options.parallelism = 1;
+    const auto reference = convergence_sweep(protocol, populations, expected, options);
+
+    const TempDir tmp("sweep-seed");
+    options.checkpoint_dir = tmp.path.string();
+    options.checkpoint_every = 500;
+    convergence_sweep(protocol, populations, expected, options);
+    const auto listing = [&] {
+        std::vector<std::pair<std::string, std::uintmax_t>> files;
+        for (const auto& entry : fs::recursive_directory_iterator(tmp.path)) {
+            if (entry.is_regular_file())
+                files.emplace_back(entry.path().string(), entry.file_size());
+        }
+        std::sort(files.begin(), files.end());
+        return files;
+    };
+    const auto before = listing();
+    ASSERT_FALSE(before.empty());
+
+    // Another seed: refused before any trial runs, nothing written or pruned.
+    ConvergenceSweepOptions other = options;
+    other.seed = 100;
+    EXPECT_THROW(convergence_sweep(protocol, populations, expected, other), std::invalid_argument);
+    EXPECT_EQ(listing(), before);
+
+    // Snapshots written before the tag existed carry 0 there and still
+    // resume: strip every tag and re-sweep with the original seed.
+    for (const auto& [path, size] : before) {
+        CheckpointParse parsed = load_checkpoint_file(path);
+        ASSERT_TRUE(parsed.ok()) << parsed.detail;
+        parsed.checkpoint->seed_tag = 0;
+        ASSERT_EQ(write_checkpoint_file(path, *parsed.checkpoint), CheckpointError::none);
+    }
+    const auto resumed = convergence_sweep(protocol, populations, expected, options);
+    ASSERT_EQ(resumed.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ(resumed[i].converged_runs, reference[i].converged_runs);
+        EXPECT_EQ(resumed[i].mean_parallel_time, reference[i].mean_parallel_time);
     }
 }
 

@@ -67,8 +67,8 @@ TEST(PairWeightFenwick, FiredPairDistributionPassesChiSquared) {
     std::map<std::pair<StateId, StateId>, std::uint64_t> observed;
     Rng rng(stat::derive_seed(314159, "fired-pair-gof"));
     for (int trial = 0; trial < samples; ++trial) {
-        Config config = base;
-        const auto fired = simulator.fired_step(config, rng, std::uint64_t{1} << 40);
+        Simulator::Trajectory trajectory(simulator, base);
+        const auto fired = trajectory.fired_step(rng, std::uint64_t{1} << 40);
         ASSERT_TRUE(fired.has_value());
         const Transition& t = protocol.transitions()[static_cast<std::size_t>(*fired)];
         ++observed[{t.pre1, t.pre2}];
@@ -124,14 +124,15 @@ TEST(PairWeightFenwick, TrajectoriesMatchTheReferenceScanPerSeed) {
     };
     for (const auto& [label, start] : starts) {
         for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-            Config a = start;
-            Config b = start;
+            Simulator::Trajectory a(fenwick, start);
+            Simulator::Trajectory b(scan, start);
             Rng rng_a(seed), rng_b(seed);
             for (int chunk = 0; chunk < 40; ++chunk) {
-                const std::uint64_t done_a = fenwick.run_batch(a, rng_a, 500);
-                const std::uint64_t done_b = scan.run_batch(b, rng_b, 500);
+                const std::uint64_t done_a = a.run_batch(rng_a, 500);
+                const std::uint64_t done_b = b.run_batch(rng_b, 500);
                 ASSERT_EQ(done_a, done_b) << label << " seed " << seed << " chunk " << chunk;
-                ASSERT_TRUE(a == b) << label << " seed " << seed << " chunk " << chunk;
+                ASSERT_TRUE(a.config() == b.config())
+                    << label << " seed " << seed << " chunk " << chunk;
                 if (done_a < 500) break;  // silent
             }
         }
@@ -160,14 +161,14 @@ TEST(PairWeightFenwick, ExhaustiveSmallProtocolEquivalence) {
             counts[q] = left;
             const Config base = Config::from_counts(counts);
             if (base.size() >= 2) {
-                Config a = base, b = base;
+                Simulator::Trajectory a(fenwick, base), b(scan, base);
                 Rng rng_a(++seed), rng_b(seed);
                 std::uint64_t consumed_a = 0, consumed_b = 0;
-                const auto fired_a = fenwick.fired_step(a, rng_a, 64, &consumed_a);
-                const auto fired_b = scan.fired_step(b, rng_b, 64, &consumed_b);
+                const auto fired_a = a.fired_step(rng_a, 64, &consumed_a);
+                const auto fired_b = b.fired_step(rng_b, 64, &consumed_b);
                 ASSERT_EQ(fired_a, fired_b) << base.to_string(protocol.state_names());
                 ASSERT_EQ(consumed_a, consumed_b) << base.to_string(protocol.state_names());
-                ASSERT_TRUE(a == b) << base.to_string(protocol.state_names());
+                ASSERT_TRUE(a.config() == b.config()) << base.to_string(protocol.state_names());
                 ++checked;
             }
             counts[q] = 0;

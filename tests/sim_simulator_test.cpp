@@ -31,10 +31,10 @@ TEST(Simulator, StepConservesAgents) {
     const Protocol p = protocols::collector_threshold(6);
     const Simulator sim(p);
     Rng rng(42);
-    Config config = p.initial_config(9);
+    Simulator::Trajectory trajectory(sim, p.initial_config(9));
     for (int i = 0; i < 200; ++i) {
-        sim.step(config, rng);
-        EXPECT_EQ(config.size(), 9);
+        trajectory.step(rng);
+        EXPECT_EQ(trajectory.config().size(), 9);
     }
 }
 

@@ -158,28 +158,26 @@ TEST(TransitionIncidence, ListsProducersAscendingAndDeduped) {
     EXPECT_EQ(as_vector(p.transitions_producing(d)), (std::vector<TransitionId>{0, 1}));
 }
 
-// The O(1) cached stability probe must agree with the from-scratch probe
-// (forced through a fresh copy of the configuration, which misses the
-// cache) at every checkpoint of long batched trajectories, under both
-// pair-selection modes.
+// A trajectory's O(1) stability probes must agree with the counts-based
+// probes of its configuration at every checkpoint of long batched
+// trajectories, under both pair-selection modes.
 TEST(StabilityCounters, ConsistentAlongLongBatchTrajectories) {
     const std::array<Protocol, 2> protocols_under_test = {
         protocols::collector_threshold(32), protocols::double_exp_threshold_dense(3)};
     for (const Protocol& protocol : protocols_under_test) {
         for (const PairSelect select : {PairSelect::fenwick, PairSelect::scan}) {
             const Simulator sim(protocol, select);
-            Config config = protocol.initial_config(100);
+            Simulator::Trajectory trajectory(sim, protocol.initial_config(100));
             Rng rng(0xbead);
             bool saw_stable = false;
             for (int checkpoint = 0; checkpoint < 60; ++checkpoint) {
-                sim.run_batch(config, rng, 2000);
-                const bool cached = sim.is_provably_stable(config);
-                const Config fresh = config;  // different object: cache miss
-                EXPECT_EQ(cached, sim.is_provably_stable(fresh))
+                trajectory.run_batch(rng, 2000);
+                const bool stable = trajectory.provably_stable();
+                EXPECT_EQ(stable, sim.is_provably_stable(trajectory.config()))
                     << "checkpoint " << checkpoint;
-                EXPECT_EQ(sim.is_silent(config), sim.is_silent(fresh))
+                EXPECT_EQ(trajectory.silent(), sim.is_silent(trajectory.config()))
                     << "checkpoint " << checkpoint;
-                saw_stable = saw_stable || cached;
+                saw_stable = saw_stable || stable;
             }
             // Population 100 ≥ both thresholds: the accepting epidemic must
             // have trapped the population within the budget above.

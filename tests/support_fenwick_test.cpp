@@ -416,15 +416,16 @@ TEST(FenwickSampling, SamplePairMatchesLinearScanGivenSameRanks) {
     // same ordered state pair.
     const Protocol protocol = protocols::collector_threshold(37);
     const Simulator simulator(protocol);
-    Config config = protocol.initial_config(50);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(50));
     // Scramble the configuration so many states are occupied.
     Rng scramble(3);
-    for (int i = 0; i < 300; ++i) simulator.step(config, scramble);
+    for (int i = 0; i < 300; ++i) trajectory.step(scramble);
+    const Config& config = trajectory.config();
 
     Rng rng_fenwick(12345), rng_reference(12345);
     const AgentCount n = config.size();
     for (int i = 0; i < 2000; ++i) {
-        const auto [s1, s2] = simulator.sample_pair(config, rng_fenwick);
+        const auto [s1, s2] = trajectory.sample_pair(rng_fenwick);
         const auto r1 = static_cast<AgentCount>(
             rng_reference.below(static_cast<std::uint64_t>(n)));
         auto r2 = static_cast<AgentCount>(
@@ -449,11 +450,12 @@ TEST(FenwickSampling, PairDistributionPassesChiSquared) {
     b.add_transition(0, 1, 2, 3);  // protocols need one rule; sampling ignores it
     const Protocol protocol = std::move(b).build();
     const Simulator simulator(protocol);
+    const Simulator::Trajectory trajectory(simulator, config);
 
     const int samples = 200000;
     std::map<std::pair<StateId, StateId>, int> observed;
     Rng rng(271828);
-    for (int i = 0; i < samples; ++i) ++observed[simulator.sample_pair(config, rng)];
+    for (int i = 0; i < samples; ++i) ++observed[trajectory.sample_pair(rng)];
 
     double chi2 = 0.0;
     int cells = 0;

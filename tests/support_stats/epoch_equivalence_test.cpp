@@ -345,29 +345,28 @@ TEST(EpochEquivalence, StructuralConsistencyAfterEpochs) {
     const Protocol protocol = protocols::double_exp_threshold(2);
     const Simulator sim(protocol, PairSelect::fenwick);
     const AgentCount population = 50'000;
-    Config config = protocol.initial_config(population);
+    Simulator::Trajectory trajectory(sim, protocol.initial_config(population));
     Rng rng(stat::derive_seed(2028, "structural"));
     std::uint64_t fired = 0;
     EpochOptions epoch;
     epoch.min_firings = 8;
-    const std::uint64_t done = sim.run_batch(config, rng, std::uint64_t{1} << 28, true, nullptr,
-                                             &fired, StepMode::epoch, epoch);
+    const std::uint64_t done = trajectory.run_batch(rng, std::uint64_t{1} << 28, true, nullptr,
+                                                    &fired, StepMode::epoch, epoch);
     ASSERT_GT(done, 0u);
     ASSERT_GT(sim.epoch_stats().epochs, 0u);
-    EXPECT_EQ(config.size(), population);  // agents are conserved exactly
+    EXPECT_EQ(trajectory.config().size(), population);  // agents are conserved exactly
 
-    // Cached-context probes (O(1) counters) vs. a fresh simulator's
+    // The trajectory's probes (O(1) counters) vs. a fresh simulator's
     // counts-based rescan of the same final configuration.
     const Simulator fresh(protocol, PairSelect::fenwick);
-    const Config copy = config;
-    EXPECT_EQ(sim.is_silent(config), fresh.is_silent(copy));
-    EXPECT_EQ(sim.is_provably_stable(config), fresh.is_provably_stable(copy));
+    EXPECT_EQ(trajectory.silent(), fresh.is_silent(trajectory.config()));
+    EXPECT_EQ(trajectory.provably_stable(), fresh.is_provably_stable(trajectory.config()));
 
     // And the trajectory must still be continuable on the per-step path —
     // mixed-mode stepping shares one exact weight structure.
     std::uint64_t more_fired = 0;
-    sim.run_batch(config, rng, 10'000, false, nullptr, &more_fired);
-    EXPECT_EQ(config.size(), population);
+    trajectory.run_batch(rng, 10'000, false, nullptr, &more_fired);
+    EXPECT_EQ(trajectory.config().size(), population);
 }
 
 // Fixed-seed checks of the samplers and of the epoch path end to end, cheap

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -216,6 +217,85 @@ TEST_F(ToolFixture, LongrunRefusesToResumeAnotherPopulationsCheckpoint) {
     EXPECT_NE(resumed.output.find("512 agents, not 64"), std::string::npos) << resumed.output;
     EXPECT_EQ(resumed.output.find("resumed from"), std::string::npos) << resumed.output;
     EXPECT_EQ(snapshots(), before);
+}
+
+TEST_F(ToolFixture, LongrunSnapshotsEveryNInteractionsAcrossRestarts) {
+    // At 512 agents the double_exp(3) trajectories go silent and restart
+    // from IC every ~2·10⁵ interactions, well inside --checkpoint-every:
+    // the cadence must count the whole run, not each trajectory, or no
+    // snapshot (and no --die-after crash) ever happens.
+    const std::string base = "longrun " + pp + " 512 4000000 7 ";
+    const RunResult reference = run_tool(base);
+    ASSERT_EQ(reference.exit_code, 0) << reference.output;
+    const std::string reference_line = reference.output.substr(reference.output.find("longrun:"));
+
+    const std::string flags =
+        "--checkpoint-dir " + (dir / "ck").string() + " --checkpoint-every 500000 ";
+    const RunResult killed = run_tool(base + flags + "--die-after 2000000");
+    EXPECT_TRUE(killed.term_signal == SIGKILL || killed.exit_code == 128 + SIGKILL)
+        << "signal=" << killed.term_signal << " exit=" << killed.exit_code << "\n"
+        << killed.output;
+
+    const RunResult resumed = run_tool(base + flags + "--resume");
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+    EXPECT_NE(resumed.output.find("resumed from"), std::string::npos) << resumed.output;
+    EXPECT_NE(resumed.output.find(reference_line), std::string::npos) << resumed.output;
+}
+
+/// Every file under `root`, recursively, with its size — sorted.
+std::vector<std::pair<std::string, std::uintmax_t>> listing(const fs::path& root) {
+    std::vector<std::pair<std::string, std::uintmax_t>> files;
+    for (const auto& entry : fs::recursive_directory_iterator(root))
+        if (entry.is_regular_file()) files.emplace_back(entry.path().string(), entry.file_size());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+TEST_F(ToolFixture, LongrunRefusesToResumeAnotherSeedsCheckpoint) {
+    // Snapshots carry a digest of their run's seed: resuming a seed-7 run
+    // with seed 8 would carry on seed 7's stream under seed 8's name.
+    const std::string ck = (dir / "ck").string();
+    const std::string flags = " --checkpoint-dir " + ck + " --checkpoint-every 200000";
+    const RunResult first = run_tool("longrun " + pp + " 512 1600000 7" + flags);
+    ASSERT_EQ(first.exit_code, 0) << first.output;
+    const auto before = listing(ck);
+    ASSERT_FALSE(before.empty());
+
+    const RunResult resumed = run_tool("longrun " + pp + " 512 1600000 8" + flags + " --resume");
+    EXPECT_EQ(resumed.exit_code, 1) << resumed.output;
+    EXPECT_NE(resumed.output.find("error: "), std::string::npos) << resumed.output;
+    EXPECT_NE(resumed.output.find(ck), std::string::npos) << resumed.output;
+    EXPECT_NE(resumed.output.find("another seed, not 8"), std::string::npos) << resumed.output;
+    EXPECT_EQ(resumed.output.find("resumed from"), std::string::npos) << resumed.output;
+    EXPECT_EQ(listing(ck), before);
+
+    // Its own seed still resumes.
+    const RunResult same = run_tool("longrun " + pp + " 512 1600000 7" + flags + " --resume");
+    EXPECT_EQ(same.exit_code, 0) << same.output;
+    EXPECT_NE(same.output.find("resumed from"), std::string::npos) << same.output;
+}
+
+TEST_F(ToolFixture, SweepRefusesCheckpointsOfAnotherSeed) {
+    const std::string ck = (dir / "sw").string();
+    const std::string flags = " --checkpoint-dir " + ck + " --checkpoint-every 100000";
+    const std::string sweep = "sweep " + pp + " 256 64,128 4 ";
+    const RunResult seven = run_tool(sweep + "7" + flags);
+    ASSERT_EQ(seven.exit_code, 0) << seven.output;
+    const auto before = listing(ck);
+    ASSERT_FALSE(before.empty());
+
+    const RunResult eight = run_tool(sweep + "8" + flags);
+    EXPECT_EQ(eight.exit_code, 1) << eight.output;
+    EXPECT_NE(eight.output.find("error: "), std::string::npos) << eight.output;
+    EXPECT_NE(eight.output.find(ck), std::string::npos) << eight.output;
+    EXPECT_EQ(eight.output.find("population"), std::string::npos)
+        << "no row may be printed:\n" << eight.output;
+    EXPECT_EQ(listing(ck), before);
+
+    // Re-running seed 7 resumes every trial and prints the same rows.
+    const RunResult again = run_tool(sweep + "7" + flags);
+    EXPECT_EQ(again.exit_code, 0) << again.output;
+    EXPECT_EQ(again.output, seven.output);
 }
 
 }  // namespace
