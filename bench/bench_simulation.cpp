@@ -283,11 +283,11 @@ BENCHMARK(BM_E11SparseMergePhase)->Args({13, 1 << 14});
 Checkpoint flagship_checkpoint(const Protocol& protocol) {
     Checkpoint ck;
     ck.fingerprint = protocol_fingerprint(protocol);
-    Config config = protocol.initial_config(1 << 14);
     const Simulator simulator(protocol);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(1 << 14));
     Rng rng(41);
-    simulator.run_batch(config, rng, 1 << 16);  // realistic mid-run support
-    ck.config = std::move(config);
+    trajectory.run_batch(rng, 1 << 16);  // realistic mid-run support
+    ck.config = std::move(trajectory).config();
     ck.rng_state = rng.state();
     ck.interactions = 1 << 16;
     ck.fired = 1 << 12;

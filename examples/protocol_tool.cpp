@@ -41,7 +41,6 @@
 //         --checkpoint-every 1000000   (one command line)
 //   ^C   (or SIGKILL — the rotation keeps the last snapshots)
 //   $ ./protocol_tool longrun d3.pp 512 100000000 7 --checkpoint-dir ck --resume
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -122,12 +121,12 @@ void print_usage(const char* argv0, std::FILE* out) {
                  argv0, protocols::family_usage().c_str());
 }
 
-Protocol load(const char* path) {
+std::string read_text(const char* path) {
     std::ifstream file(path);
     if (!file) throw std::invalid_argument(std::string("cannot open ") + path);
     std::ostringstream text;
     text << file.rdbuf();
-    return parse_protocol(text.str());
+    return text.str();
 }
 
 /// Strict numeric argument parsing: the whole token must be a number in
@@ -234,9 +233,9 @@ CheckpointFlags extract_checkpoint_flags(std::string_view command,
     return flags;
 }
 
-/// The durable throughput run: drives run_batch to an interaction budget
-/// (restarting from IC whenever a trajectory goes silent, like the E11
-/// sweep), snapshotting every ≥ N interactions.  The final line is a
+/// The durable throughput run: drives one Simulator::Trajectory to an
+/// interaction budget (restarting it from IC whenever it goes silent, like
+/// the E11 sweep), snapshotting every ≥ N interactions.  The final line is a
 /// digest of (interactions, fired, restarts, rng state, config) — a
 /// killed-and-resumed run prints exactly the uninterrupted run's line.
 int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t budget,
@@ -278,6 +277,7 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
             std::printf("no valid checkpoint in %s — starting fresh\n", flags.dir.c_str());
         }
     }
+    Simulator::Trajectory trajectory(simulator, std::move(config));
 
     install_stop_handlers();
     const auto snapshot = [&](const Config& at, std::uint64_t rng_state,
@@ -323,7 +323,7 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
         }
         std::uint64_t fired_in_call = 0;
         const std::uint64_t got =
-            simulator.run_batch(config, rng, budget - done, false, hook_ptr, &fired_in_call);
+            trajectory.run_batch(rng, budget - done, false, hook_ptr, &fired_in_call);
         done += got;
         fired += fired_in_call;
         if (done >= budget || g_stop.load()) break;
@@ -334,12 +334,12 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
         // Trajectory went silent before the budget: restart from IC so the
         // run keeps measuring (deterministic — part of the resumable state).
         ++restarts;
-        config = protocol.initial_config(population);
+        trajectory.restart(protocol.initial_config(population));
     }
 
     const bool interrupted = g_stop.load();
     if (dir) {
-        snapshot(config, rng.state(), done, fired);
+        snapshot(trajectory.config(), rng.state(), done, fired);
         if (interrupted)
             std::printf("interrupted — final checkpoint written to %s\n", flags.dir.c_str());
     }
@@ -347,52 +347,8 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
                 static_cast<unsigned long long>(done), static_cast<unsigned long long>(fired),
                 static_cast<unsigned long long>(restarts),
                 static_cast<unsigned long long>(rng.state()),
-                static_cast<unsigned long long>(config_digest(config)));
+                static_cast<unsigned long long>(config_digest(trajectory.config())));
     return 0;
-}
-
-/// Maps analyzer subjects back to source lines of the .pp text: a state's
-/// `state <name> …` line, a transition's `trans …` line (matched by the
-/// canonical unordered pre/post pairs, first unclaimed match wins so
-/// distinct rules on one pre-pair land on their own lines).  0 = unknown.
-struct SourceMap {
-    std::vector<std::size_t> state_line;
-    std::vector<std::size_t> transition_line;
-};
-
-SourceMap map_source_lines(const Protocol& protocol, const std::string& text) {
-    SourceMap map;
-    map.state_line.assign(protocol.num_states(), 0);
-    map.transition_line.assign(protocol.num_transitions(), 0);
-    std::istringstream input(text);
-    std::string line;
-    std::size_t line_number = 0;
-    while (std::getline(input, line)) {
-        ++line_number;
-        std::istringstream is(line);
-        std::vector<std::string> tokens;
-        for (std::string token; is >> token && token.front() != '#';) tokens.push_back(token);
-        if (tokens.empty()) continue;
-        if (tokens[0] == "state" && tokens.size() >= 2) {
-            if (const auto q = protocol.find_state(tokens[1]))
-                map.state_line[static_cast<std::size_t>(*q)] = line_number;
-        } else if ((tokens[0] == "trans" || tokens[0] == "trans+") && tokens.size() == 6) {
-            const auto a = protocol.find_state(tokens[1]), b = protocol.find_state(tokens[2]);
-            const auto c = protocol.find_state(tokens[4]), d = protocol.find_state(tokens[5]);
-            if (!a || !b || !c || !d) continue;
-            const auto pre = std::minmax(*a, *b);
-            const auto post = std::minmax(*c, *d);
-            for (std::size_t t = 0; t < protocol.num_transitions(); ++t) {
-                const Transition& tr = protocol.transitions()[t];
-                if (map.transition_line[t] == 0 && tr.pre1 == pre.first &&
-                    tr.pre2 == pre.second && tr.post1 == post.first && tr.post2 == post.second) {
-                    map.transition_line[t] = line_number;
-                    break;
-                }
-            }
-        }
-    }
-    return map;
 }
 
 const char* severity_name(analyze::Severity severity) {
@@ -411,27 +367,18 @@ const char* severity_name(analyze::Severity severity) {
 /// certificate file (--check).  Exit codes: 0 clean, 2 a certificate
 /// failed its check.
 int run_analyze(const char* path, bool emit, const char* emit_path, const char* check_path) {
-    std::ifstream file(path);
-    if (!file) throw std::invalid_argument(std::string("cannot open ") + path);
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    const std::string text = buffer.str();
-
-    std::vector<ParseWarning> warnings;
-    const Protocol protocol = parse_protocol(text, &warnings);
-    const SourceMap lines = map_source_lines(protocol, text);
-    for (const ParseWarning& warning : warnings)
+    ParseReport parsed;
+    const Protocol protocol = parse_protocol(read_text(path), &parsed);
+    for (const ParseWarning& warning : parsed.warnings)
         std::printf("%s:%zu: warning [duplicate-rule]: %s\n", path, warning.line,
                     warning.message.c_str());
 
     const analyze::Analysis analysis = analyze::analyze_protocol(protocol);
     for (const analyze::Diagnostic& d : analysis.diagnostics) {
-        std::size_t line = 1;
-        if (d.state >= 0 && lines.state_line[static_cast<std::size_t>(d.state)] != 0)
-            line = lines.state_line[static_cast<std::size_t>(d.state)];
-        if (d.transition >= 0 &&
-            lines.transition_line[static_cast<std::size_t>(d.transition)] != 0)
-            line = lines.transition_line[static_cast<std::size_t>(d.transition)];
+        std::size_t line = 1;  // a diagnostic about the whole protocol
+        if (d.state >= 0) line = parsed.state_line[static_cast<std::size_t>(d.state)];
+        if (d.transition >= 0)
+            line = parsed.transition_line[static_cast<std::size_t>(d.transition)];
         std::printf("%s:%zu: %s [%s]: %s\n", path, line, severity_name(d.severity),
                     d.code.c_str(), d.message.c_str());
     }
@@ -460,13 +407,8 @@ int run_analyze(const char* path, bool emit, const char* emit_path, const char* 
         }
     }
     if (check_path != nullptr) {
-        std::ifstream certs_file(check_path);
-        if (!certs_file)
-            throw std::invalid_argument(std::string("cannot open ") + check_path);
-        std::ostringstream certs_text;
-        certs_text << certs_file.rdbuf();
         const std::vector<analyze::Certificate> external =
-            analyze::parse_certificates(certs_text.str());
+            analyze::parse_certificates(read_text(check_path));
         const analyze::CheckReport report = analyze::check_certificates(protocol, external);
         std::printf("check %s: %zu certificate%s %s\n", check_path, external.size(),
                     external.size() == 1 ? "" : "s",
@@ -560,7 +502,7 @@ int main(int argc, char** argv) {
         std::vector<const char*> args(argv + 2, argv + argc);
         const CheckpointFlags flags = extract_checkpoint_flags(command, args);
         if (args.empty()) throw std::invalid_argument("missing <file.pp>");
-        const Protocol protocol = load(args[0]);
+        const Protocol protocol = parse_protocol(read_text(args[0]));
         if (command == "info") {
             std::fputs(protocol.to_text().c_str(), stdout);
         } else if (command == "dot") {

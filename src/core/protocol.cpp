@@ -177,7 +177,7 @@ StateId ProtocolBuilder::add_state(std::string name, int output) {
     return static_cast<StateId>(id);
 }
 
-void ProtocolBuilder::add_transition(StateId p, StateId q, StateId p2, StateId q2) {
+TransitionId ProtocolBuilder::add_transition(StateId p, StateId q, StateId p2, StateId q2) {
     const auto n = static_cast<StateId>(names_.size());
     for (const StateId s : {p, q, p2, q2}) {
         if (s < 0 || s >= n)
@@ -186,27 +186,29 @@ void ProtocolBuilder::add_transition(StateId p, StateId q, StateId p2, StateId q
     sort_pair(p, q);
     sort_pair(p2, q2);
     const Transition t{p, q, p2, q2};
-    if (t.is_silent()) return;  // silent transitions are implicit
+    if (t.is_silent()) return kSilent;  // silent transitions are implicit
     // Full 32-bit ids in both keys: 16-bit packing would alias distinct
     // transitions once protocols pass 2¹⁶ states (the double-exponential
     // threshold family gets there).
     const std::uint64_t pre = Protocol::pack_pair(p, q);
     const std::uint64_t hash = mix64(mix64(pre) ^ Protocol::pack_pair(p2, q2));
-    const auto id = static_cast<std::uint32_t>(transitions_.size());
-    if (!transition_index_.insert(hash, id, [&](std::uint32_t i) { return transitions_[i] == t; })
-             .second)
-        return;
+    const auto [id, inserted] =
+        transition_index_.insert(hash, static_cast<std::uint32_t>(transitions_.size()),
+                                 [&](std::uint32_t i) { return transitions_[i] == t; });
+    if (!inserted) return static_cast<TransitionId>(id);
     transitions_.push_back(t);
     const auto [pair, new_pair] =
         pair_ids_.insert(mix64(pre), static_cast<std::uint32_t>(nonsilent_pairs_.size()),
                          [&](std::uint32_t i) { return nonsilent_pairs_[i] == std::pair{p, q}; });
     if (new_pair) nonsilent_pairs_.emplace_back(p, q);
     transition_pairs_.push_back(pair);
+    return static_cast<TransitionId>(id);
 }
 
-void ProtocolBuilder::add_transition(std::string_view p, std::string_view q, std::string_view p2,
-                                     std::string_view q2) {
-    add_transition(require_state(p), require_state(q), require_state(p2), require_state(q2));
+TransitionId ProtocolBuilder::add_transition(std::string_view p, std::string_view q,
+                                             std::string_view p2, std::string_view q2) {
+    return add_transition(require_state(p), require_state(q), require_state(p2),
+                          require_state(q2));
 }
 
 std::optional<StateId> ProtocolBuilder::find_state(std::string_view name) const {

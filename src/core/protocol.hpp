@@ -80,6 +80,13 @@ public:
     using PairId = std::uint32_t;
     static constexpr PairId kNoPair = static_cast<PairId>(-1);
 
+    /// Packs the canonical pair p ≤ q into one 64-bit key, all 32 bits of
+    /// each id kept.
+    static std::uint64_t pack_pair(StateId p, StateId q) noexcept {
+        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)) << 32) |
+               static_cast<std::uint32_t>(q);
+    }
+
     /// PairId of the unordered pair {p, q}, or kNoPair if the pair is
     /// silent.  The hot-path lookup: one open-addressed hash probe over the
     /// non-silent pairs only, so the table is Θ(#non-silent pairs) rather
@@ -216,12 +223,6 @@ private:
     friend class ProtocolBuilder;
     Protocol() = default;
 
-    /// Packs the canonical pair p ≤ q into the pair lookup key.
-    static std::uint64_t pack_pair(StateId p, StateId q) noexcept {
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)) << 32) |
-               static_cast<std::uint32_t>(q);
-    }
-
     /// Everything a built protocol holds, filled once by
     /// ProtocolBuilder::build() and never modified afterwards.
     struct Tables {
@@ -289,13 +290,18 @@ public:
     /// not in {0,1}.
     StateId add_state(std::string name, int output);
 
-    /// Adds the transition {p,q} ↦ {p2,q2} (unordered on both sides).
-    /// Silent transitions are accepted and ignored; duplicates are merged.
-    void add_transition(StateId p, StateId q, StateId p2, StateId q2);
+    /// What add_transition returns for a silent transition.
+    static constexpr TransitionId kSilent = -1;
+
+    /// Adds the transition {p,q} ↦ {p2,q2} (unordered on both sides) and
+    /// returns the TransitionId it is filed under: the next id for a new
+    /// rule, the first id for a duplicate (duplicates are merged).  Silent
+    /// transitions are accepted and ignored, returning kSilent.
+    TransitionId add_transition(StateId p, StateId q, StateId p2, StateId q2);
 
     /// Name-based overload for readable construction code.
-    void add_transition(std::string_view p, std::string_view q, std::string_view p2,
-                        std::string_view q2);
+    TransitionId add_transition(std::string_view p, std::string_view q, std::string_view p2,
+                                std::string_view q2);
 
     /// Declares input variable `name` mapped to `state`.  Throws
     /// std::invalid_argument on a duplicate or a name the text format

@@ -45,21 +45,18 @@ Tokens tokenize(std::string_view line) {
     return tokens;
 }
 
-std::uint64_t pack_pair(StateId p, StateId q) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)) << 32) |
-           static_cast<std::uint32_t>(q);
-}
-
-/// One `trans`/`trans+` line that is not an identical duplicate.
-struct RuleLine {
-    std::uint64_t pre = 0;   // packed canonical pre-pair
-    std::uint64_t post = 0;  // packed canonical post-pair
-    std::size_t line = 0;
+/// A pre-pair some `trans` line names: the line that first defined it and
+/// the line of its silent rule (0 if none).  Silent rules never reach the
+/// builder, so the parser tracks them here.
+struct PrePair {
+    std::uint64_t key = 0;  // Protocol::pack_pair of the canonical pair
+    std::size_t first_line = 0;
+    std::size_t silent_line = 0;
 };
 
 }  // namespace
 
-Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnings) {
+Protocol parse_protocol(std::string_view text, ParseReport* report) {
     ProtocolBuilder b;
     auto lookup = [&](std::string_view name, std::size_t line_no) -> StateId {
         const std::optional<StateId> state = b.find_state(name);
@@ -69,14 +66,12 @@ Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnin
 
     std::size_t line_number = 0;
     bool any_input = false;
-    // Duplicate/conflict detection on `trans`/`trans+` lines, keyed on the
-    // canonical pairs: every distinct (pre-pair, post-pair) rule with its
-    // line, and each pre-pair's first defining rule (indexed by the
-    // pre-pair's number in `pre_pairs`).  Flat tables, so a file with many
-    // rules on one pair costs O(1) per line.
-    std::vector<RuleLine> rules;
-    FlatIndexSet rule_index;
-    std::vector<std::uint32_t> first_rule;
+    // Duplicate/conflict detection on `trans`/`trans+` lines costs O(1) per
+    // line, so a file with many rules on one pair parses in linear time:
+    // the builder finds an identical non-silent rule (add_transition returns
+    // its id), and `pre_pairs` files each pre-pair's PrePair entry.
+    ParseReport found;
+    std::vector<PrePair> pairs;
     FlatIndexSet pre_pairs;
     for (std::size_t pos = 0; pos < text.size();) {
         const std::size_t newline = std::min(text.find('\n', pos), text.size());
@@ -90,6 +85,7 @@ Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnin
             if (tokens[2] != "0" && tokens[2] != "1") fail(line_number, "output must be 0 or 1");
             try {
                 b.add_state(std::string(tokens[1]), tokens[2] == "1" ? 1 : 0);
+                found.state_line.push_back(line_number);
             } catch (const std::invalid_argument& e) {
                 fail(line_number, e.what());
             }
@@ -142,32 +138,33 @@ Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnin
                 std::swap(p_name, q_name);
             }
             if (p2 > q2) std::swap(p2, q2);
-            const std::uint64_t pre_key = pack_pair(p, q);
-            const std::uint64_t post_key = pack_pair(p2, q2);
             const auto pair_text = [&] {
                 return "{" + std::string(p_name) + ", " + std::string(q_name) + "}";
             };
-            const auto same_pre = [&](std::uint32_t i) {
-                return rules[first_rule[i]].pre == pre_key;
-            };
-            const std::uint32_t pre = pre_pairs.find(mix64(pre_key), same_pre);
+            const std::uint64_t key = Protocol::pack_pair(p, q);
+            const auto same_pre = [&](std::uint32_t i) { return pairs[i].key == key; };
+            std::uint32_t pre = pre_pairs.find(mix64(key), same_pre);
             const bool defined = pre != FlatIndexSet::kMissing;
             if (keyword == "trans+" && !defined)
                 fail(line_number, "trans+ extends pair " + pair_text() +
                                       ", which has no prior rule (use trans)");
-            const auto same_rule = [&](std::uint32_t i) {
-                return rules[i].pre == pre_key && rules[i].post == post_key;
-            };
-            const auto [rule, inserted] =
-                rule_index.insert(mix64(mix64(pre_key) ^ post_key),
-                                  static_cast<std::uint32_t>(rules.size()), same_rule);
-            if (!inserted) {
-                if (warnings != nullptr)
-                    warnings->push_back({line_number, "duplicate rule for pair " + pair_text() +
-                                                          " (identical to line " +
-                                                          std::to_string(rules[rule].line) + ")"});
+            const bool silent = p == p2 && q == q2;
+            std::size_t identical = 0;  // line of an identical earlier rule
+            if (!silent) {
+                const auto rule = static_cast<std::size_t>(b.add_transition(p, q, p2, q2));
+                if (rule < found.transition_line.size())
+                    identical = found.transition_line[rule];
+                else
+                    found.transition_line.push_back(line_number);
+            } else if (defined) {
+                identical = pairs[pre].silent_line;
+            }
+            if (identical != 0) {
+                found.warnings.push_back({line_number, "duplicate rule for pair " + pair_text() +
+                                                           " (identical to line " +
+                                                           std::to_string(identical) + ")"});
             } else if (keyword == "trans" && defined) {
-                const std::size_t first_line = rules[first_rule[pre]].line;
+                const std::size_t first_line = pairs[pre].first_line;
                 throw DuplicateRuleError(
                     line_number, first_line,
                     "protocol parse error, line " + std::to_string(line_number) +
@@ -175,21 +172,22 @@ Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnin
                         " (first defined at line " + std::to_string(first_line) +
                         "; use trans+ to add a nondeterministic rule)");
             } else {
-                rules.push_back({pre_key, post_key, line_number});
                 if (!defined) {
-                    pre_pairs.insert(mix64(pre_key), static_cast<std::uint32_t>(first_rule.size()),
-                                     same_pre);
-                    first_rule.push_back(rule);
+                    pre = pre_pairs.insert(mix64(key), static_cast<std::uint32_t>(pairs.size()),
+                                           same_pre).first;
+                    pairs.push_back({key, line_number, 0});
                 }
+                if (silent) pairs[pre].silent_line = line_number;
             }
-            b.add_transition(p, q, p2, q2);
         } else {
             fail(line_number, "unknown keyword '" + std::string(keyword) + "'");
         }
     }
     if (!any_input) fail(line_number, "no input declaration");
     try {
-        return std::move(b).build();
+        Protocol protocol = std::move(b).build();
+        if (report != nullptr) *report = std::move(found);
+        return protocol;
     } catch (const std::invalid_argument& e) {
         fail(line_number, e.what());
     }

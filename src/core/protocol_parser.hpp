@@ -18,6 +18,11 @@
 // protocol) must be written `trans+ <p> <q> -> <p'> <q'>` — a plain
 // `trans` re-targeting an already-defined pair is a typed parse error
 // (DuplicateRuleError below), and a byte-identical duplicate is a warning.
+//
+// parse_protocol is the one reader of this text: it records the source
+// line of every state and transition it builds (ParseReport), and
+// diagnostics such as `protocol_tool analyze`'s `file:line` take their
+// lines from there.
 #pragma once
 
 #include <cstddef>
@@ -57,12 +62,24 @@ struct ParseWarning {
     std::string message;
 };
 
+/// What parse_protocol found besides the protocol: its warnings, and the
+/// 1-based source line of every state and transition, for diagnostics.
+struct ParseReport {
+    std::vector<ParseWarning> warnings;
+    /// Line of each state's `state` declaration, indexed by StateId.
+    std::vector<std::size_t> state_line;
+    /// Line of the first `trans`/`trans+` that defines each transition,
+    /// indexed by TransitionId.
+    std::vector<std::size_t> transition_line;
+};
+
 /// Parses the format above.  Throws std::invalid_argument with a
 /// line-numbered message on any syntax or semantic error, and the typed
 /// DuplicateRuleError subtype when the same pre-pair is redefined with a
 /// different post-pair.  A byte-identical duplicate rule is legal but
-/// reported through `warnings` (ignored when null).
-Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnings = nullptr);
+/// reported as a warning.  `report`, when non-null, receives the warnings
+/// and source lines of a successful parse.
+Protocol parse_protocol(std::string_view text, ParseReport* report = nullptr);
 
 /// Serialises a protocol back to the text format (round-trips through
 /// parse_protocol).

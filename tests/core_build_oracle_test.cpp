@@ -161,8 +161,22 @@ TEST(BuildOracle, FormatParseRoundTripsMatchTheReference) {
     b.add_leaders(3, 4);
     cases.emplace_back("nondeterministic", std::move(b).build());
     for (const auto& [name, built] : cases) {
-        const Protocol parsed = parse_protocol(format_protocol(built));
+        const std::string text = format_protocol(built);
+        ParseReport report;
+        const Protocol parsed = parse_protocol(text, &report);
         expect_same_tables(parsed, reference_of(built, false), name + " round trip");
+        // Every recorded line is the one format_protocol wrote the entry on.
+        std::vector<std::size_t> state_lines, transition_lines;
+        std::istringstream lines(text);
+        std::size_t number = 0;
+        for (std::string line; std::getline(lines, line);) {
+            ++number;
+            if (line.starts_with("state ")) state_lines.push_back(number);
+            if (line.starts_with("trans")) transition_lines.push_back(number);
+        }
+        EXPECT_EQ(report.state_line, state_lines) << name;
+        EXPECT_EQ(report.transition_line, transition_lines) << name;
+        EXPECT_TRUE(report.warnings.empty()) << name;
     }
 }
 

@@ -75,12 +75,15 @@ TEST(ProtocolBuilder, SilentTransitionsAreIgnoredAndDuplicatesMerged) {
     const StateId a = b.add_state("A", 0);
     const StateId c = b.add_state("B", 0);
     b.set_input("x", a);
-    b.add_transition(a, c, a, c);  // silent
-    b.add_transition(a, c, c, a);  // silent after canonicalisation
-    b.add_transition(a, a, c, c);
-    b.add_transition(a, a, c, c);  // duplicate
+    // add_transition returns the id a rule is filed under.
+    EXPECT_EQ(b.add_transition(a, c, a, c), ProtocolBuilder::kSilent);
+    EXPECT_EQ(b.add_transition(a, c, c, a), ProtocolBuilder::kSilent);  // after canonicalisation
+    EXPECT_EQ(b.add_transition(a, a, c, c), 0);
+    EXPECT_EQ(b.add_transition(c, c, a, c), 1);
+    EXPECT_EQ(b.add_transition(a, a, c, c), 0);  // duplicate
+    EXPECT_EQ(b.add_transition("B", "B", "B", "A"), 1);  // duplicate, by name and flipped
     const Protocol p = std::move(b).build();
-    EXPECT_EQ(p.num_transitions(), 1u);
+    EXPECT_EQ(p.num_transitions(), 2u);
     EXPECT_TRUE(p.pair_is_silent(a, c));
     EXPECT_FALSE(p.pair_is_silent(a, a));
 }

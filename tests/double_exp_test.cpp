@@ -6,7 +6,9 @@
 // fired-step selection paths, both trap computations).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -125,11 +127,25 @@ TEST(DoubleExpThreshold, DenseVariantDecidesItsPredicateInRandomizedSimulation) 
 // --- Parser / compose integration -------------------------------------------
 
 TEST(DoubleExpThreshold, RoundTripsThroughTheTextFormat) {
-    const Protocol p = protocols::double_exp_threshold_dense(2);
-    const Protocol reparsed = parse_protocol(format_protocol(p));
-    EXPECT_EQ(format_protocol(reparsed), format_protocol(p));
-    EXPECT_EQ(reparsed.num_states(), p.num_states());
-    EXPECT_EQ(reparsed.num_transitions(), p.num_transitions());
+    for (const Protocol& p :
+         {protocols::double_exp_threshold_dense(2), protocols::double_exp_threshold(13)}) {
+        const std::string text = format_protocol(p);
+        ParseReport report;
+        const Protocol reparsed = parse_protocol(text, &report);
+        EXPECT_EQ(format_protocol(reparsed), text);
+        EXPECT_EQ(reparsed.num_states(), p.num_states());
+        EXPECT_EQ(reparsed.num_transitions(), p.num_transitions());
+        // format_protocol writes the states first and the transitions last,
+        // in id order; the parser records those lines.
+        const auto lines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+        std::vector<std::size_t> state_lines(p.num_states());
+        std::vector<std::size_t> transition_lines(p.num_transitions());
+        std::iota(state_lines.begin(), state_lines.end(), std::size_t{1});
+        std::iota(transition_lines.begin(), transition_lines.end(),
+                  lines - p.num_transitions() + 1);
+        EXPECT_EQ(report.state_line, state_lines);
+        EXPECT_EQ(report.transition_line, transition_lines);
+    }
 }
 
 TEST(DoubleExpThreshold, ComposesUnderProduct) {

@@ -145,9 +145,10 @@ TEST(ProtocolParser, ConflictDetectionCanonicalisesPairOrder) {
 }
 
 TEST(ProtocolParser, IdenticalDuplicateIsWarningNotError) {
-    std::vector<ParseWarning> warnings;
+    ParseReport report;
+    std::vector<ParseWarning>& warnings = report.warnings;
     const Protocol p = parse_protocol(
-        "state a 0\nstate b 1\ninput x -> a\ntrans a a -> b b\ntrans a a -> b b\n", &warnings);
+        "state a 0\nstate b 1\ninput x -> a\ntrans a a -> b b\ntrans a a -> b b\n", &report);
     EXPECT_EQ(p.num_transitions(), 1u);  // builder merges the duplicate
     ASSERT_EQ(warnings.size(), 1u);
     EXPECT_EQ(warnings[0].line, 5u);
@@ -156,7 +157,7 @@ TEST(ProtocolParser, IdenticalDuplicateIsWarningNotError) {
     // Unordered-post duplicate (b a vs a b) is the same rule too.
     warnings.clear();
     parse_protocol("state a 0\nstate b 1\ninput x -> a\ntrans a a -> a b\ntrans a a -> b a\n",
-                   &warnings);
+                   &report);
     EXPECT_EQ(warnings.size(), 1u);
 }
 
@@ -197,8 +198,9 @@ TEST(ProtocolParser, ManyRulesOnOnePairParseInLinearTime) {
     // One identical duplicate (post-pair written the other way round) and
     // one conflicting plain `trans`, after all of them.
     const std::size_t first_rule_line = kStates + 2;
-    std::vector<ParseWarning> warnings;
-    const Protocol p = parse_protocol(text + "trans+ s0 s1 -> s0 s1\n", &warnings);
+    ParseReport report;
+    std::vector<ParseWarning>& warnings = report.warnings;
+    const Protocol p = parse_protocol(text + "trans+ s0 s1 -> s0 s1\n", &report);
     ASSERT_EQ(p.rules_for_pair(0, 1).size(), kRules - 1);  // s0 s1 -> s0 s1 is silent
     ASSERT_EQ(warnings.size(), 1u);
     EXPECT_EQ(warnings[0].line, first_rule_line + kRules);
@@ -222,9 +224,10 @@ TEST(ProtocolParser, SilentRulesKeepTheirDuplicateChecks) {
     EXPECT_THROW(
         parse_protocol("state a 0\nstate b 1\ninput x -> a\ntrans a b -> b a\ntrans b a -> b b\n"),
         DuplicateRuleError);
-    std::vector<ParseWarning> warnings;
+    ParseReport report;
+    std::vector<ParseWarning>& warnings = report.warnings;
     const Protocol p = parse_protocol(
-        "state a 0\nstate b 1\ninput x -> a\ntrans a b -> a b\ntrans b a -> b a\n", &warnings);
+        "state a 0\nstate b 1\ninput x -> a\ntrans a b -> a b\ntrans b a -> b a\n", &report);
     EXPECT_EQ(p.num_transitions(), 0u);
     ASSERT_EQ(warnings.size(), 1u);
     EXPECT_EQ(warnings[0].message, "duplicate rule for pair {a, b} (identical to line 4)");

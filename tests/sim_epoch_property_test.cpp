@@ -24,7 +24,7 @@
 #include "protocols/threshold.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
-#include "support/stat_test.hpp"
+#include "support_stats/stat_test.hpp"
 
 namespace ppsc {
 namespace {

@@ -3,7 +3,7 @@
 // (PairSelect::scan), an exhaustive small-protocol sweep mirroring
 // support_fenwick_test, and a chi-squared goodness-of-fit check of the
 // fired-pair distribution against the exact conditional law w_pair / W
-// (through the shared statistical harness, support/stat_test.hpp).
+// (through the shared statistical harness, support_stats/stat_test.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,7 @@
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/threshold.hpp"
 #include "sim/simulator.hpp"
-#include "support/stat_test.hpp"
+#include "support_stats/stat_test.hpp"
 
 namespace ppsc {
 namespace {

@@ -1,6 +1,6 @@
 // Statistical equivalence of epoch-batched stepping (StepMode::epoch) and
 // the exact per-step reference, through the shared harness
-// (support/stat_test.hpp):
+// (stat_test.hpp):
 //
 //   * chi-squared goodness-of-fit of the per-pair firing counts of single
 //     epochs against the exact multinomial law Multinomial(k, w/W) — the
@@ -32,7 +32,7 @@
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "support/fenwick.hpp"
-#include "support/stat_test.hpp"
+#include "stat_test.hpp"
 
 namespace ppsc {
 namespace {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "support/rng.hpp"
-#include "support/stat_test.hpp"
+#include "stat_test.hpp"
 
 namespace ppsc {
 namespace {

@@ -167,6 +167,54 @@ TEST_F(ToolFixture, HelpAndDemoSucceed) {
     EXPECT_EQ(run_tool("demo").exit_code, 0);
 }
 
+// --- analyze diagnostics ---------------------------------------------------
+
+TEST_F(ToolFixture, AnalyzeReportsDiagnosticsOnTheirSourceLines) {
+    // Comments and blank lines shift every line; each diagnostic must name
+    // the line that first declares its subject (1 when it has none).
+    const std::string file = (dir / "diag.pp").string();
+    std::ofstream(file) << "# diagnostics fixture: comments and blank lines shift every line\n"
+                           "\n"
+                           "state a 0\n"                          // 3
+                           "state b 0    # produced by a rule\n"  // 4
+                           "state c 1\n"                          // 5
+                           "\n"
+                           "state z 1    # nothing produces z\n"  // 7
+                           "input x -> a\n"
+                           "\n"
+                           "# rules\n"
+                           "trans a a -> b b\n"                   // 11
+                           "trans+ a a -> a c\n"                  // 12
+                           "trans a b -> c c\n"                   // 13
+                           "trans z a -> z z    # dead: z is unreachable\n"
+                           "trans c b -> b c    # silent\n"       // 15
+                           "trans b b -> c c\n"
+                           "\n"
+                           "trans a a -> b b    # identical to the first rule\n"
+                           "trans b c -> c b    # identical to the silent rule\n"
+                           "trans a z -> z z    # identical to the dead rule\n";
+    const RunResult r = run_tool("analyze " + file);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_EQ(r.output,
+              file + ":18: warning [duplicate-rule]: duplicate rule for pair {a, a} "
+                     "(identical to line 11)\n" +
+                  file + ":19: warning [duplicate-rule]: duplicate rule for pair {b, c} "
+                         "(identical to line 15)\n" +
+                  file + ":20: warning [duplicate-rule]: duplicate rule for pair {a, z} "
+                         "(identical to line 14)\n" +
+                  file + ":7: note [unreachable-state]: state 'z' is unreachable from every "
+                         "initial configuration\n" +
+                  file + ":14: note [dead-transition]: transition 3 can never fire (pre-state "
+                         "'z' is unreachable)\n" +
+                  file + ":1: warning [trap-empty]: the output trap W_0 is empty: trap-based "
+                         "stable-consensus detection can never certify output 0\n" +
+                  file + ":3: note [nondeterministic-pair]: pair {a, a} has 2 rules "
+                         "(nondeterministic)\n"
+                         "analyze: 1 unreachable state, 1 dead transition, consensus 0 "
+                         "possible, consensus 1 possible\n"
+                         "certificates: 2 emitted, checker accepted all\n");
+}
+
 // --- crash/resume end to end -----------------------------------------------
 
 TEST_F(ToolFixture, LongrunSurvivesSigkillAndResumesToReferenceDigest) {
