@@ -54,15 +54,12 @@ void BM_SimulatorStep(benchmark::State& state) {
     Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(11);
     constexpr std::uint64_t kBatch = 1 << 14;
-    std::uint64_t executed = 0;
     for (auto _ : state) {
-        const std::uint64_t done = trajectory.run_batch(rng, kBatch);
-        executed += done;
-        if (done < kBatch)  // went silent
+        if (trajectory.run_batch(rng, kBatch) < kBatch)  // went silent
             trajectory.restart(protocol.initial_config(population));
         benchmark::DoNotOptimize(trajectory.config());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+    state.SetItemsProcessed(static_cast<std::int64_t>(trajectory.interactions()));
 }
 BENCHMARK(BM_SimulatorStep)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
@@ -145,15 +142,12 @@ void BM_E11MergePhase(benchmark::State& state) {
     Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
     constexpr std::uint64_t kBatch = 1 << 14;
-    std::uint64_t executed = 0;
     for (auto _ : state) {
-        const std::uint64_t done = trajectory.run_batch(rng, kBatch);
-        executed += done;
-        if (done < kBatch)  // went silent
+        if (trajectory.run_batch(rng, kBatch) < kBatch)  // went silent
             trajectory.restart(protocol.initial_config(population));
         benchmark::DoNotOptimize(trajectory.config());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+    state.SetItemsProcessed(static_cast<std::int64_t>(trajectory.interactions()));
 }
 BENCHMARK(BM_E11MergePhase)->Args({8, 1 << 12})->Args({10, 1 << 14});
 
@@ -228,17 +222,12 @@ void e11_fired_throughput_bench(benchmark::State& state, StepMode mode) {
     // handful of multinomial draws, per-step calls one firing at a time.
     const std::uint64_t batch = mode == StepMode::epoch ? std::uint64_t{1} << 26
                                                         : std::uint64_t{1} << 20;
-    std::uint64_t fired_total = 0;
     for (auto _ : state) {
-        std::uint64_t fired_call = 0;
-        const std::uint64_t done =
-            trajectory.run_batch(rng, batch, false, nullptr, &fired_call, mode);
-        fired_total += fired_call;
-        if (done < batch)  // went silent
+        if (trajectory.run_batch(rng, batch, false, nullptr, mode) < batch)  // went silent
             trajectory.restart(protocol.initial_config(population));
         benchmark::DoNotOptimize(trajectory.config());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(fired_total));
+    state.SetItemsProcessed(static_cast<std::int64_t>(trajectory.fired()));
     state.SetLabel(mode == StepMode::epoch ? "fired/s, epoch" : "fired/s, per-step");
 }
 void BM_E11EpochMergePhase(benchmark::State& state) {
@@ -260,15 +249,12 @@ void BM_E11SparseMergePhase(benchmark::State& state) {
     Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
     constexpr std::uint64_t kBatch = 1 << 14;
-    std::uint64_t executed = 0;
     for (auto _ : state) {
-        const std::uint64_t done = trajectory.run_batch(rng, kBatch);
-        executed += done;
-        if (done < kBatch)  // went silent
+        if (trajectory.run_batch(rng, kBatch) < kBatch)  // went silent
             trajectory.restart(protocol.initial_config(population));
         benchmark::DoNotOptimize(trajectory.config());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+    state.SetItemsProcessed(static_cast<std::int64_t>(trajectory.interactions()));
 }
 BENCHMARK(BM_E11SparseMergePhase)->Args({13, 1 << 14});
 
@@ -328,11 +314,13 @@ void BM_CheckpointLoad(benchmark::State& state) {
 BENCHMARK(BM_CheckpointLoad)->Arg(17)->Unit(benchmark::kMicrosecond);
 
 // Checkpointing overhead on the batched engine: the same run_batch loop as
-// the merge-phase row, with a crash-safe snapshot every 10⁸ interactions —
-// the cadence a week-long run would use.  The target is < 1% throughput
-// cost against BM_E11SparseMergePhase; the hook itself fires only at
-// fired-step boundaries and consumes no randomness, so almost all of the
-// budget is the (rare) write.
+// the merge-phase row, with a crash-safe snapshot every 10⁸ interactions of
+// the whole run — the cadence a week-long run would use.  The trajectory
+// keeps the marks across calls and restarts, so almost every call sees
+// only the per-step hook branch, exactly what a long-lived call sees.  The
+// target is < 1% throughput cost against BM_E11SparseMergePhase; the hook
+// itself fires only at fired-step boundaries and consumes no randomness,
+// so almost all of the budget is the (rare) write.
 void BM_E11MergePhaseCheckpointed(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     const auto population = static_cast<AgentCount>(state.range(1));
@@ -341,34 +329,21 @@ void BM_E11MergePhaseCheckpointed(benchmark::State& state) {
     CheckpointDir dir("bench-checkpoints.tmp", 2);
     const std::uint64_t fingerprint = protocol_fingerprint(protocol);
     Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
-    Rng rng(7);
-    std::uint64_t executed = 0;
+    constexpr std::uint64_t kSeed = 7;
+    Rng rng(kSeed);
     CheckpointHook hook;
+    hook.every = 100'000'000;
     hook.callback = [&](const CheckpointTick& tick) {
-        Checkpoint ck;
-        ck.fingerprint = fingerprint;
-        ck.config = tick.config;
-        ck.rng_state = tick.rng_state;
-        ck.interactions = executed + tick.interactions;
-        ck.fired = tick.fired;
-        dir.write(ck);
+        dir.write(checkpoint_at(tick, fingerprint, checkpoint_seed_tag(kSeed)));
         return true;
     };
     constexpr std::uint64_t kBatch = 1 << 14;
-    constexpr std::uint64_t kCadence = 100'000'000;
     for (auto _ : state) {
-        // Cadence marks are absolute; the per-call `every` is the distance
-        // to the next mark (or out of reach, keeping only the per-step
-        // hook branch in play — exactly what a long-lived call sees).
-        const std::uint64_t mark = (executed / kCadence + 1) * kCadence;
-        hook.every = mark - executed <= kBatch ? mark - executed : kBatch + 1;
-        const std::uint64_t done = trajectory.run_batch(rng, kBatch, false, &hook);
-        executed += done;
-        if (done < kBatch)  // went silent
+        if (trajectory.run_batch(rng, kBatch, false, &hook) < kBatch)  // went silent
             trajectory.restart(protocol.initial_config(population));
         benchmark::DoNotOptimize(trajectory.config());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+    state.SetItemsProcessed(static_cast<std::int64_t>(trajectory.interactions()));
     std::filesystem::remove_all("bench-checkpoints.tmp");
 }
 BENCHMARK(BM_E11MergePhaseCheckpointed)->Args({13, 1 << 14});

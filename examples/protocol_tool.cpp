@@ -25,16 +25,20 @@
 //   $ ./protocol_tool verify d2.pp 16
 //
 // `longrun` and `sweep` are the durable run surfaces: with
-// --checkpoint-dir they periodically snapshot (config, rng, counters)
-// crash-safely (sim/checkpoint.hpp — atomic rename, keep-last-K
-// rotation), SIGTERM/SIGINT triggers a graceful stop (finish the current
-// step, write a final checkpoint, exit cleanly), and --resume (longrun) /
-// re-running with the same flags (sweep) continues the trajectory
-// byte-identically — a resumed run prints the same final digest line as
-// an uninterrupted one.  longrun --resume refuses a snapshot of another
-// population or seed, and sweep one of another seed, with exit 1 before
-// anything is written.  Every other command rejects the checkpoint flags,
-// and sweep rejects --resume and --die-after:
+// --checkpoint-dir they snapshot (config, rng, counters) crash-safely
+// (sim/checkpoint.hpp — atomic rename, keep-last-K rotation) at the first
+// fired step at or past every --checkpoint-every mark of the run —
+// longrun's marks count its whole run, restarts from IC included, and a
+// sweep's each trial.  SIGTERM/SIGINT triggers a graceful stop (finish the
+// current step, write a final checkpoint, exit cleanly), and --resume
+// (longrun) / re-running with the same flags (sweep) continues the
+// trajectory byte-identically — a resumed run prints the same final
+// digest line, and writes the same snapshots, as an uninterrupted one.
+// longrun --resume refuses a snapshot of another population or seed, and
+// sweep one of another seed, with exit 1 before anything is written.
+// Every other command rejects the checkpoint flags, sweep rejects
+// --resume and --die-after, and every command rejects positional
+// arguments past its usage line:
 //
 //   $ ./protocol_tool family double_exp 3 > d3.pp
 //   $ ./protocol_tool longrun d3.pp 512 100000000 7 --checkpoint-dir ck
@@ -233,11 +237,22 @@ CheckpointFlags extract_checkpoint_flags(std::string_view command,
     return flags;
 }
 
+/// How many positional arguments a file command's usage line names, the
+/// file included (no limit for an unknown command, which fails later).
+std::size_t max_positional(std::string_view command) {
+    if (command == "info" || command == "dot") return 1;
+    if (command == "verify" || command == "simulate") return 3;
+    if (command == "longrun") return 4;
+    if (command == "sweep") return 5;
+    return std::numeric_limits<std::size_t>::max();
+}
+
 /// The durable throughput run: drives one Simulator::Trajectory to an
 /// interaction budget (restarting it from IC whenever it goes silent, like
-/// the E11 sweep), snapshotting every ≥ N interactions.  The final line is a
-/// digest of (interactions, fired, restarts, rng state, config) — a
-/// killed-and-resumed run prints exactly the uninterrupted run's line.
+/// the E11 sweep), snapshotting every ≥ N interactions of the whole run.
+/// The final line is a digest of (interactions, fired, restarts, rng
+/// state, config) — a killed-and-resumed run prints exactly the
+/// uninterrupted run's line and writes the same snapshots.
 int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t budget,
                 std::uint64_t seed, const CheckpointFlags& flags) {
     const std::uint64_t fingerprint = protocol_fingerprint(protocol);
@@ -245,7 +260,7 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
 
     Config config = protocol.initial_config(population);
     Rng rng(seed);
-    std::uint64_t done = 0, fired = 0, restarts = 0;
+    RunTotals start;
 
     std::optional<CheckpointDir> dir;
     if (!flags.dir.empty()) dir.emplace(flags.dir, flags.keep);
@@ -268,84 +283,60 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
                                             std::to_string(seed));
             config = latest.checkpoint->config;
             rng.set_state(latest.checkpoint->rng_state);
-            done = latest.checkpoint->interactions;
-            fired = latest.checkpoint->fired;
-            restarts = latest.checkpoint->restarts;
+            start = {latest.checkpoint->interactions, latest.checkpoint->fired,
+                     latest.checkpoint->restarts};
             std::printf("resumed from %s at %llu interactions\n", latest.path.c_str(),
-                        static_cast<unsigned long long>(done));
+                        static_cast<unsigned long long>(start.interactions));
         } else {
             std::printf("no valid checkpoint in %s — starting fresh\n", flags.dir.c_str());
         }
     }
-    Simulator::Trajectory trajectory(simulator, std::move(config));
+    Simulator::Trajectory trajectory(simulator, std::move(config), start);
 
     install_stop_handlers();
-    const auto snapshot = [&](const Config& at, std::uint64_t rng_state,
-                              std::uint64_t interactions, std::uint64_t fired_total) {
-        Checkpoint ck;
-        ck.fingerprint = fingerprint;
-        ck.seed_tag = checkpoint_seed_tag(seed);
-        ck.config = at;
-        ck.rng_state = rng_state;
-        ck.interactions = interactions;
-        ck.fired = fired_total;
-        ck.restarts = restarts;
+    const auto snapshot = [&](const CheckpointTick& tick) {
         std::string detail;
-        if (dir->write(ck, nullptr, &detail) != CheckpointError::none)
+        if (dir->write(checkpoint_at(tick, fingerprint, checkpoint_seed_tag(seed)), nullptr,
+                       &detail) != CheckpointError::none)
             std::fprintf(stderr, "checkpoint write failed: %s\n", detail.c_str());
     };
-
-    // Snapshot marks count the whole run's interactions, restarts included.
-    // A hook's cadence starts over with each run_batch call, and
-    // sub-threshold trajectories restart long before `every` interactions,
-    // so each call's hook ticks first at the next mark and skips the ticks
-    // that fall short of the mark after it.
-    std::uint64_t next_mark = done + flags.every;
-    while (done < budget && !g_stop.load()) {
-        CheckpointHook hook;
-        const CheckpointHook* hook_ptr = nullptr;
-        if (dir) {
-            hook.every = next_mark > done ? next_mark - done : 1;
-            hook.callback = [&](const CheckpointTick& tick) {
-                const std::uint64_t at = done + tick.interactions;
-                if (at < next_mark) return !g_stop.load();
-                snapshot(tick.config, tick.rng_state, at, fired + tick.fired);
-                next_mark = at + flags.every;
-                if (flags.die_after != 0 && at >= flags.die_after) {
-                    // Deterministic crash injection for the CI smoke: a real
-                    // SIGKILL — no cleanup, no final checkpoint, the rotation
-                    // is all that survives.
-                    std::raise(SIGKILL);
-                }
-                return !g_stop.load();
-            };
-            hook_ptr = &hook;
-        }
-        std::uint64_t fired_in_call = 0;
+    CheckpointHook hook;
+    if (dir) {
+        hook.every = flags.every;
+        hook.callback = [&](const CheckpointTick& tick) {
+            snapshot(tick);
+            if (flags.die_after != 0 && tick.interactions >= flags.die_after) {
+                // Deterministic crash injection for the CI smoke: a real
+                // SIGKILL — no cleanup, no final checkpoint, the rotation
+                // is all that survives.
+                std::raise(SIGKILL);
+            }
+            return !g_stop.load();
+        };
+    }
+    while (trajectory.interactions() < budget && !g_stop.load()) {
         const std::uint64_t got =
-            trajectory.run_batch(rng, budget - done, false, hook_ptr, &fired_in_call);
-        done += got;
-        fired += fired_in_call;
-        if (done >= budget || g_stop.load()) break;
+            trajectory.run_batch(rng, budget - trajectory.interactions(), false, &hook);
+        if (trajectory.interactions() >= budget || g_stop.load()) break;
         if (got == 0) {
             std::printf("configuration is silent from the start — nothing to run\n");
             break;
         }
         // Trajectory went silent before the budget: restart from IC so the
         // run keeps measuring (deterministic — part of the resumable state).
-        ++restarts;
         trajectory.restart(protocol.initial_config(population));
     }
 
-    const bool interrupted = g_stop.load();
     if (dir) {
-        snapshot(trajectory.config(), rng.state(), done, fired);
-        if (interrupted)
+        snapshot({trajectory.config(), rng.state(), trajectory.interactions(), trajectory.fired(),
+                  trajectory.restarts()});
+        if (g_stop.load())
             std::printf("interrupted — final checkpoint written to %s\n", flags.dir.c_str());
     }
     std::printf("longrun: interactions=%llu fired=%llu restarts=%llu rng=%016llx digest=%016llx\n",
-                static_cast<unsigned long long>(done), static_cast<unsigned long long>(fired),
-                static_cast<unsigned long long>(restarts),
+                static_cast<unsigned long long>(trajectory.interactions()),
+                static_cast<unsigned long long>(trajectory.fired()),
+                static_cast<unsigned long long>(trajectory.restarts()),
                 static_cast<unsigned long long>(rng.state()),
                 static_cast<unsigned long long>(config_digest(trajectory.config())));
     return 0;
@@ -502,6 +493,10 @@ int main(int argc, char** argv) {
         std::vector<const char*> args(argv + 2, argv + argc);
         const CheckpointFlags flags = extract_checkpoint_flags(command, args);
         if (args.empty()) throw std::invalid_argument("missing <file.pp>");
+        if (const std::size_t most = max_positional(command); args.size() > most)
+            throw std::invalid_argument(std::string(command) + " takes at most " +
+                                        std::to_string(most) + " arguments, got " +
+                                        std::to_string(args.size()));
         const Protocol protocol = parse_protocol(read_text(args[0]));
         if (command == "info") {
             std::fputs(protocol.to_text().c_str(), stdout);

@@ -266,11 +266,13 @@ Analysis analyze_protocol(const Protocol& protocol, const AnalysisOptions& optio
     for (std::size_t pair = 0; pair < protocol.nonsilent_pairs().size(); ++pair) {
         const auto rules = protocol.rules_for_pair_id(static_cast<Protocol::PairId>(pair));
         if (rules.size() > 1) {
+            // Filed under the pair's second rule: the one that makes it
+            // nondeterministic.
             const auto [p, q] = protocol.nonsilent_pairs()[pair];
             note(Severity::note, "nondeterministic-pair",
                  "pair {" + protocol.state_name(p) + ", " + protocol.state_name(q) + "} has " +
                      std::to_string(rules.size()) + " rules (nondeterministic)",
-                 p);
+                 p, rules[1]);
         }
     }
     for (std::size_t q = 0; q < num_states; ++q) {

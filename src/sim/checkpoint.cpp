@@ -11,6 +11,7 @@
 #include <limits>
 #include <system_error>
 
+#include "sim/simulator.hpp"
 #include "support/crc64.hpp"
 #include "support/hash.hpp"
 
@@ -203,6 +204,19 @@ std::uint32_t checkpoint_seed_tag(std::uint64_t seed) {
 
 bool resumes_seed(const Checkpoint& checkpoint, std::uint64_t seed) {
     return checkpoint.seed_tag == 0 || checkpoint.seed_tag == checkpoint_seed_tag(seed);
+}
+
+Checkpoint checkpoint_at(const CheckpointTick& tick, std::uint64_t fingerprint,
+                         std::uint32_t seed_tag) {
+    Checkpoint checkpoint;
+    checkpoint.fingerprint = fingerprint;
+    checkpoint.seed_tag = seed_tag;
+    checkpoint.config = tick.config;
+    checkpoint.rng_state = tick.rng_state;
+    checkpoint.interactions = tick.interactions;
+    checkpoint.fired = tick.fired;
+    checkpoint.restarts = tick.restarts;
+    return checkpoint;
 }
 
 std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint) {

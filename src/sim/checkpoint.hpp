@@ -52,6 +52,8 @@
 
 namespace ppsc {
 
+struct CheckpointTick;  // sim/simulator.hpp
+
 inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
 inline constexpr char kCheckpointMagic[8] = {'P', 'P', 'S', 'C', 'C', 'K', 'P', 'T'};
 
@@ -102,6 +104,11 @@ std::uint32_t checkpoint_seed_tag(std::uint64_t seed);
 /// tagged with that seed.  A resume of another seed's snapshot would carry
 /// on that seed's stream under this seed's name.
 bool resumes_seed(const Checkpoint& checkpoint, std::uint64_t seed);
+
+/// The snapshot of a checkpoint tick: its counts, rng state and run
+/// totals, owned by the protocol with `fingerprint` and tagged `seed_tag`.
+Checkpoint checkpoint_at(const CheckpointTick& tick, std::uint64_t fingerprint,
+                         std::uint32_t seed_tag);
 
 /// Order-independent-of-nothing digest of a configuration's counts (CRC-64
 /// over the sparse serialisation) — the quantity the kill-and-resume

@@ -86,6 +86,9 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
         Config start = protocol.initial_config(population);
         SimulationOptions simulation = options.simulation;
         std::optional<CheckpointDir> dir;
+        const auto write_snapshot = [&](const CheckpointTick& tick) {
+            dir->write(checkpoint_at(tick, fingerprint, checkpoint_seed_tag(seed)));
+        };
         if (checkpointing) {
             dir.emplace(trial_dir(index), options.checkpoint_keep_last);
             const CheckpointDir::Latest latest = dir->load_latest(fingerprint);
@@ -101,31 +104,16 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
             }
             simulation.checkpoint.every = options.checkpoint_every;
             simulation.checkpoint.callback = [&](const CheckpointTick& tick) {
-                Checkpoint snapshot;
-                snapshot.fingerprint = fingerprint;
-                snapshot.seed_tag = checkpoint_seed_tag(seed);
-                snapshot.config = tick.config;
-                snapshot.rng_state = tick.rng_state;
-                snapshot.interactions = tick.interactions;
-                snapshot.fired = tick.fired;
-                dir->write(snapshot);
+                write_snapshot(tick);
                 return !stop_requested();
             };
         }
         const SimulationResult result = simulator.run(std::move(start), rng, simulation);
-        if (checkpointing) {
-            // Final snapshot: a later sweep restores the trial here — a
-            // finished trial re-reports its result without re-simulating,
-            // an interrupted one continues from this exact point.
-            Checkpoint snapshot;
-            snapshot.fingerprint = fingerprint;
-            snapshot.seed_tag = checkpoint_seed_tag(seed);
-            snapshot.config = result.final_config;
-            snapshot.rng_state = rng.state();
-            snapshot.interactions = result.interactions;
-            snapshot.fired = result.fired;
-            dir->write(snapshot);
-        }
+        // Final snapshot: a later sweep restores the trial here — a
+        // finished trial re-reports its result without re-simulating, an
+        // interrupted one continues from this exact point.
+        if (checkpointing)
+            write_snapshot({result.final_config, rng.state(), result.interactions, result.fired});
         trials[index] = {result.converged, result.parallel_time, result.output};
     };
 
@@ -183,19 +171,11 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                 const auto start = std::chrono::steady_clock::now();
                 Simulator::Trajectory trajectory(simulator,
                                                  variant.protocol.initial_config(population));
-                std::uint64_t done = 0;
-                std::uint64_t fired = 0;
-                while (done < options.interactions_per_row) {
-                    const std::uint64_t want = options.interactions_per_row - done;
-                    // The fired out-param is per-call (overwritten, never
-                    // accumulated by run_batch), so summing it here counts
-                    // each restart's firings exactly once.
-                    std::uint64_t fired_call = 0;
-                    const std::uint64_t got =
-                        trajectory.run_batch(rng, want, false, nullptr, &fired_call,
-                                             options.step_mode, options.epoch);
-                    done += got;
-                    fired += fired_call;
+                while (trajectory.interactions() < options.interactions_per_row) {
+                    const std::uint64_t want =
+                        options.interactions_per_row - trajectory.interactions();
+                    const std::uint64_t got = trajectory.run_batch(
+                        rng, want, false, nullptr, options.step_mode, options.epoch);
                     if (got < want) {
                         // A config that executes nothing is silent from the
                         // start (or degenerate) — restarting would spin.
@@ -214,13 +194,13 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                 row.rule_table_bytes = variant.protocol.rule_table_bytes();
                 row.trap_setup_seconds = simulator.trap_setup_seconds();
                 row.population = population;
-                row.interactions = done;
-                row.fired = fired;
+                row.interactions = trajectory.interactions();
+                row.fired = trajectory.fired();
                 row.seconds = elapsed.count();
                 row.interactions_per_sec =
-                    row.seconds > 0.0 ? static_cast<double>(done) / row.seconds : 0.0;
+                    row.seconds > 0.0 ? static_cast<double>(row.interactions) / row.seconds : 0.0;
                 row.fired_per_sec =
-                    row.seconds > 0.0 ? static_cast<double>(fired) / row.seconds : 0.0;
+                    row.seconds > 0.0 ? static_cast<double>(row.fired) / row.seconds : 0.0;
                 rows.push_back(row);
             }
         }

@@ -95,8 +95,8 @@ struct ThroughputRow {
     double trap_setup_seconds = 0.0;
     AgentCount population = 0;
     std::uint64_t interactions = 0;   ///< interactions executed for the row
-    /// Fired (non-silent) interactions among them — summed over the row's
-    /// run_batch calls, so IC restarts are never double-counted.  Epoch
+    /// Fired (non-silent) interactions among them — the row trajectory's
+    /// run total, IC restarts included.  Epoch
     /// rows report their sustained rate in fired interactions per second:
     /// the silent majority is skipped analytically either way, so
     /// interactions_per_sec alone would hide what the batching buys.

@@ -61,8 +61,8 @@ std::pair<StateId, StateId> sample_pair_in_agents(const FenwickTree& agents, Rng
     return {static_cast<StateId>(agents.sample(r1)), static_cast<StateId>(agents.sample(r2))};
 }
 
-/// Lends a caller's configuration to a trajectory for one full expression
-/// and hands it back at its end, whether the expression returns or throws.
+/// Lends a caller's configuration to a trajectory and hands it back when
+/// the loan goes out of scope, whether the caller returns or throws.
 struct ConfigLoan {
     Config& home;
     Simulator::Trajectory trajectory;
@@ -549,57 +549,15 @@ void Simulator::merge_epoch_stats(const EpochStats& stats) const noexcept {
     epoch_rejected_.fetch_add(stats.rejected_draws, std::memory_order_relaxed);
 }
 
-template <typename W>
-void Simulator::step_loop(StepContextT<W>& ctx, Config& config, Rng& rng,
-                          std::uint64_t max_interactions, bool stop_when_stable,
-                          const CheckpointHook* hook, StepMode step_mode,
-                          const EpochOptions& epoch, std::uint64_t& interactions,
-                          std::uint64_t& fired) const {
-    const bool epoch_mode = step_mode == StepMode::epoch;
-    if (epoch_mode) check_epoch_mode(pair_select_, epoch);
-    EpochStats stats;
-    // Hook cadence: the callback runs at the first fired-step (or epoch)
-    // boundary at or past each mark, never inside advance()/advance_epoch()
-    // — checkpointing cannot split a silent-skip or multinomial draw, so
-    // the rng stream (and hence the trajectory) is the same with or without
-    // the hook, and a resumed run realigns on the same boundaries (next
-    // mark = snapshot interactions + every).
-    const bool hooked = hook != nullptr && hook->active();
-    std::uint64_t next_hook = hooked ? interactions + hook->every : 0;
-    // The O(1) stability probe (two counters + W).
-    const auto settled = [&] { return stop_when_stable && ctx.provably_stable(); };
-    while (interactions < max_interactions && !settled()) {
-        const std::uint64_t budget = max_interactions - interactions;
-        std::uint64_t consumed = 0;
-        std::uint64_t fired_now = 0;
-        const bool epoch_served =
-            epoch_mode &&
-            advance_epoch(ctx, config, rng, budget, epoch, &consumed, &fired_now, stats);
-        if (!epoch_served && advance(ctx, config, rng, budget, &consumed)) {
-            fired_now = 1;
-            if (epoch_mode) ++stats.fallback_fired;
-        }
-        interactions += consumed;
-        // Nothing fired: the configuration is silent (consumed == 0), or the
-        // budget ran out inside a run of silent encounters.
-        if (fired_now == 0) break;
-        fired += fired_now;
-        // No tick on the step that settles the run: its final state is the
-        // caller's result.
-        if (hooked && interactions >= next_hook && !settled()) {
-            if (!hook->callback({config, rng.state(), interactions, fired})) break;
-            next_hook = interactions + hook->every;
-        }
-    }
-    merge_epoch_stats(stats);
-}
-
 std::uint64_t Simulator::run_batch(Config& config, Rng& rng, std::uint64_t max_interactions,
                                    bool stop_when_stable, const CheckpointHook* hook,
                                    std::uint64_t* fired_count, StepMode step_mode,
                                    const EpochOptions& epoch) const {
-    return ConfigLoan{config, Trajectory(*this, std::move(config))}.trajectory.run_batch(
-        rng, max_interactions, stop_when_stable, hook, fired_count, step_mode, epoch);
+    ConfigLoan loan{config, Trajectory(*this, std::move(config))};
+    const std::uint64_t done =
+        loan.trajectory.run_batch(rng, max_interactions, stop_when_stable, hook, step_mode, epoch);
+    if (fired_count != nullptr) *fired_count = loan.trajectory.fired();
+    return done;
 }
 
 SimulationResult Simulator::run(Config config, Rng& rng,
@@ -607,18 +565,22 @@ SimulationResult Simulator::run(Config config, Rng& rng,
     const AgentCount population = config.size();
     if (population < 2)
         throw std::invalid_argument("Simulator::run: configurations need at least two agents");
-    // Resume support: a run restored from a checkpoint starts its counters
+    // Resume support: a run restored from a checkpoint starts its totals
     // where the snapshot left off, so (config, rng state, interactions,
     // fired) evolves exactly as the uninterrupted run's tail — and the
     // snapshots a resumed run writes carry the same totals the
     // uninterrupted run would have written.
-    std::uint64_t interactions = options.initial_interactions;
-    std::uint64_t fired = options.initial_fired;
-    Trajectory trajectory(*this, std::move(config));
-    trajectory.drive(rng, options.max_interactions, true, &options.checkpoint, options.step_mode,
-                     options.epoch, interactions, fired);
-    const bool converged = trajectory.provably_stable();
+    Trajectory trajectory(*this, std::move(config),
+                          {options.initial_interactions, options.initial_fired});
+    const std::uint64_t budget = options.max_interactions > options.initial_interactions
+                                     ? options.max_interactions - options.initial_interactions
+                                     : 0;
+    trajectory.run_batch(rng, budget, true, &options.checkpoint, options.step_mode,
+                         options.epoch);
 
+    const std::uint64_t interactions = trajectory.interactions();
+    const std::uint64_t fired = trajectory.fired();
+    const bool converged = trajectory.provably_stable();
     SimulationResult result{std::move(trajectory).config(), interactions, fired, converged,
                             std::nullopt, 0.0};
     result.output = protocol_.consensus_output(result.final_config);
@@ -632,14 +594,19 @@ SimulationResult Simulator::run_input(AgentCount input, Rng& rng,
     return run(protocol_.initial_config(input), rng, options);
 }
 
-Simulator::Trajectory::Trajectory(const Simulator& simulator, Config config)
-    : simulator_(&simulator), config_(std::move(config)) {
+Simulator::Trajectory::Trajectory(const Simulator& simulator, Config config,
+                                  const RunTotals& start)
+    : simulator_(&simulator),
+      config_(std::move(config)),
+      totals_(start),
+      last_tick_(start.interactions) {
     init();
 }
 
 void Simulator::Trajectory::restart(Config config) {
     config_ = std::move(config);
     init();
+    ++totals_.restarts;
 }
 
 void Simulator::Trajectory::init() {
@@ -653,8 +620,11 @@ void Simulator::Trajectory::init() {
 
 std::optional<TransitionId> Simulator::Trajectory::step(Rng& rng) {
     PPSC_CHECK_MSG(config_.size() >= 2, "simulation needs at least two agents");
-    return std::visit([&](auto& ctx) { return simulator_->encounter(ctx, config_, rng); },
-                      context_);
+    const auto fired = std::visit(
+        [&](auto& ctx) { return simulator_->encounter(ctx, config_, rng); }, context_);
+    ++totals_.interactions;
+    if (fired) ++totals_.fired;
+    return fired;
 }
 
 std::optional<TransitionId> Simulator::Trajectory::fired_step(Rng& rng, std::uint64_t budget,
@@ -662,9 +632,12 @@ std::optional<TransitionId> Simulator::Trajectory::fired_step(Rng& rng, std::uin
     std::uint64_t local = 0;
     std::uint64_t* out = consumed != nullptr ? consumed : &local;
     // Populations of 0 or 1 agents weigh W == 0: advance reports them silent.
-    return std::visit(
+    const auto fired = std::visit(
         [&](auto& ctx) { return simulator_->advance(ctx, config_, rng, budget, out); },
         context_);
+    totals_.interactions += *out;
+    if (fired) ++totals_.fired;
+    return fired;
 }
 
 std::pair<StateId, StateId> Simulator::Trajectory::sample_pair(Rng& rng) const {
@@ -673,29 +646,56 @@ std::pair<StateId, StateId> Simulator::Trajectory::sample_pair(Rng& rng) const {
                       context_);
 }
 
-void Simulator::Trajectory::drive(Rng& rng, std::uint64_t max_interactions,
-                                  bool stop_when_stable, const CheckpointHook* hook,
-                                  StepMode step_mode, const EpochOptions& epoch,
-                                  std::uint64_t& interactions, std::uint64_t& fired) {
-    std::visit(
-        [&](auto& ctx) {
-            simulator_->step_loop(ctx, config_, rng, max_interactions, stop_when_stable, hook,
-                                  step_mode, epoch, interactions, fired);
-        },
-        context_);
-}
-
 std::uint64_t Simulator::Trajectory::run_batch(Rng& rng, std::uint64_t max_interactions,
                                                bool stop_when_stable, const CheckpointHook* hook,
-                                               std::uint64_t* fired_count, StepMode step_mode,
-                                               const EpochOptions& epoch) {
-    std::uint64_t interactions = 0;
-    std::uint64_t fired = 0;
-    drive(rng, max_interactions, stop_when_stable, hook, step_mode, epoch, interactions, fired);
-    // Per-call out-param, overwritten (not accumulated): restart loops sum
-    // it themselves, so restarts are never double-counted.
-    if (fired_count != nullptr) *fired_count = fired;
-    return interactions;
+                                               StepMode step_mode, const EpochOptions& epoch) {
+    const Simulator& sim = *simulator_;
+    const bool epoch_mode = step_mode == StepMode::epoch;
+    if (epoch_mode) check_epoch_mode(sim.pair_select_, epoch);
+    // Hook cadence: the callback runs at the first fired-step (or epoch)
+    // boundary at or past the last tick plus `every`, never inside
+    // advance()/advance_epoch() — checkpointing cannot split a silent-skip
+    // or multinomial draw, so the rng stream (and hence the trajectory) is
+    // the same with or without the hook.  The marks count the run totals,
+    // so they carry across calls and restarts, and a trajectory resumed
+    // from a tick's totals realigns on the same boundaries.
+    const bool hooked = hook != nullptr && hook->active();
+    EpochStats stats;
+    std::uint64_t done = 0;
+    std::visit(
+        [&](auto& ctx) {
+            // The O(1) stability probe (two counters + W).
+            const auto settled = [&] { return stop_when_stable && ctx.provably_stable(); };
+            while (done < max_interactions && !settled()) {
+                const std::uint64_t budget = max_interactions - done;
+                std::uint64_t consumed = 0;
+                std::uint64_t fired_now = 0;
+                const bool epoch_served =
+                    epoch_mode && sim.advance_epoch(ctx, config_, rng, budget, epoch, &consumed,
+                                                    &fired_now, stats);
+                if (!epoch_served && sim.advance(ctx, config_, rng, budget, &consumed)) {
+                    fired_now = 1;
+                    if (epoch_mode) ++stats.fallback_fired;
+                }
+                done += consumed;
+                totals_.interactions += consumed;
+                // Nothing fired: the configuration is silent (consumed == 0),
+                // or the budget ran out inside a run of silent encounters.
+                if (fired_now == 0) break;
+                totals_.fired += fired_now;
+                // No tick on the step that settles the run: its final state
+                // is the caller's result.
+                if (hooked && totals_.interactions - last_tick_ >= hook->every && !settled()) {
+                    last_tick_ = totals_.interactions;
+                    if (!hook->callback({config_, rng.state(), totals_.interactions,
+                                         totals_.fired, totals_.restarts}))
+                        break;
+                }
+            }
+        },
+        context_);
+    sim.merge_epoch_stats(stats);
+    return done;
 }
 
 bool Simulator::Trajectory::silent() const noexcept {

@@ -86,11 +86,17 @@
 // (protocol, counts) and lives in a step context.  A Simulator::Trajectory
 // owns one configuration together with its context, so the configuration
 // changes only through the trajectory and the context can never go stale;
-// run() builds its context the same way.  Along a trajectory the stability
+// run() drives a trajectory too.  Along a trajectory the stability
 // probes are O(1): Trajectory::silent() and provably_stable() — and the
 // early-stop checks inside run()/run_batch() — read W and two counters
 // maintained by the same count-delta machinery, while Simulator::is_silent
 // and is_provably_stable probe a bare configuration from its counts.
+//
+// Run totals.  A trajectory also counts its run: interactions, fired
+// interactions and restarts from IC, across every step, run_batch call and
+// restart() (a resumed trajectory starts from a snapshot's totals).  Its
+// checkpoint cadence is absolute in the same count, so a restart loop of
+// run_batch calls ticks on the marks an uninterrupted run_batch would.
 //
 // Thread safety: every const Simulator method is thread-safe, so one
 // Simulator may serve any number of concurrent runs and trajectories (a
@@ -113,30 +119,38 @@
 
 namespace ppsc {
 
+/// What a trajectory has executed since it started: interactions, fired
+/// (non-silent) interactions and restarts from IC.  A resumed trajectory
+/// starts from a snapshot's totals.
+struct RunTotals {
+    std::uint64_t interactions = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t restarts = 0;
+};
+
 /// One checkpointable moment of a trajectory, handed to CheckpointHook
 /// callbacks.  Everything a snapshot needs (sim/checkpoint.hpp): the
-/// current counts, the full Rng state, and the counters accumulated within
-/// the hook-bearing call (the caller adds its own resumed-from base).
+/// current counts, the full Rng state, and the trajectory's run totals —
+/// absolute, restarts and any resumed-from start included.
 struct CheckpointTick {
     const Config& config;
     std::uint64_t rng_state = 0;
-    /// Interactions executed in this call — run() adds the resumed-from base
-    /// (SimulationOptions::initial_interactions), run_batch callers add
-    /// their own.
     std::uint64_t interactions = 0;
-    /// Non-silent interactions, same accounting as `interactions`
-    /// (run() adds SimulationOptions::initial_fired).
     std::uint64_t fired = 0;
+    std::uint64_t restarts = 0;
 };
 
 /// Checkpoint-every-N-interactions hook for run()/run_batch().  The
-/// callback fires at the first *fired-step boundary* at or past each
-/// cadence mark — never mid-advance — so it neither consumes randomness
-/// nor cuts a geometric silent-skip short: trajectories are byte-identical
-/// per seed with the hook present, absent, or resumed from any snapshot
-/// the hook wrote.  Returning false stops the run after the current step
-/// (graceful shutdown); the interactions executed so far are reported as
-/// usual.
+/// callback fires at the first *fired-step boundary* (or epoch boundary)
+/// at or past the trajectory's last tick plus `every` — before its first
+/// tick, its starting interaction total stands in for the last tick — and
+/// never mid-advance, so it neither consumes randomness nor cuts a
+/// geometric silent-skip short: trajectories are byte-identical per seed
+/// with the hook present, absent, or resumed from any snapshot the hook
+/// wrote.  The marks count the trajectory's whole run, across run_batch
+/// calls and restarts.  Returning false stops the run after the current
+/// step (graceful shutdown); the interactions executed so far are reported
+/// as usual.
 struct CheckpointHook {
     /// Minimum interactions between callbacks (0 disables the hook).
     std::uint64_t every = 0;
@@ -200,9 +214,8 @@ struct SimulationOptions {
     /// in checkpoint ticks, so snapshots written by a resumed run carry the
     /// same totals the uninterrupted run would have written.
     std::uint64_t initial_fired = 0;
-    /// Periodic checkpointing along the run (tick interactions are absolute,
-    /// i.e. include initial_interactions; tick fired counts include
-    /// initial_fired).
+    /// Periodic checkpointing along the run (ticks carry absolute totals,
+    /// i.e. include initial_interactions and initial_fired).
     CheckpointHook checkpoint;
     /// Exact per-step reference vs. epoch-batched stepping (see StepMode).
     /// Epoch mode needs a Fenwick-selecting simulator: under scan selection
@@ -261,9 +274,11 @@ public:
 
     /// Runs one Trajectory::run_batch call on `config`: the configuration
     /// is moved into a fresh trajectory and moved back when that run_batch
-    /// returns or throws.  Each call builds a step context, O(|Q|) plus the
-    /// occupied states' degrees, so a loop of short batches belongs on one
-    /// Trajectory; this form suits callers that make one call per restart.
+    /// returns or throws.  The fresh trajectory starts at zero totals, so
+    /// hook ticks and `fired_count` (when non-null: the non-silent
+    /// interactions executed) count this call only.  Each call builds a
+    /// step context, O(|Q|) plus the occupied states' degrees, so a loop of
+    /// short batches belongs on one Trajectory, which also counts the run.
     std::uint64_t run_batch(Config& config, Rng& rng, std::uint64_t max_interactions,
                             bool stop_when_stable = false,
                             const CheckpointHook* hook = nullptr,
@@ -404,26 +419,15 @@ private:
     /// encounters interleaved among them.  Returns false when no profitable
     /// epoch exists at the current weights (the caller takes the exact
     /// per-step path); returns true with *consumed == 0 iff the
-    /// configuration is silent.  Requires the options step_loop validates.
-    /// `stats` accumulates the local counters (merged into the atomics once
-    /// per step_loop).
+    /// configuration is silent.  Requires the options Trajectory::run_batch
+    /// validates.  `stats` accumulates the local counters (merged into the
+    /// atomics once per run_batch call).
     template <typename W>
     bool advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng, std::uint64_t budget,
                        const EpochOptions& epoch, std::uint64_t* consumed, std::uint64_t* fired,
                        EpochStats& stats) const;
 
     void merge_epoch_stats(const EpochStats& stats) const noexcept;
-
-    /// The one stepping loop behind run() and Trajectory::run_batch().
-    /// `interactions` and `fired` are
-    /// running totals, in/out: ticks report them and the loop stops once
-    /// `interactions` reaches max_interactions.  In epoch mode it first
-    /// validates the epoch options (throws std::invalid_argument).
-    template <typename W>
-    void step_loop(StepContextT<W>& ctx, Config& config, Rng& rng,
-                   std::uint64_t max_interactions, bool stop_when_stable,
-                   const CheckpointHook* hook, StepMode step_mode, const EpochOptions& epoch,
-                   std::uint64_t& interactions, std::uint64_t& fired) const;
 
     // A copy shares the protocol's tables (O(1)) and keeps them alive, so a
     // simulator never dangles on a temporary.
@@ -452,19 +456,27 @@ private:
 /// across threads.
 class Simulator::Trajectory {
 public:
-    /// Starts at `config` on `simulator`, which must outlive the trajectory.
+    /// Starts at `config` on `simulator`, which must outlive the trajectory,
+    /// with the run totals `start` (a resumed run passes its snapshot's).
     /// Builds the step context: O(|Q|) plus the occupied states' degrees.
     /// Throws std::logic_error unless `config` has one entry per protocol
     /// state.
-    Trajectory(const Simulator& simulator, Config config);
+    Trajectory(const Simulator& simulator, Config config, const RunTotals& start = {});
 
     const Config& config() const& noexcept { return config_; }
     /// Hands the configuration back; the trajectory is spent.
     Config config() && noexcept { return std::move(config_); }
 
+    /// The run totals: interactions, fired interactions and restarts
+    /// executed since the trajectory started, plus its starting totals.
+    std::uint64_t interactions() const noexcept { return totals_.interactions; }
+    std::uint64_t fired() const noexcept { return totals_.fired; }
+    std::uint64_t restarts() const noexcept { return totals_.restarts; }
+
     /// Starts over at `config`, as a new trajectory would, but in the
     /// context's existing buffers: restart loops (a run that went silent
-    /// begins again from IC) pay no allocation per restart.
+    /// begins again from IC) pay no allocation per restart.  The run totals
+    /// and the checkpoint cadence carry on; restarts() counts one more.
     void restart(Config config);
 
     /// Executes exactly one interaction; returns the transition fired
@@ -488,33 +500,29 @@ public:
 
     /// Executes up to `max_interactions` interactions (silent encounters
     /// are counted and, when profitable, skipped in bulk without changing
-    /// the trajectory distribution).  Returns the number executed — never
-    /// more than `max_interactions`; less only when the configuration
-    /// became silent (no transition can ever fire again) or, with
-    /// `stop_when_stable`, provably stable (an O(1) counter read per fired
-    /// interaction; the trajectory up to the stop is unchanged) or a
-    /// checkpoint callback requested a stop.  Populations of 0 or 1 agents
-    /// have no pairs and return 0 cleanly.  `hook`, when active, is invoked
-    /// at fired-step boundaries every ≥ hook->every interactions (see
-    /// CheckpointHook — the trajectory is unchanged by it); `fired_count`,
-    /// when non-null, receives the number of non-silent interactions
-    /// executed by this call — per call, not accumulated across calls:
-    /// restart loops must sum the out-param themselves.  With
-    /// `stop_when_stable` the hook follows run()'s rule: no tick on the
-    /// step that makes the configuration provably stable, so run() and
-    /// run_batch(…, true, hook) tick identically from the same seed.  With
-    /// `step_mode == StepMode::epoch` fired steps are served in multinomial
-    /// epochs where profitable — hooks and stability probes then run at
-    /// epoch boundaries; the interaction/fired accounting is unchanged.
-    /// Epoch mode throws std::invalid_argument, before any step, unless the
-    /// simulator selects pairs by Fenwick tree and `epoch` satisfies
-    /// EpochOptions' preconditions.  A trajectory draws exactly what a
-    /// fresh one over the same configuration would: chained calls and
-    /// Simulator::run_batch calls from the same seed agree.
+    /// the trajectory distribution).  Returns the number this call executed
+    /// — never more than `max_interactions`; less only when the
+    /// configuration became silent (no transition can ever fire again) or,
+    /// with `stop_when_stable`, provably stable (an O(1) counter read per
+    /// fired interaction; the trajectory up to the stop is unchanged) or a
+    /// checkpoint callback requested a stop.  The run totals grow by what
+    /// the call executed.  Populations of 0 or 1 agents have no pairs and
+    /// return 0 cleanly.  `hook`, when active, ticks on the trajectory's
+    /// absolute cadence (see CheckpointHook — the trajectory is unchanged
+    /// by it).  With `stop_when_stable` the hook follows run()'s rule: no
+    /// tick on the step that makes the configuration provably stable, so
+    /// run() and run_batch(…, true, hook) tick identically from the same
+    /// seed.  With `step_mode == StepMode::epoch` fired steps are served in
+    /// multinomial epochs where profitable — hooks and stability probes
+    /// then run at epoch boundaries; the interaction/fired accounting is
+    /// unchanged.  Epoch mode throws std::invalid_argument, before any
+    /// step, unless the simulator selects pairs by Fenwick tree and `epoch`
+    /// satisfies EpochOptions' preconditions.  A trajectory draws exactly
+    /// what a fresh one over the same configuration would: chained calls
+    /// and Simulator::run_batch calls from the same seed agree.
     std::uint64_t run_batch(Rng& rng, std::uint64_t max_interactions,
                             bool stop_when_stable = false,
                             const CheckpointHook* hook = nullptr,
-                            std::uint64_t* fired_count = nullptr,
                             StepMode step_mode = StepMode::per_step,
                             const EpochOptions& epoch = {});
 
@@ -525,19 +533,16 @@ public:
     bool provably_stable() const noexcept;
 
 private:
-    friend class Simulator;
-
     /// Builds the context for config_, at its population's weight width.
     void init();
-
-    /// step_loop on this trajectory's context (see Simulator::step_loop).
-    void drive(Rng& rng, std::uint64_t max_interactions, bool stop_when_stable,
-               const CheckpointHook* hook, StepMode step_mode, const EpochOptions& epoch,
-               std::uint64_t& interactions, std::uint64_t& fired);
 
     const Simulator* simulator_;
     Config config_;
     std::variant<StepContextT<std::int64_t>, StepContextT<Int128>> context_;
+    RunTotals totals_;
+    /// Interaction total at the last checkpoint tick (the starting total
+    /// before the first): the next tick is due `every` past it.
+    std::uint64_t last_tick_ = 0;
 };
 
 }  // namespace ppsc

@@ -2,10 +2,13 @@
 // trajectory draws exactly what a fresh context over the same configuration
 // would, so chained Trajectory::run_batch calls, repeated
 // Simulator::run_batch calls (one fresh context each) and one run() agree
-// per seed; and one const Simulator serves concurrent trajectories.
+// per seed; a trajectory counts its whole run and ticks on absolute marks
+// across calls and restarts; and one const Simulator serves concurrent
+// trajectories.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -57,13 +60,13 @@ End via_trajectory(const Simulator& sim, const Case& c, std::uint64_t* calls) {
     Rng rng(c.seed);
     const CheckpointHook cut = cut_every(c.every);
     End end;
-    while (end.interactions < c.max_interactions && !trajectory.provably_stable()) {
-        std::uint64_t fired = 0;
-        end.interactions += trajectory.run_batch(rng, c.max_interactions - end.interactions,
-                                                 true, &cut, &fired, c.mode);
-        end.fired += fired;
+    while (trajectory.interactions() < c.max_interactions && !trajectory.provably_stable()) {
+        trajectory.run_batch(rng, c.max_interactions - trajectory.interactions(), true, &cut,
+                             c.mode);
         ++*calls;
     }
+    end.interactions = trajectory.interactions();
+    end.fired = trajectory.fired();
     end.rng_state = rng.state();
     end.digest = config_digest(trajectory.config());
     end.stable = trajectory.provably_stable();
@@ -124,9 +127,8 @@ TEST(Trajectory, RestartMatchesAFreshTrajectory) {
     const auto fresh = [&](AgentCount population, std::uint64_t seed) {
         Simulator::Trajectory trajectory(sim, protocol.initial_config(population));
         Rng rng(seed);
-        std::uint64_t fired = 0;
-        const std::uint64_t done = trajectory.run_batch(rng, 300'000, false, nullptr, &fired);
-        return End{done, fired, rng.state(), config_digest(trajectory.config()),
+        const std::uint64_t done = trajectory.run_batch(rng, 300'000);
+        return End{done, trajectory.fired(), rng.state(), config_digest(trajectory.config()),
                    trajectory.provably_stable()};
     };
     Simulator::Trajectory reused(sim, protocol.initial_config(5000));
@@ -137,12 +139,150 @@ TEST(Trajectory, RestartMatchesAFreshTrajectory) {
         SCOPED_TRACE(population);
         reused.restart(protocol.initial_config(population));
         Rng rng(population);
-        std::uint64_t fired = 0;
-        const std::uint64_t done = reused.run_batch(rng, 300'000, false, nullptr, &fired);
-        const End got{done, fired, rng.state(), config_digest(reused.config()),
-                      reused.provably_stable()};
+        const std::uint64_t fired_before = reused.fired();
+        const std::uint64_t done = reused.run_batch(rng, 300'000);
+        const End got{done, reused.fired() - fired_before, rng.state(),
+                      config_digest(reused.config()), reused.provably_stable()};
         EXPECT_EQ(got, fresh(population, static_cast<std::uint64_t>(population)));
     }
+}
+
+/// A checkpoint tick as a hook saw it.
+struct Mark {
+    std::uint64_t interactions = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t restarts = 0;
+    std::uint64_t rng_state = 0;
+    std::uint64_t digest = 0;
+    bool operator==(const Mark&) const = default;
+};
+
+Mark mark_of(const CheckpointTick& tick) {
+    return {tick.interactions, tick.fired, tick.restarts, tick.rng_state,
+            config_digest(tick.config)};
+}
+
+// double_exp(3) at 512 agents goes silent every ~2·10⁵ interactions, so a
+// long run restarts from IC many times.
+constexpr AgentCount kRestartingAgents = 512;
+constexpr std::uint64_t kRestartingBudget = 4'000'000;
+constexpr std::uint64_t kCadence = 50'000;
+
+/// A durable run's loop on one trajectory: chained run_batch calls up to
+/// the budget, restarting from IC whenever the trajectory goes silent.
+/// Returns the calls' interactions and the restarts, added up.
+RunTotals restart_loop(Simulator::Trajectory& trajectory, const Protocol& protocol, Rng& rng,
+                       const CheckpointHook& hook) {
+    RunTotals sums;
+    while (trajectory.interactions() < kRestartingBudget) {
+        const std::uint64_t got =
+            trajectory.run_batch(rng, kRestartingBudget - trajectory.interactions(), false, &hook);
+        sums.interactions += got;
+        if (trajectory.interactions() >= kRestartingBudget || got == 0) break;
+        trajectory.restart(protocol.initial_config(kRestartingAgents));
+        ++sums.restarts;
+    }
+    return sums;
+}
+
+TEST(Trajectory, CadenceAndTotalsCountTheWholeRunAcrossRestarts) {
+    const Protocol protocol = protocols::double_exp_threshold(3);
+    const Simulator sim(protocol);
+
+    // Reference: one fresh trajectory per call (Simulator::run_batch), a
+    // hook at every fired step, and the absolute marks filtered here.
+    std::vector<Mark> want;
+    RunTotals sums;
+    {
+        Config config = protocol.initial_config(kRestartingAgents);
+        Rng rng(7);
+        std::uint64_t next_mark = kCadence;
+        CheckpointHook every_step;
+        every_step.every = 1;
+        every_step.callback = [&](const CheckpointTick& tick) {
+            const CheckpointTick absolute{tick.config, tick.rng_state,
+                                          sums.interactions + tick.interactions,
+                                          sums.fired + tick.fired, sums.restarts};
+            if (absolute.interactions >= next_mark) {
+                want.push_back(mark_of(absolute));
+                next_mark = absolute.interactions + kCadence;
+            }
+            return true;
+        };
+        while (sums.interactions < kRestartingBudget) {
+            std::uint64_t fired = 0;
+            const std::uint64_t got = sim.run_batch(
+                config, rng, kRestartingBudget - sums.interactions, false, &every_step, &fired);
+            sums.interactions += got;
+            sums.fired += fired;
+            if (sums.interactions >= kRestartingBudget || got == 0) break;
+            config = protocol.initial_config(kRestartingAgents);
+            ++sums.restarts;
+        }
+    }
+    ASSERT_GE(sums.restarts, 10u) << "the run must restart from IC many times";
+    ASSERT_GE(want.size(), 40u);
+
+    Simulator::Trajectory trajectory(sim, protocol.initial_config(kRestartingAgents));
+    Rng rng(7);
+    std::vector<Mark> got;
+    const CheckpointHook hook{kCadence, [&](const CheckpointTick& tick) {
+                                  got.push_back(mark_of(tick));
+                                  return true;
+                              }};
+    const RunTotals calls = restart_loop(trajectory, protocol, rng, hook);
+    EXPECT_EQ(got, want) << "ticks must land on the every-step reference's boundaries";
+    EXPECT_EQ(trajectory.interactions(), sums.interactions);
+    EXPECT_EQ(trajectory.fired(), sums.fired);
+    EXPECT_EQ(trajectory.restarts(), sums.restarts);
+    EXPECT_EQ(trajectory.interactions(), calls.interactions);
+    EXPECT_EQ(trajectory.restarts(), calls.restarts);
+}
+
+TEST(Trajectory, ATrajectoryBuiltFromATicksTotalsContinuesTheRunsTicks) {
+    const Protocol protocol = protocols::double_exp_threshold(3);
+    const Simulator sim(protocol);
+    struct Snapshot {
+        Config config{0};
+        std::uint64_t rng_state = 0;
+        RunTotals totals;
+    };
+
+    // Uninterrupted, keeping every tick and a snapshot at the middle one.
+    std::vector<Mark> whole;
+    std::optional<Snapshot> middle;
+    constexpr std::size_t kCut = 30;
+    Simulator::Trajectory uninterrupted(sim, protocol.initial_config(kRestartingAgents));
+    Rng rng(7);
+    const CheckpointHook record{kCadence, [&](const CheckpointTick& tick) {
+                                    whole.push_back(mark_of(tick));
+                                    if (whole.size() == kCut)
+                                        middle = Snapshot{tick.config, tick.rng_state,
+                                                          {tick.interactions, tick.fired,
+                                                           tick.restarts}};
+                                    return true;
+                                }};
+    restart_loop(uninterrupted, protocol, rng, record);
+    ASSERT_TRUE(middle.has_value());
+    ASSERT_GT(whole.size(), kCut + 10);
+    ASSERT_GT(middle->totals.restarts, 0u);
+
+    // Resumed from the snapshot: the ticks after it, and the run's end.
+    std::vector<Mark> tail;
+    Simulator::Trajectory resumed(sim, middle->config, middle->totals);
+    Rng resumed_rng(0);
+    resumed_rng.set_state(middle->rng_state);
+    const CheckpointHook follow{kCadence, [&](const CheckpointTick& tick) {
+                                    tail.push_back(mark_of(tick));
+                                    return true;
+                                }};
+    restart_loop(resumed, protocol, resumed_rng, follow);
+    EXPECT_EQ(tail, std::vector<Mark>(whole.begin() + kCut, whole.end()));
+    EXPECT_EQ(resumed.interactions(), uninterrupted.interactions());
+    EXPECT_EQ(resumed.fired(), uninterrupted.fired());
+    EXPECT_EQ(resumed.restarts(), uninterrupted.restarts());
+    EXPECT_EQ(resumed_rng.state(), rng.state());
+    EXPECT_EQ(config_digest(resumed.config()), config_digest(uninterrupted.config()));
 }
 
 /// Everything one thread does with its own trajectory on a shared
@@ -174,14 +314,13 @@ Workout work_out(const Simulator& sim, const Protocol& protocol, std::uint64_t s
         w.mix(fired ? static_cast<std::uint64_t>(*fired) + 1 : 0);
         w.mix(consumed);
     }
-    std::uint64_t fired = 0;
-    w.end.interactions = trajectory.run_batch(rng, 200'000, false, nullptr, &fired);
-    w.end.fired = fired;
+    const RunTotals before{trajectory.interactions(), trajectory.fired()};
+    trajectory.run_batch(rng, 200'000);
     EpochOptions epoch;
     epoch.min_firings = 8;
-    w.end.interactions += trajectory.run_batch(rng, std::uint64_t{1} << 40, true, nullptr,
-                                               &fired, StepMode::epoch, epoch);
-    w.end.fired += fired;
+    trajectory.run_batch(rng, std::uint64_t{1} << 40, true, nullptr, StepMode::epoch, epoch);
+    w.end.interactions = trajectory.interactions() - before.interactions;
+    w.end.fired = trajectory.fired() - before.fired;
     w.end.stable = trajectory.provably_stable();
     w.silent = trajectory.silent();
     w.probe_stable = sim.is_provably_stable(trajectory.config());

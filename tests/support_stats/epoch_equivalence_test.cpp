@@ -347,11 +347,10 @@ TEST(EpochEquivalence, StructuralConsistencyAfterEpochs) {
     const AgentCount population = 50'000;
     Simulator::Trajectory trajectory(sim, protocol.initial_config(population));
     Rng rng(stat::derive_seed(2028, "structural"));
-    std::uint64_t fired = 0;
     EpochOptions epoch;
     epoch.min_firings = 8;
     const std::uint64_t done = trajectory.run_batch(rng, std::uint64_t{1} << 28, true, nullptr,
-                                                    &fired, StepMode::epoch, epoch);
+                                                    StepMode::epoch, epoch);
     ASSERT_GT(done, 0u);
     ASSERT_GT(sim.epoch_stats().epochs, 0u);
     EXPECT_EQ(trajectory.config().size(), population);  // agents are conserved exactly
@@ -364,8 +363,7 @@ TEST(EpochEquivalence, StructuralConsistencyAfterEpochs) {
 
     // And the trajectory must still be continuable on the per-step path —
     // mixed-mode stepping shares one exact weight structure.
-    std::uint64_t more_fired = 0;
-    trajectory.run_batch(rng, 10'000, false, nullptr, &more_fired);
+    trajectory.run_batch(rng, 10'000);
     EXPECT_EQ(trajectory.config().size(), population);
 }
 

@@ -153,6 +153,23 @@ TEST_F(ToolFixture, RejectsCheckpointFlagsTheCommandWouldIgnore) {
     EXPECT_FALSE(fs::exists(dir / "ck")) << "a rejected command must not start checkpointing";
 }
 
+TEST_F(ToolFixture, RejectsSurplusPositionalArguments) {
+    // One argument past each usage line: an error line and exit 1, before
+    // any output or checkpoint is written.
+    const std::string ck = " --checkpoint-dir " + (dir / "ck").string();
+    for (const std::string& args :
+         {"verify " + pp + " 8 10 junk", "info " + pp + " extra", "dot " + pp + " extra",
+          "simulate " + pp + " 64 3 extra", "longrun " + pp + " 64 1000 7 extra" + ck,
+          "sweep " + pp + " 256 300 2 7 extra" + ck}) {
+        const RunResult r = run_tool(args);
+        EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+        EXPECT_EQ(r.output.rfind("error: ", 0), 0u) << args << "\n" << r.output;
+        EXPECT_NE(r.output.find("takes at most"), std::string::npos) << args << "\n"
+                                                                      << r.output;
+    }
+    EXPECT_FALSE(fs::exists(dir / "ck")) << "a rejected command must not start checkpointing";
+}
+
 TEST_F(ToolFixture, RejectsSweepWhoseTrialCountOverflows) {
     // 4 populations × 2⁶² runs wraps a 64-bit trial count to 0; the sweep
     // must refuse it instead of reading trial results it never ran.
@@ -208,7 +225,7 @@ TEST_F(ToolFixture, AnalyzeReportsDiagnosticsOnTheirSourceLines) {
                          "'z' is unreachable)\n" +
                   file + ":1: warning [trap-empty]: the output trap W_0 is empty: trap-based "
                          "stable-consensus detection can never certify output 0\n" +
-                  file + ":3: note [nondeterministic-pair]: pair {a, a} has 2 rules "
+                  file + ":12: note [nondeterministic-pair]: pair {a, a} has 2 rules "
                          "(nondeterministic)\n"
                          "analyze: 1 unreachable state, 1 dead transition, consensus 0 "
                          "possible, consensus 1 possible\n"
