@@ -326,17 +326,14 @@ void BM_E11MergePhaseCheckpointed(benchmark::State& state) {
     const auto population = static_cast<AgentCount>(state.range(1));
     const Protocol& protocol = e11_flagship_protocol(n);
     const Simulator simulator(protocol);
-    CheckpointDir dir("bench-checkpoints.tmp", 2);
-    const std::uint64_t fingerprint = protocol_fingerprint(protocol);
-    Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     constexpr std::uint64_t kSeed = 7;
+    RunCheckpoints checkpoints("bench-checkpoints.tmp", 2, protocol_fingerprint(protocol), kSeed);
+    Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(kSeed);
-    CheckpointHook hook;
-    hook.every = 100'000'000;
-    hook.callback = [&](const CheckpointTick& tick) {
-        dir.write(checkpoint_at(tick, fingerprint, checkpoint_seed_tag(kSeed)));
+    const CheckpointHook hook{kDefaultCheckpointEvery, [&](const CheckpointTick& tick) {
+        checkpoints.write(tick);
         return true;
-    };
+    }};
     constexpr std::uint64_t kBatch = 1 << 14;
     for (auto _ : state) {
         if (trajectory.run_batch(rng, kBatch, false, &hook) < kBatch)  // went silent

@@ -24,21 +24,24 @@
 //   $ ./protocol_tool family double_exp 2 > d2.pp
 //   $ ./protocol_tool verify d2.pp 16
 //
-// `longrun` and `sweep` are the durable run surfaces: with
-// --checkpoint-dir they snapshot (config, rng, counters) crash-safely
-// (sim/checkpoint.hpp — atomic rename, keep-last-K rotation) at the first
-// fired step at or past every --checkpoint-every mark of the run —
-// longrun's marks count its whole run, restarts from IC included, and a
-// sweep's each trial.  SIGTERM/SIGINT triggers a graceful stop (finish the
-// current step, write a final checkpoint, exit cleanly), and --resume
-// (longrun) / re-running with the same flags (sweep) continues the
-// trajectory byte-identically — a resumed run prints the same final
-// digest line, and writes the same snapshots, as an uninterrupted one.
-// longrun --resume refuses a snapshot of another population or seed, and
-// sweep one of another seed, with exit 1 before anything is written.
-// Every other command rejects the checkpoint flags, sweep rejects
-// --resume and --die-after, and every command rejects positional
-// arguments past its usage line:
+// `longrun` and `sweep` are the durable run surfaces, and share one policy
+// (sim/checkpoint.hpp, RunCheckpoints).  With --checkpoint-dir they
+// snapshot (config, rng, counters) crash-safely (atomic rename,
+// keep-last-K rotation) at the first fired step at or past every
+// --checkpoint-every mark of the run — longrun's marks count its whole
+// run, restarts from IC included, and a sweep's each trial.  A snapshot
+// that cannot be written is an error (exit 1).  SIGTERM/SIGINT triggers a
+// graceful stop at the next mark, a directory or not (so without one
+// --checkpoint-every is the stop-check cadence): finish the current step,
+// write a final checkpoint when there is a directory, and exit 0.
+// --resume (longrun) / re-running with the same flags (sweep) continues
+// the trajectory byte-identically — a resumed run prints the same final
+// digest line, and writes the same snapshots, as an uninterrupted one.  Both refuse a snapshot of another
+// population or seed with exit 1 before anything is written.  Every other
+// command rejects the checkpoint flags, sweep rejects --resume and
+// --die-after; --checkpoint-keep, --resume and --die-after need
+// --checkpoint-dir; and every command rejects positional arguments past
+// its usage line:
 //
 //   $ ./protocol_tool family double_exp 3 > d3.pp
 //   $ ./protocol_tool longrun d3.pp 512 100000000 7 --checkpoint-dir ck
@@ -111,15 +114,18 @@ void print_usage(const char* argv0, std::FILE* out) {
                  "  help                                   this message\n"
                  "\n"
                  "checkpoint flags (longrun, sweep; other commands reject them):\n"
-                 "  --checkpoint-dir <dir>    crash-safe rotation directory\n"
-                 "  --checkpoint-every <n>    interactions between snapshots (default 10^8)\n"
+                 "  --checkpoint-dir <dir>    crash-safe rotation directory, needed by the\n"
+                 "                            flags below but --checkpoint-every; a failed\n"
+                 "                            write exits 1\n"
+                 "  --checkpoint-every <n>    interactions between snapshots and stop checks\n"
+                 "                            (default 10^8)\n"
                  "  --checkpoint-keep <k>     rotation depth keep-last-K (default 3)\n"
                  "  --resume                  longrun only: restore the newest valid snapshot\n"
                  "                            (sweep resumes automatically per trial)\n"
                  "  --die-after <n>           longrun only, testing: SIGKILL self at the\n"
                  "                            first snapshot at/past n interactions\n"
-                 "SIGTERM/SIGINT stop gracefully: finish the current step, write a final\n"
-                 "checkpoint, exit 0.\n"
+                 "SIGTERM/SIGINT stop gracefully at the next --checkpoint-every mark, a\n"
+                 "directory or not: write a final checkpoint if any, exit 0.\n"
                  "\n"
                  "families (every registered family; parameters and ranges):\n%s",
                  argv0, protocols::family_usage().c_str());
@@ -168,13 +174,15 @@ std::vector<AgentCount> parse_population_list(const char* text) {
 }
 
 /// Graceful-shutdown flag: SIGTERM/SIGINT set it (std::atomic<bool> stores
-/// are async-signal-safe); a second signal falls back to the default
-/// disposition so a stuck process can still be killed with Ctrl-C Ctrl-C.
+/// are async-signal-safe).  A second SIGINT falls back to the default
+/// disposition so a stuck process can still be killed with Ctrl-C Ctrl-C;
+/// SIGTERM stays handled, because senders such as timeout(1) deliver it to
+/// the process and then to its process group.
 std::atomic<bool> g_stop{false};
 
 extern "C" void handle_stop_signal(int signum) {
     g_stop.store(true);
-    std::signal(signum, SIG_DFL);
+    if (signum == SIGINT) std::signal(SIGINT, SIG_DFL);
 }
 
 void install_stop_handlers() {
@@ -184,7 +192,7 @@ void install_stop_handlers() {
 
 struct CheckpointFlags {
     std::string dir;
-    std::uint64_t every = 100'000'000;
+    std::uint64_t every = kDefaultCheckpointEvery;
     std::size_t keep = 3;
     bool resume = false;
     std::uint64_t die_after = 0;  // 0 = disabled
@@ -192,8 +200,10 @@ struct CheckpointFlags {
 
 /// Extracts the checkpoint flags from argv (erasing them), leaving the
 /// positional arguments in place.  A flag `command` would ignore is an
-/// error: only longrun and sweep checkpoint, and sweep resumes per trial on
-/// its own (no --resume) and has no crash injection (no --die-after).
+/// error: only longrun and sweep checkpoint, sweep resumes per trial on
+/// its own (no --resume) and has no crash injection (no --die-after), and
+/// the rotation depth, resume and crash injection need --checkpoint-dir
+/// (without one, --checkpoint-every is still the stop-check cadence).
 CheckpointFlags extract_checkpoint_flags(std::string_view command,
                                          std::vector<const char*>& args) {
     const auto takes = [command](std::string_view flag) {
@@ -202,11 +212,15 @@ CheckpointFlags extract_checkpoint_flags(std::string_view command,
     };
     CheckpointFlags flags;
     std::vector<const char*> positional;
+    std::string_view needs_dir;  // the first flag given that needs --checkpoint-dir
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string_view arg = args[i];
         if (arg.starts_with("--") && !takes(arg))
             throw std::invalid_argument(std::string(command) + " does not take " +
                                         std::string(arg));
+        if ((arg == "--checkpoint-keep" || arg == "--resume" || arg == "--die-after") &&
+            needs_dir.empty())
+            needs_dir = arg;
         const auto value = [&](const char* name) -> const char* {
             if (++i >= args.size())
                 throw std::invalid_argument(std::string(name) + " needs a value");
@@ -231,8 +245,8 @@ CheckpointFlags extract_checkpoint_flags(std::string_view command,
             positional.push_back(args[i]);
         }
     }
-    if (flags.dir.empty() && (flags.resume || flags.die_after != 0))
-        throw std::invalid_argument("--resume/--die-after need --checkpoint-dir");
+    if (flags.dir.empty() && !needs_dir.empty())
+        throw std::invalid_argument(std::string(needs_dir) + " needs --checkpoint-dir");
     args = std::move(positional);
     return flags;
 }
@@ -255,33 +269,20 @@ std::size_t max_positional(std::string_view command) {
 /// uninterrupted run's line and writes the same snapshots.
 int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t budget,
                 std::uint64_t seed, const CheckpointFlags& flags) {
-    const std::uint64_t fingerprint = protocol_fingerprint(protocol);
     const Simulator simulator(protocol);
-
     Config config = protocol.initial_config(population);
     Rng rng(seed);
     RunTotals start;
 
-    std::optional<CheckpointDir> dir;
-    if (!flags.dir.empty()) dir.emplace(flags.dir, flags.keep);
+    std::optional<RunCheckpoints> checkpoints;
+    if (!flags.dir.empty())
+        checkpoints.emplace(flags.dir, flags.keep, protocol_fingerprint(protocol), seed);
     if (flags.resume) {
-        const CheckpointDir::Latest latest = dir->load_latest(fingerprint);
+        CheckpointDir::Latest latest = checkpoints->resume_point(config);
         for (const std::string& rejection : latest.rejected)
             std::fprintf(stderr, "resume: skipping %s\n", rejection.c_str());
         if (latest.checkpoint) {
-            // The fingerprint pins the protocol only: carrying on another
-            // population's trajectory (and restarting from this one's IC),
-            // or another seed's stream, would mix two runs in one digest.
-            if (latest.checkpoint->config.size() != config.size())
-                throw std::invalid_argument(
-                    "longrun --resume: " + latest.path + " is a run of " +
-                    std::to_string(latest.checkpoint->config.size()) + " agents, not " +
-                    std::to_string(config.size()));
-            if (!resumes_seed(*latest.checkpoint, seed))
-                throw std::invalid_argument("longrun --resume: " + latest.path +
-                                            " is a run of another seed, not " +
-                                            std::to_string(seed));
-            config = latest.checkpoint->config;
+            config = std::move(latest.checkpoint->config);
             rng.set_state(latest.checkpoint->rng_state);
             start = {latest.checkpoint->interactions, latest.checkpoint->fired,
                      latest.checkpoint->restarts};
@@ -294,26 +295,18 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
     Simulator::Trajectory trajectory(simulator, std::move(config), start);
 
     install_stop_handlers();
-    const auto snapshot = [&](const CheckpointTick& tick) {
-        std::string detail;
-        if (dir->write(checkpoint_at(tick, fingerprint, checkpoint_seed_tag(seed)), nullptr,
-                       &detail) != CheckpointError::none)
-            std::fprintf(stderr, "checkpoint write failed: %s\n", detail.c_str());
-    };
-    CheckpointHook hook;
-    if (dir) {
-        hook.every = flags.every;
-        hook.callback = [&](const CheckpointTick& tick) {
-            snapshot(tick);
-            if (flags.die_after != 0 && tick.interactions >= flags.die_after) {
-                // Deterministic crash injection for the CI smoke: a real
-                // SIGKILL — no cleanup, no final checkpoint, the rotation
-                // is all that survives.
-                std::raise(SIGKILL);
-            }
-            return !g_stop.load();
-        };
-    }
+    // The hook reads the stop flag with or without a directory, so a
+    // signal stops the run within one cadence interval either way.
+    const CheckpointHook hook{flags.every, [&](const CheckpointTick& tick) {
+        if (checkpoints) checkpoints->write(tick);
+        if (flags.die_after != 0 && tick.interactions >= flags.die_after) {
+            // Deterministic crash injection for the CI smoke: a real
+            // SIGKILL — no cleanup, no final checkpoint, the rotation
+            // is all that survives.
+            std::raise(SIGKILL);
+        }
+        return !g_stop.load();
+    }};
     while (trajectory.interactions() < budget && !g_stop.load()) {
         const std::uint64_t got =
             trajectory.run_batch(rng, budget - trajectory.interactions(), false, &hook);
@@ -327,12 +320,13 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
         trajectory.restart(protocol.initial_config(population));
     }
 
-    if (dir) {
-        snapshot({trajectory.config(), rng.state(), trajectory.interactions(), trajectory.fired(),
-                  trajectory.restarts()});
-        if (g_stop.load())
-            std::printf("interrupted — final checkpoint written to %s\n", flags.dir.c_str());
-    }
+    if (checkpoints)
+        checkpoints->write({trajectory.config(), rng.state(), trajectory.interactions(),
+                            trajectory.fired(), trajectory.restarts()});
+    if (g_stop.load() && checkpoints)
+        std::printf("interrupted — final checkpoint written to %s\n", flags.dir.c_str());
+    else if (g_stop.load())
+        std::printf("interrupted — no checkpoint directory\n");
     std::printf("longrun: interactions=%llu fired=%llu restarts=%llu rng=%016llx digest=%016llx\n",
                 static_cast<unsigned long long>(trajectory.interactions()),
                 static_cast<unsigned long long>(trajectory.fired()),
@@ -416,7 +410,7 @@ int run_sweep(const Protocol& protocol, AgentCount eta, const std::vector<AgentC
     options.runs_per_size = runs;
     options.seed = seed;
     options.checkpoint_dir = flags.dir;
-    options.checkpoint_every = flags.dir.empty() ? 0 : flags.every;
+    options.checkpoint_every = flags.every;
     options.checkpoint_keep_last = flags.keep;
     options.stop = &g_stop;
     const auto rows = convergence_sweep(
@@ -432,12 +426,11 @@ int run_sweep(const Protocol& protocol, AgentCount eta, const std::vector<AgentC
                     runs_column, row.mean_parallel_time, row.stddev_parallel_time,
                     100.0 * row.correct_fraction);
     }
-    if (g_stop.load()) {
+    if (g_stop.load() && flags.dir.empty())
+        std::printf("interrupted — no checkpoint directory, unfinished trials are lost\n");
+    else if (g_stop.load())
         std::printf("interrupted — unfinished trials checkpointed under %s; re-run the same\n"
-                    "sweep to resume them\n",
-                    flags.dir.empty() ? "(no --checkpoint-dir: progress lost)"
-                                      : flags.dir.c_str());
-    }
+                    "sweep to resume them\n", flags.dir.c_str());
     return 0;
 }
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <stdexcept>
 #include <system_error>
 
 #include "sim/simulator.hpp"
@@ -204,19 +205,6 @@ std::uint32_t checkpoint_seed_tag(std::uint64_t seed) {
 
 bool resumes_seed(const Checkpoint& checkpoint, std::uint64_t seed) {
     return checkpoint.seed_tag == 0 || checkpoint.seed_tag == checkpoint_seed_tag(seed);
-}
-
-Checkpoint checkpoint_at(const CheckpointTick& tick, std::uint64_t fingerprint,
-                         std::uint32_t seed_tag) {
-    Checkpoint checkpoint;
-    checkpoint.fingerprint = fingerprint;
-    checkpoint.seed_tag = seed_tag;
-    checkpoint.config = tick.config;
-    checkpoint.rng_state = tick.rng_state;
-    checkpoint.interactions = tick.interactions;
-    checkpoint.fired = tick.fired;
-    checkpoint.restarts = tick.restarts;
-    return checkpoint;
 }
 
 std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint) {
@@ -451,6 +439,30 @@ CheckpointDir::Latest CheckpointDir::load_latest(
                                   (parse.detail.empty() ? "" : " (" + parse.detail + ")"));
     }
     return latest;
+}
+
+CheckpointDir::Latest RunCheckpoints::resume_point(const Config& start) const {
+    CheckpointDir::Latest latest = dir_.load_latest(fingerprint_);
+    // The fingerprint pins the protocol only, so the population and the
+    // seed are checked here.
+    if (latest.checkpoint && latest.checkpoint->config.size() != start.size())
+        throw std::invalid_argument(latest.path + " is a run of " +
+                                    std::to_string(latest.checkpoint->config.size()) +
+                                    " agents, not " + std::to_string(start.size()));
+    if (latest.checkpoint && !resumes_seed(*latest.checkpoint, seed_))
+        throw std::invalid_argument(latest.path + " is a run of another seed, not " +
+                                    std::to_string(seed_));
+    return latest;
+}
+
+void RunCheckpoints::write(const CheckpointTick& tick) {
+    const Checkpoint checkpoint{.fingerprint = fingerprint_, .seed_tag = checkpoint_seed_tag(seed_),
+                                .config = tick.config, .rng_state = tick.rng_state,
+                                .interactions = tick.interactions, .fired = tick.fired,
+                                .restarts = tick.restarts, .stats = {}};
+    std::string detail;
+    if (dir_.write(checkpoint, nullptr, &detail) != CheckpointError::none)
+        throw std::runtime_error("checkpoint write failed: " + detail);
 }
 
 }  // namespace ppsc

@@ -37,13 +37,15 @@
 // crash mid-write never damages the previous snapshot.  CheckpointDir
 // adds keep-last-K rotation (ckpt-<seq>.ppc) and a loader that walks the
 // rotation newest-first, rejecting corrupt or truncated files with a
-// typed error and falling back to the newest valid sibling.
+// typed error and falling back to the newest valid sibling.  RunCheckpoints
+// puts a seeded run's resume and write policy on top of one CheckpointDir.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -105,10 +107,10 @@ std::uint32_t checkpoint_seed_tag(std::uint64_t seed);
 /// on that seed's stream under this seed's name.
 bool resumes_seed(const Checkpoint& checkpoint, std::uint64_t seed);
 
-/// The snapshot of a checkpoint tick: its counts, rng state and run
-/// totals, owned by the protocol with `fingerprint` and tagged `seed_tag`.
-Checkpoint checkpoint_at(const CheckpointTick& tick, std::uint64_t fingerprint,
-                         std::uint32_t seed_tag);
+/// Interactions between the ticks of a durable run's hook unless the caller
+/// sets a cadence: rare enough that a crash-safe snapshot costs < 1% of the
+/// run, frequent enough that a stop request is honoured within seconds.
+inline constexpr std::uint64_t kDefaultCheckpointEvery = 100'000'000;
 
 /// Order-independent-of-nothing digest of a configuration's counts (CRC-64
 /// over the sparse serialisation) — the quantity the kill-and-resume
@@ -175,6 +177,33 @@ private:
 
     std::string dir_;
     std::size_t keep_last_;
+};
+
+/// The durable-run policy of one seeded run (a `protocol_tool longrun`, or
+/// one convergence-sweep trial) over its rotation directory: which
+/// snapshot it may resume, and what a failed write does.
+class RunCheckpoints {
+public:
+    RunCheckpoints(std::string dir, std::size_t keep_last, std::uint64_t fingerprint,
+                   std::uint64_t seed)
+        : dir_(std::move(dir), keep_last), fingerprint_(fingerprint), seed_(seed) {}
+
+    /// The newest valid snapshot of the protocol (CheckpointDir::load_latest
+    /// under the fingerprint), or none.  Throws std::invalid_argument when
+    /// that snapshot is a run of another seed, or holds another number of
+    /// agents than the run's starting configuration `start` (leaders
+    /// included): carrying it on would mix two runs in one.
+    CheckpointDir::Latest resume_point(const Config& start) const;
+
+    /// Writes the tick's snapshot, tagged with the run's seed.  Throws
+    /// std::runtime_error("checkpoint write failed: <dir>: <reason>") when
+    /// the write fails: a durable run that cannot snapshot is not durable.
+    void write(const CheckpointTick& tick);
+
+private:
+    CheckpointDir dir_;
+    std::uint64_t fingerprint_;
+    std::uint64_t seed_;
 };
 
 }  // namespace ppsc

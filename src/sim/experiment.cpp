@@ -33,6 +33,8 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
     if (runs != 0 && populations.size() > std::numeric_limits<std::size_t>::max() / runs)
         throw std::invalid_argument(
             "convergence_sweep: populations x runs_per_size overflows the trial count");
+    const bool checkpointing = !options.checkpoint_dir.empty();
+    const bool hooked = checkpointing || options.stop != nullptr;
     // Epoch stepping needs the pair-weight Fenwick tree; `automatic` would
     // pick the scan for protocols with few non-silent pairs.
     const Simulator simulator(protocol,
@@ -41,11 +43,13 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
                                   : PairSelect::automatic,
                               options.trap_compute);
     const std::size_t total_trials = populations.size() * static_cast<std::size_t>(runs);
-
-    const bool checkpointing = !options.checkpoint_dir.empty() && options.checkpoint_every != 0;
     const std::uint64_t fingerprint = checkpointing ? protocol_fingerprint(protocol) : 0;
-    const auto stop_requested = [&options] {
-        return options.stop != nullptr && options.stop->load(std::memory_order_relaxed);
+    // A trial that throws (a snapshot that cannot be written) stops the
+    // others as a stop request would, so the error surfaces at once.
+    std::atomic<bool> failed{false};
+    const auto stop_requested = [&] {
+        return failed.load(std::memory_order_relaxed) ||
+               (options.stop != nullptr && options.stop->load(std::memory_order_relaxed));
     };
 
     // One independent stream per (size, repetition) pair.
@@ -53,25 +57,18 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
         const auto population = static_cast<std::uint64_t>(populations[index / runs]);
         return options.seed ^ (population << 20) ^ (index % runs);
     };
-    // One rotation directory per trial; the trial's identity is in the
-    // directory name, so re-sweeping with different populations or
-    // repetition counts can never cross-resume trials.
-    const auto trial_dir = [&](std::size_t index) {
+    // One rotation directory per trial, named after the trial: re-sweeping
+    // with other populations or repetition counts uses other directories.
+    const auto trial_checkpoints = [&](std::size_t index) {
         const std::string slot = "p" + std::to_string(populations[index / runs]) + "-r" +
                                  std::to_string(index % runs);
-        return (std::filesystem::path(options.checkpoint_dir) / slot).string();
+        return RunCheckpoints((std::filesystem::path(options.checkpoint_dir) / slot).string(),
+                              options.checkpoint_keep_last, fingerprint, trial_seed(index));
     };
-    if (checkpointing) {
-        // Another seed's snapshots are refused before any trial runs, so
-        // nothing is written or pruned.
-        for (std::size_t index = 0; index < total_trials; ++index) {
-            const CheckpointDir::Latest latest =
-                CheckpointDir(trial_dir(index)).load_latest(fingerprint);
-            if (latest.checkpoint && !resumes_seed(*latest.checkpoint, trial_seed(index)))
-                throw std::invalid_argument("convergence_sweep: " + latest.path +
-                                            " is a checkpoint of another seed");
-        }
-    }
+    // A snapshot of another seed or population is refused before any trial
+    // runs, so nothing is written or pruned.
+    for (std::size_t index = 0; checkpointing && index < total_trials; ++index)
+        trial_checkpoints(index).resume_point(protocol.initial_config(populations[index / runs]));
 
     // Every trial is fully determined by its (population, repetition) seed,
     // so trials can run in any order on any thread; results land in a
@@ -81,45 +78,48 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
     std::vector<TrialResult> trials(total_trials);
     const auto run_trial = [&](std::size_t index) {
         const AgentCount population = populations[index / runs];
-        const std::uint64_t seed = trial_seed(index);
-        Rng rng(seed);
+        Rng rng(trial_seed(index));
         Config start = protocol.initial_config(population);
-        SimulationOptions simulation = options.simulation;
-        std::optional<CheckpointDir> dir;
-        const auto write_snapshot = [&](const CheckpointTick& tick) {
-            dir->write(checkpoint_at(tick, fingerprint, checkpoint_seed_tag(seed)));
-        };
+        RunTotals totals;
+        std::optional<RunCheckpoints> checkpoints;
         if (checkpointing) {
-            dir.emplace(trial_dir(index), options.checkpoint_keep_last);
-            const CheckpointDir::Latest latest = dir->load_latest(fingerprint);
-            if (latest.checkpoint && latest.checkpoint->config.size() == start.size() &&
-                latest.checkpoint->config.num_states() == start.num_states()) {
-                start = latest.checkpoint->config;
+            checkpoints.emplace(trial_checkpoints(index));
+            if (CheckpointDir::Latest latest = checkpoints->resume_point(start);
+                latest.checkpoint) {
+                start = std::move(latest.checkpoint->config);
                 rng.set_state(latest.checkpoint->rng_state);
-                simulation.initial_interactions = latest.checkpoint->interactions;
-                // Resume the fired counter too, so the snapshots this trial
-                // writes carry the same absolute totals the uninterrupted
-                // trial's would (checkpoint_test pins the golden format).
-                simulation.initial_fired = latest.checkpoint->fired;
+                totals = {latest.checkpoint->interactions, latest.checkpoint->fired,
+                          latest.checkpoint->restarts};
             }
-            simulation.checkpoint.every = options.checkpoint_every;
-            simulation.checkpoint.callback = [&](const CheckpointTick& tick) {
-                write_snapshot(tick);
-                return !stop_requested();
-            };
         }
-        const SimulationResult result = simulator.run(std::move(start), rng, simulation);
+        SimulationOptions simulation = options.simulation;
+        if (hooked)
+            simulation.checkpoint = {options.checkpoint_every, [&](const CheckpointTick& tick) {
+                                         if (checkpoints) checkpoints->write(tick);
+                                         return !stop_requested();
+                                     }};
+        const SimulationResult result = simulator.run(
+            Simulator::Trajectory(simulator, std::move(start), totals), rng, simulation);
         // Final snapshot: a later sweep restores the trial here — a
         // finished trial re-reports its result without re-simulating, an
         // interrupted one continues from this exact point.
-        if (checkpointing)
-            write_snapshot({result.final_config, rng.state(), result.interactions, result.fired});
+        if (checkpoints)
+            checkpoints->write({result.final_config, rng.state(), result.interactions,
+                                result.fired, totals.restarts});
         trials[index] = {result.converged, result.parallel_time, result.output};
     };
 
     parallel_for(
         total_trials, worker_count(options.parallelism, total_trials),
-        [&](unsigned, std::size_t index) { run_trial(index); }, stop_requested);
+        [&](unsigned, std::size_t index) {
+            try {
+                run_trial(index);
+            } catch (...) {
+                failed.store(true, std::memory_order_relaxed);
+                throw;
+            }
+        },
+        stop_requested);
 
     std::vector<ConvergenceRow> rows;
     rows.reserve(populations.size());

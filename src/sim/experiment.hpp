@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/protocol.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/simulator.hpp"
 
 namespace ppsc {
@@ -44,26 +45,30 @@ struct ConvergenceSweepOptions {
     /// the CI leg that asserts exactly that.  The worklist is what makes
     /// convergence (not just throughput) sweeps feasible at |Q| ≥ 10⁵.
     TrapCompute trap_compute = TrapCompute::worklist;
-    /// Per-trial crash-safe checkpointing (sim/checkpoint.hpp): when
-    /// `checkpoint_dir` is set and `checkpoint_every` > 0, every trial
-    /// writes rotated snapshots into
-    /// `<checkpoint_dir>/p<population>-r<repetition>/` every ≥
-    /// checkpoint_every interactions, and a later sweep with the same
-    /// protocol and options resumes each trial from its newest valid
+    /// Per-trial crash-safe checkpointing (sim/checkpoint.hpp,
+    /// RunCheckpoints): when `checkpoint_dir` is set, every trial writes
+    /// rotated snapshots into `<checkpoint_dir>/p<population>-r<repetition>/`
+    /// every ≥ checkpoint_every interactions, and a later sweep with the
+    /// same protocol and options resumes each trial from its newest valid
     /// snapshot instead of replaying it — finished trials restore their
     /// final state and complete immediately.  Per-trial results (and
-    /// therefore the rows) are identical to an uninterrupted sweep.
-    /// Snapshots carry their trial's seed tag: a sweep that finds one of
-    /// another seed throws std::invalid_argument before any trial runs.
+    /// therefore the rows) are identical to an uninterrupted sweep.  A
+    /// trial directory holding a snapshot of another seed or population
+    /// makes the sweep throw std::invalid_argument before any trial runs; a
+    /// failed write throws std::runtime_error.
     std::string checkpoint_dir;
-    std::uint64_t checkpoint_every = 0;
+    /// Cadence of the trials' hook, which runs when `checkpoint_dir` or
+    /// `stop` is set.  0 disables it: a trial then writes only its final
+    /// snapshot, and `stop` is read only between trials.
+    std::uint64_t checkpoint_every = kDefaultCheckpointEvery;
     std::size_t checkpoint_keep_last = 3;
     /// Graceful shutdown: when *stop becomes true (e.g. from a
     /// SIGTERM/SIGINT handler — std::atomic<bool> is async-signal-safe to
     /// store to), workers stop claiming new trials and in-flight trials
-    /// stop at their next checkpoint boundary, each writing a final
-    /// snapshot.  The sweep then returns normally; interrupted trials
-    /// count as unconverged in the rows and resume on the next sweep.
+    /// stop at their next hook tick, with or without a checkpoint
+    /// directory; with one, each writes a final snapshot.  The sweep then
+    /// returns normally; interrupted trials count as unconverged in the
+    /// rows and, when checkpointed, resume on the next sweep.
     const std::atomic<bool>* stop = nullptr;
 };
 
@@ -71,7 +76,7 @@ struct ConvergenceSweepOptions {
 /// size i in `populations`; `expected(i)` gives the ground-truth output.
 /// Single-input protocols only.  Throws std::invalid_argument when the
 /// trial count, populations.size() × runs_per_size, overflows, or when
-/// the checkpoint directory holds a snapshot of another seed.
+/// the checkpoint directory holds a snapshot of another seed or population.
 std::vector<ConvergenceRow> convergence_sweep(
     const Protocol& protocol, const std::vector<AgentCount>& populations,
     const std::function<int(AgentCount)>& expected, const ConvergenceSweepOptions& options = {});

@@ -560,33 +560,29 @@ std::uint64_t Simulator::run_batch(Config& config, Rng& rng, std::uint64_t max_i
     return done;
 }
 
-SimulationResult Simulator::run(Config config, Rng& rng,
+SimulationResult Simulator::run(Trajectory trajectory, Rng& rng,
                                 const SimulationOptions& options) const {
-    const AgentCount population = config.size();
+    const AgentCount population = trajectory.config().size();
     if (population < 2)
         throw std::invalid_argument("Simulator::run: configurations need at least two agents");
-    // Resume support: a run restored from a checkpoint starts its totals
-    // where the snapshot left off, so (config, rng state, interactions,
-    // fired) evolves exactly as the uninterrupted run's tail — and the
-    // snapshots a resumed run writes carry the same totals the
-    // uninterrupted run would have written.
-    Trajectory trajectory(*this, std::move(config),
-                          {options.initial_interactions, options.initial_fired});
-    const std::uint64_t budget = options.max_interactions > options.initial_interactions
-                                     ? options.max_interactions - options.initial_interactions
+    const std::uint64_t budget = options.max_interactions > trajectory.interactions()
+                                     ? options.max_interactions - trajectory.interactions()
                                      : 0;
     trajectory.run_batch(rng, budget, true, &options.checkpoint, options.step_mode,
                          options.epoch);
 
     const std::uint64_t interactions = trajectory.interactions();
-    const std::uint64_t fired = trajectory.fired();
-    const bool converged = trajectory.provably_stable();
-    SimulationResult result{std::move(trajectory).config(), interactions, fired, converged,
-                            std::nullopt, 0.0};
+    SimulationResult result{Config(0), interactions, trajectory.fired(),
+                            trajectory.provably_stable(), std::nullopt,
+                            static_cast<double>(interactions) / static_cast<double>(population)};
+    result.final_config = std::move(trajectory).config();
     result.output = protocol_.consensus_output(result.final_config);
-    result.parallel_time =
-        static_cast<double>(interactions) / static_cast<double>(population);
     return result;
+}
+
+SimulationResult Simulator::run(Config config, Rng& rng,
+                                const SimulationOptions& options) const {
+    return run(Trajectory(*this, std::move(config)), rng, options);
 }
 
 SimulationResult Simulator::run_input(AgentCount input, Rng& rng,

@@ -202,20 +202,11 @@ struct EpochStats {
 };
 
 struct SimulationOptions {
-    /// Hard cap on interactions before giving up.
+    /// Hard cap on the run's interactions before giving up.  A trajectory
+    /// resumed from a snapshot brings its totals, and they count here too.
     std::uint64_t max_interactions = 50'000'000;
-    /// Resume support: interactions already executed before this call (a
-    /// restored checkpoint).  Counted against max_interactions and included
-    /// in the reported totals, so resuming a run at its checkpoint replays
-    /// the uninterrupted run's tail byte-identically.
-    std::uint64_t initial_interactions = 0;
-    /// Resume support for the fired counter: non-silent interactions
-    /// executed before this call.  Included in SimulationResult::fired and
-    /// in checkpoint ticks, so snapshots written by a resumed run carry the
-    /// same totals the uninterrupted run would have written.
-    std::uint64_t initial_fired = 0;
-    /// Periodic checkpointing along the run (ticks carry absolute totals,
-    /// i.e. include initial_interactions and initial_fired).
+    /// Periodic checkpointing along the run (ticks carry the trajectory's
+    /// absolute totals, a resumed trajectory's starting totals included).
     CheckpointHook checkpoint;
     /// Exact per-step reference vs. epoch-batched stepping (see StepMode).
     /// Epoch mode needs a Fenwick-selecting simulator: under scan selection
@@ -260,17 +251,25 @@ public:
     /// (surfaced as the E11 `trap_setup_seconds` column).
     double trap_setup_seconds() const noexcept { return trap_setup_seconds_; }
 
-    /// Runs from `config` until a sound stability condition holds or the
-    /// interaction budget is exhausted.
+    /// The state of one trajectory of the scheduler chain (see Trajectory
+    /// below): build one to step a configuration incrementally.
+    class Trajectory;
+
+    /// Runs `trajectory`, a trajectory on this simulator, until a sound
+    /// stability condition holds or its run totals reach the interaction
+    /// budget.  A trajectory built from a
+    /// snapshot's totals and rng state replays the uninterrupted run's tail
+    /// byte-identically: same result, same ticks.  The result reports the
+    /// trajectory's totals.  Throws std::invalid_argument below two agents.
+    SimulationResult run(Trajectory trajectory, Rng& rng,
+                         const SimulationOptions& options = {}) const;
+
+    /// Runs a fresh trajectory from `config` (see the overload above).
     SimulationResult run(Config config, Rng& rng, const SimulationOptions& options = {}) const;
 
     /// Runs from IC(input) (single-input protocols).
     SimulationResult run_input(AgentCount input, Rng& rng,
                                const SimulationOptions& options = {}) const;
-
-    /// The state of one trajectory of the scheduler chain (see Trajectory
-    /// below): build one to step a configuration incrementally.
-    class Trajectory;
 
     /// Runs one Trajectory::run_batch call on `config`: the configuration
     /// is moved into a fresh trajectory and moved back when that run_batch

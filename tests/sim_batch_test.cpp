@@ -407,7 +407,8 @@ TEST(RunBatch, FiredCountIsPerCallAndSumsCleanlyAcrossRestarts) {
 
 TEST(BatchedRun, ResumedRunsReportAbsoluteFiredTotals) {
     // A run resumed from a checkpoint starts its interaction *and* fired
-    // counters at the snapshot's values (SimulationOptions::initial_fired):
+    // counters at the snapshot's values (a Simulator::Trajectory built from
+    // the snapshot's totals):
     // the ticks it writes and the result it returns must carry the same
     // absolute totals the uninterrupted run reports — under both stepping
     // modes, whose boundaries the hook rides.
@@ -454,15 +455,15 @@ TEST(BatchedRun, ResumedRunsReportAbsoluteFiredTotals) {
 
         // Resume: counters seeded from the snapshot, stream from its state.
         std::vector<Tick> resumed;
-        options.initial_interactions = snap.interactions;
-        options.initial_fired = snap.fired;
         options.checkpoint.callback = [&](const CheckpointTick& tick) {
             resumed.push_back({tick.interactions, tick.fired});
             return true;
         };
         Rng resume_rng(0);
         resume_rng.set_state(snap_rng_state);
-        const SimulationResult tail = sim.run(std::move(snap_config), resume_rng, options);
+        const SimulationResult tail = sim.run(
+            Simulator::Trajectory(sim, std::move(snap_config), {snap.interactions, snap.fired, 0}),
+            resume_rng, options);
         ASSERT_TRUE(tail.converged);
         EXPECT_EQ(tail.interactions, full.interactions);
         EXPECT_EQ(tail.fired, full.fired);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
+#include "protocols/leader.hpp"
 #include "protocols/threshold.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
@@ -46,6 +47,15 @@ struct TempDir {
     }
     fs::path path;
 };
+
+/// Every file under `root`, recursively, with its size — sorted.
+std::vector<std::pair<std::string, std::uintmax_t>> listing(const fs::path& root) {
+    std::vector<std::pair<std::string, std::uintmax_t>> files;
+    for (const auto& entry : fs::recursive_directory_iterator(root))
+        if (entry.is_regular_file()) files.emplace_back(entry.path().string(), entry.file_size());
+    std::sort(files.begin(), files.end());
+    return files;
+}
 
 /// The fixed checkpoint behind the golden file and the format tests.
 Checkpoint reference_checkpoint() {
@@ -457,11 +467,11 @@ TEST(Checkpoint, SimulatorRunResumesToIdenticalResult) {
     EXPECT_FALSE(partial.converged);
     ASSERT_LT(captured->interactions, reference.interactions);
 
-    SimulationOptions resuming;
-    resuming.initial_interactions = captured->interactions;
     Rng rng(0);
     rng.set_state(captured->rng_state);
-    const SimulationResult resumed = sim.run(captured->config, rng, resuming);
+    const SimulationResult resumed =
+        sim.run(Simulator::Trajectory(sim, captured->config, {captured->interactions, 0, 0}),
+                rng, plain);
 
     EXPECT_EQ(resumed.converged, reference.converged);
     EXPECT_EQ(resumed.interactions, reference.interactions);
@@ -471,33 +481,36 @@ TEST(Checkpoint, SimulatorRunResumesToIdenticalResult) {
 }
 
 TEST(Checkpoint, ConvergenceSweepRowsSurviveCheckpointingAndResume) {
-    const Protocol protocol = protocols::collector_threshold(5);
+    // leader_threshold's IC(m) holds m + 1 agents: its trials must resume
+    // from snapshots of that many, not be taken for another population's.
     const std::vector<AgentCount> populations = {40, 60};
     const auto expected = [](AgentCount i) { return i >= 5 ? 1 : 0; };
+    for (const Protocol& protocol :
+         {protocols::collector_threshold(5), protocols::leader_threshold(5)}) {
+        ConvergenceSweepOptions plain;
+        plain.runs_per_size = 6;
+        plain.seed = 99;
+        plain.parallelism = 1;
+        const auto reference = convergence_sweep(protocol, populations, expected, plain);
 
-    ConvergenceSweepOptions plain;
-    plain.runs_per_size = 6;
-    plain.seed = 99;
-    plain.parallelism = 1;
-    const auto reference = convergence_sweep(protocol, populations, expected, plain);
+        const TempDir tmp("sweep");
+        ConvergenceSweepOptions checkpointed = plain;
+        checkpointed.checkpoint_dir = tmp.path.string();
+        checkpointed.checkpoint_every = 500;
+        const auto first = convergence_sweep(protocol, populations, expected, checkpointed);
+        // Second sweep resumes every trial from its final snapshot.
+        const auto second = convergence_sweep(protocol, populations, expected, checkpointed);
 
-    const TempDir tmp("sweep");
-    ConvergenceSweepOptions checkpointed = plain;
-    checkpointed.checkpoint_dir = tmp.path.string();
-    checkpointed.checkpoint_every = 500;
-    const auto first = convergence_sweep(protocol, populations, expected, checkpointed);
-    // Second sweep resumes every trial from its final snapshot.
-    const auto second = convergence_sweep(protocol, populations, expected, checkpointed);
-
-    ASSERT_EQ(reference.size(), first.size());
-    ASSERT_EQ(reference.size(), second.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        for (const auto* rows : {&first, &second}) {
-            EXPECT_EQ((*rows)[i].population, reference[i].population);
-            EXPECT_EQ((*rows)[i].converged_runs, reference[i].converged_runs);
-            EXPECT_EQ((*rows)[i].mean_parallel_time, reference[i].mean_parallel_time);
-            EXPECT_EQ((*rows)[i].stddev_parallel_time, reference[i].stddev_parallel_time);
-            EXPECT_EQ((*rows)[i].correct_fraction, reference[i].correct_fraction);
+        ASSERT_EQ(reference.size(), first.size());
+        ASSERT_EQ(reference.size(), second.size());
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+            for (const auto* rows : {&first, &second}) {
+                EXPECT_EQ((*rows)[i].population, reference[i].population);
+                EXPECT_EQ((*rows)[i].converged_runs, reference[i].converged_runs);
+                EXPECT_EQ((*rows)[i].mean_parallel_time, reference[i].mean_parallel_time);
+                EXPECT_EQ((*rows)[i].stddev_parallel_time, reference[i].stddev_parallel_time);
+                EXPECT_EQ((*rows)[i].correct_fraction, reference[i].correct_fraction);
+            }
         }
     }
 }
@@ -516,23 +529,14 @@ TEST(Checkpoint, ConvergenceSweepRefusesAnotherSeedsCheckpoints) {
     options.checkpoint_dir = tmp.path.string();
     options.checkpoint_every = 500;
     convergence_sweep(protocol, populations, expected, options);
-    const auto listing = [&] {
-        std::vector<std::pair<std::string, std::uintmax_t>> files;
-        for (const auto& entry : fs::recursive_directory_iterator(tmp.path)) {
-            if (entry.is_regular_file())
-                files.emplace_back(entry.path().string(), entry.file_size());
-        }
-        std::sort(files.begin(), files.end());
-        return files;
-    };
-    const auto before = listing();
+    const auto before = listing(tmp.path);
     ASSERT_FALSE(before.empty());
 
     // Another seed: refused before any trial runs, nothing written or pruned.
     ConvergenceSweepOptions other = options;
     other.seed = 100;
     EXPECT_THROW(convergence_sweep(protocol, populations, expected, other), std::invalid_argument);
-    EXPECT_EQ(listing(), before);
+    EXPECT_EQ(listing(tmp.path), before);
 
     // Snapshots written before the tag existed carry 0 there and still
     // resume: strip every tag and re-sweep with the original seed.
@@ -548,6 +552,67 @@ TEST(Checkpoint, ConvergenceSweepRefusesAnotherSeedsCheckpoints) {
         EXPECT_EQ(resumed[i].converged_runs, reference[i].converged_runs);
         EXPECT_EQ(resumed[i].mean_parallel_time, reference[i].mean_parallel_time);
     }
+}
+
+TEST(Checkpoint, ConvergenceSweepRefusesAnotherPopulationsCheckpoint) {
+    // The fingerprint pins the protocol, not the population: a trial
+    // directory holding a snapshot of another population must stop the
+    // sweep before any trial runs, not start the trial over and prune.
+    const Protocol protocol = protocols::collector_threshold(5);
+    const std::vector<AgentCount> populations = {40, 60};
+    const auto expected = [](AgentCount i) { return i >= 5 ? 1 : 0; };
+    const TempDir tmp("sweep-population");
+    ConvergenceSweepOptions options;
+    options.runs_per_size = 2;
+    options.seed = 99;
+    options.parallelism = 1;
+    options.checkpoint_dir = tmp.path.string();
+    options.checkpoint_every = 500;
+    convergence_sweep(protocol, populations, expected, options);
+
+    // The newest p60-r0 snapshot, copied into p40-r0 as its newest slot.
+    std::vector<fs::path> p60;
+    for (const auto& entry : fs::directory_iterator(tmp.path / "p60-r0"))
+        p60.push_back(entry.path());
+    ASSERT_FALSE(p60.empty());
+    std::sort(p60.begin(), p60.end());
+    fs::copy_file(p60.back(), tmp.path / "p40-r0" / "ckpt-9999999999.ppc");
+    const auto before = listing(tmp.path);
+
+    try {
+        convergence_sweep(protocol, populations, expected, options);
+        ADD_FAILURE() << "a snapshot of 60 agents resumed a trial of 40";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("60 agents, not 40"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(listing(tmp.path), before);
+}
+
+TEST(Checkpoint, ConvergenceSweepFailsLoudlyWhenASnapshotCannotBeWritten) {
+    const Protocol protocol = protocols::collector_threshold(5);
+    const TempDir tmp("sweep-unwritable");
+    std::ofstream(tmp.path / "file") << "not a directory";
+    ConvergenceSweepOptions options;
+    options.runs_per_size = 2;
+    options.parallelism = 1;
+    options.checkpoint_dir = (tmp.path / "file" / "sub").string();
+    options.checkpoint_every = 500;
+    const auto expected = [](AgentCount) { return 1; };
+    EXPECT_THROW(convergence_sweep(protocol, {40}, expected, options), std::runtime_error);
+
+    // Only trial p40-r0 fails (its directory is a regular file): on two
+    // workers the other must stop claiming trials at once, not run the
+    // remaining 63 before the error surfaces.
+    options.checkpoint_dir = (tmp.path / "sweep").string();
+    options.runs_per_size = 64;
+    options.parallelism = 2;
+    fs::create_directories(options.checkpoint_dir);
+    std::ofstream(tmp.path / "sweep" / "p40-r0") << "not a directory";
+    EXPECT_THROW(convergence_sweep(protocol, {40}, expected, options), std::runtime_error);
+    std::size_t started = 0;
+    for (const auto& entry : fs::directory_iterator(tmp.path / "sweep"))
+        started += entry.is_directory() ? 1 : 0;
+    EXPECT_LT(started, 16u) << "trials kept running after one failed";
 }
 
 TEST(Checkpoint, SweepStopFlagStopsBeforeAnyTrial) {

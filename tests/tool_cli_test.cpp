@@ -26,9 +26,10 @@ struct RunResult {
     std::string output;       ///< combined stdout+stderr
 };
 
-/// Runs `protocol_tool <args>` through the shell, capturing both streams.
-RunResult run_tool(const std::string& args) {
-    const std::string command = std::string(PPSC_TOOL_PATH) + " " + args + " 2>&1";
+/// Runs `protocol_tool <args>` through the shell, capturing both streams;
+/// `prefix` (e.g. a `timeout` wrapper) goes in front of the tool.
+RunResult run_tool(const std::string& args, const std::string& prefix = "") {
+    const std::string command = prefix + PPSC_TOOL_PATH + " " + args + " 2>&1";
     std::FILE* pipe = ::popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     RunResult result;
@@ -130,8 +131,9 @@ TEST_F(ToolFixture, RejectsUnknownCommandAndUnknownFlag) {
 
 TEST_F(ToolFixture, RejectsCheckpointFlagsTheCommandWouldIgnore) {
     // Only longrun and sweep checkpoint; sweep resumes per trial on its own
-    // and has no crash injection.  A flag that would do nothing is an error
-    // naming the flag, never a silent no-op.
+    // and has no crash injection; and the rotation depth, resume and crash
+    // injection need --checkpoint-dir.  A flag that would do nothing is an
+    // error naming the flag, never a silent no-op.
     const std::string ck = " --checkpoint-dir " + (dir / "ck").string();
     const struct {
         std::string args;
@@ -143,6 +145,12 @@ TEST_F(ToolFixture, RejectsCheckpointFlagsTheCommandWouldIgnore) {
         {"dot " + pp + " --checkpoint-every 5", "--checkpoint-every"},
         {"verify " + pp + " 16 --checkpoint-keep 2", "--checkpoint-keep"},
         {"simulate " + pp + " 100" + ck + " --resume", "--checkpoint-dir"},
+        // Without a directory the rotation depth does nothing (the cadence
+        // still paces the stop checks).
+        {"longrun " + pp + " 512 300000 7 --checkpoint-every 1000 --checkpoint-keep 5",
+         "--checkpoint-keep needs --checkpoint-dir"},
+        {"sweep " + pp + " 256 512,1024 4 7 --checkpoint-keep 5",
+         "--checkpoint-keep needs --checkpoint-dir"},
     };
     for (const auto& c : cases) {
         const RunResult r = run_tool(c.args);
@@ -235,28 +243,36 @@ TEST_F(ToolFixture, AnalyzeReportsDiagnosticsOnTheirSourceLines) {
 // --- crash/resume end to end -----------------------------------------------
 
 TEST_F(ToolFixture, LongrunSurvivesSigkillAndResumesToReferenceDigest) {
-    const std::string base = "longrun " + pp + " 256 2000000 7 ";
-    const RunResult reference = run_tool(base);
-    ASSERT_EQ(reference.exit_code, 0) << reference.output;
-    const std::size_t line = reference.output.find("longrun:");
-    ASSERT_NE(line, std::string::npos);
-    const std::string reference_line = reference.output.substr(line);
+    // The leader protocol's IC(m) holds m + 1 agents: the resume check must
+    // compare the snapshot with that, not with m.
+    const std::string leader = (dir / "leader.pp").string();
+    const RunResult family = run_tool("family leader 3");
+    ASSERT_EQ(family.exit_code, 0) << family.output;
+    std::ofstream(leader) << family.output;
+    for (const std::string& file : {pp, leader}) {
+        const std::string base = "longrun " + file + " 256 2000000 7 ";
+        const RunResult reference = run_tool(base);
+        ASSERT_EQ(reference.exit_code, 0) << reference.output;
+        const std::size_t line = reference.output.find("longrun:");
+        ASSERT_NE(line, std::string::npos);
+        const std::string reference_line = reference.output.substr(line);
 
-    const std::string flags =
-        "--checkpoint-dir " + (dir / "ck").string() + " --checkpoint-every 100000 ";
-    // Depending on whether the shell execs the command directly, the kill
-    // surfaces as a SIGKILL status or as the shell's 128+9 exit code.
-    const RunResult killed = run_tool(base + flags + "--die-after 800000");
-    EXPECT_TRUE(killed.term_signal == SIGKILL || killed.exit_code == 128 + SIGKILL)
-        << "signal=" << killed.term_signal << " exit=" << killed.exit_code << "\n"
-        << killed.output;
+        const std::string flags =
+            "--checkpoint-dir " + file + ".ck --checkpoint-every 100000 ";
+        // Depending on whether the shell execs the command directly, the
+        // kill surfaces as a SIGKILL status or as the shell's 128+9 exit code.
+        const RunResult killed = run_tool(base + flags + "--die-after 800000");
+        EXPECT_TRUE(killed.term_signal == SIGKILL || killed.exit_code == 128 + SIGKILL)
+            << "signal=" << killed.term_signal << " exit=" << killed.exit_code << "\n"
+            << killed.output;
 
-    const RunResult resumed = run_tool(base + flags + "--resume");
-    ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
-    EXPECT_NE(resumed.output.find("resumed from"), std::string::npos) << resumed.output;
-    EXPECT_NE(resumed.output.find(reference_line), std::string::npos)
-        << "resumed digest line differs:\nwant: " << reference_line
-        << "\ngot:  " << resumed.output;
+        const RunResult resumed = run_tool(base + flags + "--resume");
+        ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+        EXPECT_NE(resumed.output.find("resumed from"), std::string::npos) << resumed.output;
+        EXPECT_NE(resumed.output.find(reference_line), std::string::npos)
+            << "resumed digest line differs:\nwant: " << reference_line
+            << "\ngot:  " << resumed.output;
+    }
 }
 
 TEST_F(ToolFixture, LongrunRefusesToResumeAnotherPopulationsCheckpoint) {
@@ -338,6 +354,57 @@ TEST_F(ToolFixture, LongrunRefusesToResumeAnotherSeedsCheckpoint) {
     const RunResult same = run_tool("longrun " + pp + " 512 1600000 7" + flags + " --resume");
     EXPECT_EQ(same.exit_code, 0) << same.output;
     EXPECT_NE(same.output.find("resumed from"), std::string::npos) << same.output;
+}
+
+TEST_F(ToolFixture, LongrunStopsOnSigtermWithoutACheckpointDirectory) {
+    // At 2^40 agents double_exp(10) does not go silent for hours, so only
+    // the hook's stop check can end the run early.  Without a directory
+    // --checkpoint-every paces that check: 10^5 interactions, nearly all of
+    // them fired, take milliseconds optimised and ~1 s under Debug+TSan.
+    // SIGTERM at 2 s, SIGKILL to the tool at 30 s if it is still running
+    // (one timeout, so the KILL reaches the tool itself).
+    const std::string d10 = (dir / "d10.pp").string();
+    const RunResult family = run_tool("family double_exp 10");
+    ASSERT_EQ(family.exit_code, 0) << family.output;
+    std::ofstream(d10) << family.output;
+    const RunResult r =
+        run_tool("longrun " + d10 + " 1099511627776 100000000000000 3 --checkpoint-every 100000",
+                 "timeout -k 28 --preserve-status -s TERM 2 ");
+    EXPECT_EQ(r.exit_code, 0) << "signal=" << r.term_signal << "\n" << r.output;
+    EXPECT_NE(r.output.find("interrupted — no checkpoint directory\nlongrun: "),
+              std::string::npos)
+        << r.output;
+
+    // The stop checks consume no randomness: the cadence leaves a finished
+    // run's line as it is.
+    const std::string base = "longrun " + pp + " 512 300000 7";
+    const RunResult plain = run_tool(base);
+    const RunResult paced = run_tool(base + " --checkpoint-every 1000");
+    ASSERT_EQ(plain.exit_code, 0) << plain.output;
+    ASSERT_EQ(paced.exit_code, 0) << paced.output;
+    EXPECT_EQ(paced.output, plain.output);
+}
+
+TEST_F(ToolFixture, LongrunFailsWhenASnapshotCannotBeWritten) {
+    // The directory lies under a regular file: every write fails, and the
+    // first failure ends the run instead of a warning per snapshot.
+    std::ofstream(dir / "notadir") << "a file";
+    const RunResult r = run_tool("longrun " + pp + " 512 300000 7 --checkpoint-dir " +
+                                 (dir / "notadir" / "sub").string() +
+                                 " --checkpoint-every 100000");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_EQ(r.output.rfind("error: checkpoint write failed: ", 0), 0u) << r.output;
+    EXPECT_EQ(r.output.find("longrun:"), std::string::npos) << r.output;
+}
+
+TEST_F(ToolFixture, SweepFailsWhenASnapshotCannotBeWritten) {
+    std::ofstream(dir / "notadir") << "a file";
+    const RunResult r = run_tool("sweep " + pp + " 256 512,1024 4 7 --checkpoint-dir " +
+                                 (dir / "notadir" / "sub").string() + " --checkpoint-every 1000");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_EQ(r.output.rfind("error: checkpoint write failed: ", 0), 0u) << r.output;
+    EXPECT_EQ(r.output.find("population"), std::string::npos)
+        << "no row may be printed:\n" << r.output;
 }
 
 TEST_F(ToolFixture, SweepRefusesCheckpointsOfAnotherSeed) {
