@@ -327,7 +327,8 @@ void BM_E11MergePhaseCheckpointed(benchmark::State& state) {
     const Protocol& protocol = e11_flagship_protocol(n);
     const Simulator simulator(protocol);
     constexpr std::uint64_t kSeed = 7;
-    RunCheckpoints checkpoints("bench-checkpoints.tmp", 2, protocol_fingerprint(protocol), kSeed);
+    RunCheckpoints checkpoints("bench-checkpoints.tmp", 2, protocol_fingerprint(protocol), kSeed,
+                               kSeed);
     Simulator::Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(kSeed);
     const CheckpointHook hook{kDefaultCheckpointEvery, [&](const CheckpointTick& tick) {

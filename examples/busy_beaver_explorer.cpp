@@ -8,28 +8,22 @@
 // deterministic n-state protocol up to state renaming, verifies each
 // exhaustively, and prints the census — the experimental floor under the
 // paper's Ω(2^n) lower bound and 2^((2n+2)!) upper bound.
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bounds/paper_bounds.hpp"
 #include "search/busy_beaver.hpp"
+#include "support/parse.hpp"
 
 int main(int argc, char** argv) try {
     using namespace ppsc;
 
-    std::size_t n = 2;
-    if (argc > 1) {
-        errno = 0;
-        char* end = nullptr;
-        // ppsc-lint: allow(R5) end pointer, full token, ERANGE and range are all checked on the next line
-        const unsigned long long value = std::strtoull(argv[1], &end, 10);
-        if (end == argv[1] || *end != '\0' || errno == ERANGE || value < 2 || value > 3) {
-            std::fprintf(stderr, "n must be 2 or 3 (exhaustive search), got '%s'\n", argv[1]);
-            return 1;
-        }
-        n = static_cast<std::size_t>(value);
+    const ParsedInt<std::size_t> parsed =
+        parse_integer<std::size_t>(argc > 1 ? argv[1] : "2", 2, 3);
+    if (!parsed.ok()) {
+        std::fprintf(stderr, "n must be 2 or 3 (exhaustive search), got '%s'\n", argv[1]);
+        return 1;
     }
+    const std::size_t n = parsed.value;
 
     search::SearchOptions options;
     options.max_input = n == 2 ? 10 : 12;

@@ -9,29 +9,22 @@
 //
 // This example contrasts the state budgets of the library's three
 // leaderless constructions and simulates the succinct one at scale.
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 #include "protocols/threshold.hpp"
 #include "sim/simulator.hpp"
+#include "support/parse.hpp"
 
 int main(int argc, char** argv) try {
     using namespace ppsc;
 
-    AgentCount eta = 1000;
-    if (argc > 1) {
-        errno = 0;
-        char* end = nullptr;
-        // ppsc-lint: allow(R5) end pointer, full token, ERANGE and range are all checked on the next line
-        const long long value = std::strtoll(argv[1], &end, 10);
-        if (end == argv[1] || *end != '\0' || errno == ERANGE || value < 2 ||
-            value > (1ll << 30)) {
-            std::fprintf(stderr, "eta must be an integer in [2, 2^30], got '%s'\n", argv[1]);
-            return 1;
-        }
-        eta = value;
+    const ParsedInt<AgentCount> parsed =
+        parse_integer<AgentCount>(argc > 1 ? argv[1] : "1000", 2, 1ll << 30);
+    if (!parsed.ok()) {
+        std::fprintf(stderr, "eta must be an integer in [2, 2^30], got '%s'\n", argv[1]);
+        return 1;
     }
+    const AgentCount eta = parsed.value;
 
     std::printf("predicate: x >= %lld\n\n", static_cast<long long>(eta));
     std::printf("%-28s %10s\n", "construction", "states");

@@ -11,6 +11,11 @@
 //   $ ./protocol_tool demo                       (prints a sample file)
 //   $ ./protocol_tool help                       (full usage, all families)
 //
+// Every numeric argument, family parameters included, is a whole integer
+// token (src/support/parse.hpp: an optional '+'/'-' and decimal digits,
+// nothing else) within the range its diagnostic names — "12x", "" and a
+// token with a leading space such as " 3" are errors.
+//
 // The text format is documented in src/core/protocol_parser.hpp; `demo`
 // emits a ready-to-use threshold-3 protocol, so
 //
@@ -48,11 +53,8 @@
 //         --checkpoint-every 1000000   (one command line)
 //   ^C   (or SIGKILL — the rotation keeps the last snapshots)
 //   $ ./protocol_tool longrun d3.pp 512 100000000 7 --checkpoint-dir ck --resume
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <atomic>
 #include <fstream>
 #include <limits>
@@ -70,6 +72,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "support/parse.hpp"
 #include "verify/verifier.hpp"
 
 using namespace ppsc;
@@ -139,26 +142,21 @@ std::string read_text(const char* path) {
     return text.str();
 }
 
-/// Strict numeric argument parsing: the whole token must be a number in
-/// [min, max] — "12x", "", and out-of-range values all get a one-line
-/// diagnostic instead of strtoll's silent 0.
-// ppsc-lint: validated-parser (end pointer, full token, ERANGE, and range checked below)
-std::int64_t parse_int(const char* what, const char* text, std::int64_t min, std::int64_t max) {
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || value < min || value > max) {
-        std::ostringstream message;
-        message << what << " must be an integer in [" << min << ", " << max << "], got '"
-                << text << "'";
-        throw std::invalid_argument(message.str());
-    }
-    return value;
+/// Strict numeric argument parsing (support/parse.hpp): the whole token
+/// must be an integer in [min, max] — "12x", "", " 3" and out-of-range
+/// values all get a one-line diagnostic.
+std::int64_t parse_int(const char* what, std::string_view text, std::int64_t min,
+                       std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
+    const ParsedInt<std::int64_t> parsed = parse_integer<std::int64_t>(text, min, max);
+    if (!parsed.ok())
+        throw std::invalid_argument(std::string(what) + " must be an integer in [" +
+                                    std::to_string(min) + ", " + std::to_string(max) +
+                                    "], got '" + std::string(text) + "'");
+    return parsed.value;
 }
 
 std::uint64_t parse_u64(const char* what, const char* text) {
-    return static_cast<std::uint64_t>(
-        parse_int(what, text, 0, std::numeric_limits<std::int64_t>::max()));
+    return static_cast<std::uint64_t>(parse_int(what, text, 0));
 }
 
 std::vector<AgentCount> parse_population_list(const char* text) {
@@ -166,8 +164,7 @@ std::vector<AgentCount> parse_population_list(const char* text) {
     std::stringstream stream(text);
     std::string token;
     while (std::getline(stream, token, ','))
-        populations.push_back(parse_int("population", token.c_str(), 2,
-                                        std::numeric_limits<std::int64_t>::max()));
+        populations.push_back(parse_int("population", token, 2));
     if (populations.empty())
         throw std::invalid_argument("population list must name at least one population");
     return populations;
@@ -251,14 +248,22 @@ CheckpointFlags extract_checkpoint_flags(std::string_view command,
     return flags;
 }
 
-/// How many positional arguments a file command's usage line names, the
-/// file included (no limit for an unknown command, which fails later).
-std::size_t max_positional(std::string_view command) {
-    if (command == "info" || command == "dot") return 1;
-    if (command == "verify" || command == "simulate") return 3;
-    if (command == "longrun") return 4;
-    if (command == "sweep") return 5;
-    return std::numeric_limits<std::size_t>::max();
+/// The positional arguments a file command's usage line names, the file
+/// included: at least `min` (`needs` names the ones past the file), at
+/// most `max` (no limit for an unknown command, which fails later).
+struct Positional {
+    std::size_t min = 1;
+    std::size_t max = std::numeric_limits<std::size_t>::max();
+    const char* needs = "";
+};
+
+Positional positional_usage(std::string_view command) {
+    if (command == "info" || command == "dot") return {1, 1};
+    if (command == "verify") return {2, 3, "<eta>"};
+    if (command == "simulate") return {2, 3, "<population>"};
+    if (command == "longrun") return {3, 4, "<population> <interactions>"};
+    if (command == "sweep") return {3, 5, "<eta> <pop1,pop2,...>"};
+    return {};
 }
 
 /// The durable throughput run: drives one Simulator::Trajectory to an
@@ -276,7 +281,7 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
 
     std::optional<RunCheckpoints> checkpoints;
     if (!flags.dir.empty())
-        checkpoints.emplace(flags.dir, flags.keep, protocol_fingerprint(protocol), seed);
+        checkpoints.emplace(flags.dir, flags.keep, protocol_fingerprint(protocol), seed, seed);
     if (flags.resume) {
         CheckpointDir::Latest latest = checkpoints->resume_point(config);
         for (const std::string& rejection : latest.rejected)
@@ -486,20 +491,21 @@ int main(int argc, char** argv) {
         std::vector<const char*> args(argv + 2, argv + argc);
         const CheckpointFlags flags = extract_checkpoint_flags(command, args);
         if (args.empty()) throw std::invalid_argument("missing <file.pp>");
-        if (const std::size_t most = max_positional(command); args.size() > most)
+        const Positional usage = positional_usage(command);
+        if (args.size() > usage.max)
             throw std::invalid_argument(std::string(command) + " takes at most " +
-                                        std::to_string(most) + " arguments, got " +
+                                        std::to_string(usage.max) + " arguments, got " +
                                         std::to_string(args.size()));
         const Protocol protocol = parse_protocol(read_text(args[0]));
+        if (args.size() < usage.min) {
+            std::fprintf(stderr, "%s needs %s\n", argv[1], usage.needs);
+            return 1;
+        }
         if (command == "info") {
             std::fputs(protocol.to_text().c_str(), stdout);
         } else if (command == "dot") {
             std::fputs(protocol.to_dot().c_str(), stdout);
         } else if (command == "verify") {
-            if (args.size() < 2) {
-                std::fprintf(stderr, "verify needs <eta>\n");
-                return 1;
-            }
             const AgentCount eta = parse_int("eta", args[1], 1, 1ll << 60);
             const AgentCount max_input =
                 args.size() > 2 ? parse_int("max_input", args[2], 2, 1ll << 60) : eta + 4;
@@ -517,12 +523,7 @@ int main(int argc, char** argv) {
             }
             return check.holds ? 0 : 2;
         } else if (command == "simulate") {
-            if (args.size() < 2) {
-                std::fprintf(stderr, "simulate needs <population>\n");
-                return 1;
-            }
-            const AgentCount population =
-                parse_int("population", args[1], 2, std::numeric_limits<std::int64_t>::max());
+            const AgentCount population = parse_int("population", args[1], 2);
             Rng rng(args.size() > 2 ? parse_u64("seed", args[2]) : 1);
             const Simulator simulator(protocol);
             const SimulationResult result = simulator.run_input(population, rng);
@@ -535,20 +536,11 @@ int main(int argc, char** argv) {
             std::printf("final: %s\n",
                         result.final_config.to_string(protocol.state_names()).c_str());
         } else if (command == "longrun") {
-            if (args.size() < 3) {
-                std::fprintf(stderr, "longrun needs <population> <interactions>\n");
-                return 1;
-            }
-            const AgentCount population =
-                parse_int("population", args[1], 2, std::numeric_limits<std::int64_t>::max());
+            const AgentCount population = parse_int("population", args[1], 2);
             const std::uint64_t budget = parse_u64("interactions", args[2]);
             const std::uint64_t seed = args.size() > 3 ? parse_u64("seed", args[3]) : 1;
             return run_longrun(protocol, population, budget, seed, flags);
         } else if (command == "sweep") {
-            if (args.size() < 3) {
-                std::fprintf(stderr, "sweep needs <eta> <pop1,pop2,...>\n");
-                return 1;
-            }
             const AgentCount eta = parse_int("eta", args[1], 1, 1ll << 60);
             const std::vector<AgentCount> populations = parse_population_list(args[2]);
             const std::uint64_t runs = args.size() > 3 ? parse_u64("runs", args[3]) : 20;

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/parse.hpp"
+
 namespace ppsc::analyze {
 
 namespace {
@@ -22,20 +24,14 @@ const char* kind_name(CertificateKind kind) {
     PPSC_UNREACHABLE();
 }
 
-/// Full-token integer parse (ppsc-lint R5: a trailing-garbage token like
-/// "12x" must be a typed error, never silently read as 12).
-std::int64_t parse_int(const std::string& token, std::size_t line) {
-    try {
-        std::size_t used = 0;
-        // ppsc-lint: allow(R5) full-token check directly below; a typed fail() on any violation
-        const std::int64_t value = std::stoll(token, &used);
-        if (used != token.size()) fail(line, "expected an integer, got '" + token + "'");
-        return value;
-    } catch (const std::invalid_argument&) {
+/// The whole token as an Int (support/parse.hpp), else a typed fail().
+template <typename Int = std::int64_t>
+Int parse_int(const std::string& token, std::size_t line) {
+    const ParsedInt<Int> parsed = parse_integer<Int>(token);
+    if (parsed.status == ParseIntStatus::not_an_integer)
         fail(line, "expected an integer, got '" + token + "'");
-    } catch (const std::out_of_range&) {
-        fail(line, "integer out of range: '" + token + "'");
-    }
+    if (!parsed.ok()) fail(line, "integer out of range: '" + token + "'");
+    return parsed.value;
 }
 
 }  // namespace
@@ -143,10 +139,10 @@ std::vector<Certificate> parse_certificates(std::string_view text) {
             }
         } else if (keyword == "transition") {
             if (tokens.size() != 2) fail(line_number, "expected: transition <id>");
-            current.transition = static_cast<TransitionId>(parse_int(tokens[1], line_number));
+            current.transition = parse_int<TransitionId>(tokens[1], line_number);
         } else if (keyword == "state") {
             if (tokens.size() != 2) fail(line_number, "expected: state <id>");
-            current.state = static_cast<StateId>(parse_int(tokens[1], line_number));
+            current.state = parse_int<StateId>(tokens[1], line_number);
         } else if (keyword == "output") {
             if (tokens.size() != 2) fail(line_number, "expected: output <0|1>");
             const std::int64_t b = parse_int(tokens[1], line_number);

@@ -90,7 +90,11 @@ std::string format_certificates(std::span<const Certificate> certificates);
 
 /// Parses the serialisation above.  Throws std::invalid_argument with a
 /// line-numbered message on any syntax error; semantic validity against a
-/// protocol is the checker's job, not the parser's.
+/// protocol is the checker's job, not the parser's.  Every number is an
+/// optional `+`/`-` and one or more decimal digits (support/parse.hpp):
+/// coefficients and refs within int64, transition and state ids within
+/// int32 (TransitionId / StateId) — an id past that is a parse error, not
+/// narrowed onto another id; a negative id parses and the checker rejects it.
 std::vector<Certificate> parse_certificates(std::string_view text);
 
 }  // namespace ppsc::analyze

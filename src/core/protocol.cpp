@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -63,6 +64,8 @@ Config Protocol::initial_config(std::span<const AgentCount> input) const {
     for (std::size_t i = 0; i < input.size(); ++i) {
         if (input[i] < 0)
             throw std::invalid_argument("Protocol::initial_config: negative input");
+        if (input[i] > std::numeric_limits<AgentCount>::max() - config.size())
+            throw std::invalid_argument("Protocol::initial_config: population out of range");
         config.add(t.input_states[i], input[i]);
     }
     if (config.size() < 2)
@@ -240,6 +243,9 @@ void ProtocolBuilder::add_leaders(StateId state, AgentCount count) {
     if (state < 0 || static_cast<std::size_t>(state) >= names_.size())
         throw std::invalid_argument("ProtocolBuilder::add_leaders: unknown state id");
     if (count <= 0) throw std::invalid_argument("ProtocolBuilder::add_leaders: count must be > 0");
+    if (count > std::numeric_limits<AgentCount>::max() - leader_total_)
+        throw std::invalid_argument("ProtocolBuilder::add_leaders: leader total out of range");
+    leader_total_ += count;
     leaders_.emplace_back(state, count);
 }
 

@@ -187,8 +187,9 @@ public:
     }
 
     /// IC(m) = L + Σ_x m(x)·I(x).  `input` is indexed like
-    /// input_variables().  Throws std::invalid_argument on size mismatch
-    /// or |IC(m)| < 2 (configurations have at least two agents).
+    /// input_variables().  Throws std::invalid_argument on size mismatch,
+    /// a negative input, |IC(m)| past AgentCount's range, or |IC(m)| < 2
+    /// (configurations have at least two agents).
     Config initial_config(std::span<const AgentCount> input) const;
 
     /// IC(i) for single-input protocols; throws if |X| != 1.
@@ -308,7 +309,8 @@ public:
     /// cannot carry.
     void set_input(std::string name, StateId state);
 
-    /// Adds `count` leader agents in `state`.
+    /// Adds `count` leader agents in `state`.  Throws std::invalid_argument
+    /// when the leader total would leave AgentCount's range.
     void add_leaders(StateId state, AgentCount count);
 
     std::size_t num_states() const noexcept { return names_.size(); }
@@ -334,6 +336,7 @@ private:
     std::vector<std::string> input_names_;
     std::vector<StateId> input_states_;
     std::vector<std::pair<StateId, AgentCount>> leaders_;
+    AgentCount leader_total_ = 0;  // Σ leaders_ counts, kept within AgentCount
 };
 
 }  // namespace ppsc

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "support/hash.hpp"
+#include "support/parse.hpp"
 
 namespace ppsc {
 
@@ -100,22 +101,12 @@ Protocol parse_protocol(std::string_view text, ParseReport* report) {
             any_input = true;
         } else if (keyword == "leaders") {
             if (tokens.size != 3) fail(line_number, "expected: leaders <state> <count>");
-            const std::string count_text(tokens[2]);
-            AgentCount count = 0;
-            try {
-                // Full-token parse: "12x" must be rejected, not read as 12
-                // (found by ppsc-lint R5 — stoll alone accepts any prefix).
-                std::size_t used = 0;
-                // ppsc-lint: allow(R5) full-token check directly below; a typed fail() on any violation
-                count = std::stoll(count_text, &used);
-                if (used != count_text.size()) fail(line_number, "count must be an integer");
-            } catch (const std::invalid_argument&) {
+            const ParsedInt<AgentCount> count = parse_integer<AgentCount>(tokens[2]);
+            if (count.status == ParseIntStatus::not_an_integer)
                 fail(line_number, "count must be an integer");
-            } catch (const std::out_of_range&) {
-                fail(line_number, "count out of range");
-            }
+            if (!count.ok()) fail(line_number, "count out of range");
             try {
-                b.add_leaders(lookup(tokens[1], line_number), count);
+                b.add_leaders(lookup(tokens[1], line_number), count.value);
             } catch (const std::invalid_argument& e) {
                 fail(line_number, e.what());
             }

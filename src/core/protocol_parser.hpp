@@ -13,7 +13,9 @@
 //
 // Lines: `state <name> <0|1>`, `input <var> -> <state>`,
 // `leaders <state> <count>`, `trans <p> <q> -> <p'> <q'>`; `#` starts a
-// comment; blank lines ignored.  Each unordered pre-pair may carry one
+// comment; blank lines ignored.  A count is an optional `+`/`-` and one
+// or more decimal digits (support/parse.hpp), within int64 and positive;
+// the leader total must stay within int64 too.  Each unordered pre-pair may carry one
 // `trans` rule; a further rule for the same pair (a nondeterministic
 // protocol) must be written `trans+ <p> <q> -> <p'> <q'>` — a plain
 // `trans` re-targeting an already-defined pair is a typed parse error

@@ -1,16 +1,15 @@
 #include "protocols/families.hpp"
 
 #include <array>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/leader.hpp"
 #include "protocols/majority.hpp"
 #include "protocols/threshold.hpp"
 #include "support/bignat.hpp"
+#include "support/parse.hpp"
 
 namespace ppsc::protocols {
 
@@ -36,23 +35,14 @@ constexpr std::array<ProtocolFamily, 9> kFamilies = {{
      "x >= eta for arbitrary-precision eta with O(log eta) states", "19"},
 }};
 
-// ppsc-lint: validated-parser (full token within Int's range, else a typed error; never narrows)
+/// The whole parameter as an Int (support/parse.hpp), else a typed error.
 template <typename Int = long long>
 Int parse_int(std::string_view family, std::string_view value) {
-    std::size_t used = 0;
-    long long parsed = 0;
-    try {
-        parsed = std::stoll(std::string(value), &used);
-    } catch (const std::exception&) {
-        used = 0;
-    }
-    if (used != value.size())
-        throw std::invalid_argument("family " + std::string(family) + ": parameter '" +
-                                    std::string(value) + "' is not an integer");
-    if (!std::in_range<Int>(parsed))
-        throw std::invalid_argument("family " + std::string(family) + ": parameter '" +
-                                    std::string(value) + "' is out of range");
-    return static_cast<Int>(parsed);
+    const ParsedInt<Int> parsed = parse_integer<Int>(value);
+    if (parsed.ok()) return parsed.value;
+    throw std::invalid_argument(
+        "family " + std::string(family) + ": parameter '" + std::string(value) + "' is " +
+        (parsed.status == ParseIntStatus::out_of_range ? "out of range" : "not an integer"));
 }
 
 }  // namespace

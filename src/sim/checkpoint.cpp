@@ -15,6 +15,7 @@
 #include "sim/simulator.hpp"
 #include "support/crc64.hpp"
 #include "support/hash.hpp"
+#include "support/parse.hpp"
 
 namespace ppsc {
 
@@ -374,17 +375,13 @@ std::vector<std::pair<std::uint64_t, std::string>> CheckpointDir::slots() const 
         if (!entry.is_regular_file(ec)) continue;
         const std::string name = entry.path().filename().string();
         if (!name.starts_with(kSlotPrefix) || !name.ends_with(kSlotSuffix)) continue;
-        const std::string digits =
-            name.substr(std::strlen(kSlotPrefix),
-                        name.size() - std::strlen(kSlotPrefix) - std::strlen(kSlotSuffix));
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos)
-            continue;
-        errno = 0;
-        // ppsc-lint: allow(R5) digits pre-validated as pure ASCII decimal above; ERANGE checked below
-        const std::uint64_t seq = std::strtoull(digits.c_str(), nullptr, 10);
-        if (errno != 0) continue;
-        found.emplace_back(seq, name);
+        std::string_view digits = name;
+        digits.remove_prefix(std::strlen(kSlotPrefix));
+        digits.remove_suffix(std::strlen(kSlotSuffix));
+        // write() names a slot by its digits alone: a signed name is no slot.
+        const auto seq = parse_integer<std::uint64_t>(digits);
+        if (seq.ok() && !digits.starts_with('+') && !digits.starts_with('-'))
+            found.emplace_back(seq.value, name);
     }
     std::sort(found.begin(), found.end());
     return found;
@@ -451,7 +448,7 @@ CheckpointDir::Latest RunCheckpoints::resume_point(const Config& start) const {
                                     " agents, not " + std::to_string(start.size()));
     if (latest.checkpoint && !resumes_seed(*latest.checkpoint, seed_))
         throw std::invalid_argument(latest.path + " is a run of another seed, not " +
-                                    std::to_string(seed_));
+                                    std::to_string(user_seed_));
     return latest;
 }
 

@@ -181,16 +181,20 @@ private:
 
 /// The durable-run policy of one seeded run (a `protocol_tool longrun`, or
 /// one convergence-sweep trial) over its rotation directory: which
-/// snapshot it may resume, and what a failed write does.
+/// snapshot it may resume, and what a failed write does.  `seed` is the
+/// run's own seed; `user_seed` is the one a seed refusal names, the seed
+/// the user gave (for a sweep trial, the sweep seed its seed derives from).
 class RunCheckpoints {
 public:
     RunCheckpoints(std::string dir, std::size_t keep_last, std::uint64_t fingerprint,
-                   std::uint64_t seed)
-        : dir_(std::move(dir), keep_last), fingerprint_(fingerprint), seed_(seed) {}
+                   std::uint64_t seed, std::uint64_t user_seed)
+        : dir_(std::move(dir), keep_last), fingerprint_(fingerprint), seed_(seed),
+          user_seed_(user_seed) {}
 
     /// The newest valid snapshot of the protocol (CheckpointDir::load_latest
     /// under the fingerprint), or none.  Throws std::invalid_argument when
-    /// that snapshot is a run of another seed, or holds another number of
+    /// that snapshot is a run of another seed ("… another seed, not
+    /// <user_seed>"), or holds another number of
     /// agents than the run's starting configuration `start` (leaders
     /// included): carrying it on would mix two runs in one.
     CheckpointDir::Latest resume_point(const Config& start) const;
@@ -204,6 +208,7 @@ private:
     CheckpointDir dir_;
     std::uint64_t fingerprint_;
     std::uint64_t seed_;
+    std::uint64_t user_seed_;
 };
 
 }  // namespace ppsc

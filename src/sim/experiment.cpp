@@ -63,7 +63,8 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
         const std::string slot = "p" + std::to_string(populations[index / runs]) + "-r" +
                                  std::to_string(index % runs);
         return RunCheckpoints((std::filesystem::path(options.checkpoint_dir) / slot).string(),
-                              options.checkpoint_keep_last, fingerprint, trial_seed(index));
+                              options.checkpoint_keep_last, fingerprint, trial_seed(index),
+                              options.seed);
     };
     // A snapshot of another seed or population is refused before any trial
     // runs, so nothing is written or pruned.

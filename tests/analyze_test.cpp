@@ -364,6 +364,23 @@ TEST(CertificateFormat, ParserRejectsMalformedText) {
         std::invalid_argument);
     EXPECT_THROW(analyze::parse_certificates("certificate dead\nrefs -1\nend\n"),
                  std::invalid_argument);
+    // An id past TransitionId / StateId is a parse error, never narrowed
+    // onto a real id (4294967297 = 2^32 + 1 would read as transition 1).
+    EXPECT_THROW(analyze::parse_certificates(
+                     "certificate dead\ntransition 4294967297\nstate 2\nrefs 0\nend\n"),
+                 std::invalid_argument);
+    EXPECT_THROW(analyze::parse_certificates(
+                     "certificate dead\ntransition 1\nstate 4294967298\nrefs 0\nend\n"),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        analyze::parse_certificates("certificate invariant\ncoeffs 9223372036854775808\nend\n"),
+        std::invalid_argument);
+    // A negative id parses; the checker rejects it against the protocol.
+    const std::vector<Certificate> negative =
+        analyze::parse_certificates("certificate dead\ntransition -1\nstate -2\nend\n");
+    ASSERT_EQ(negative.size(), 1u);
+    EXPECT_EQ(negative[0].transition, -1);
+    EXPECT_EQ(negative[0].state, -2);
     // Line numbers are part of the contract.
     try {
         analyze::parse_certificates("certificate invariant\ncoeffs 1\nwhat 3\nend\n");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <span>
 #include <stdexcept>
@@ -135,6 +136,42 @@ TEST(Protocol, InitialConfigWithLeaders) {
     EXPECT_EQ(ic.size(), 5);
     // With leaders, IC(0) is still a valid configuration (two leader agents).
     EXPECT_EQ(p.initial_config(0).size(), 2);
+}
+
+TEST(Protocol, InitialConfigRejectsPopulationPastAgentCount) {
+    // IC(m) = L + m·I(x) must fit AgentCount: the input count is checked
+    // against the leaders already placed, before Config::add sums them.
+    constexpr AgentCount kMax = std::numeric_limits<AgentCount>::max();
+    ProtocolBuilder b;
+    const StateId x = b.add_state("x", 0);
+    const StateId ell = b.add_state("L", 1);
+    b.set_input("x", x);
+    b.add_leaders(ell, 3);
+    const Protocol p = std::move(b).build();
+    EXPECT_THROW(p.initial_config(kMax), std::invalid_argument);
+    EXPECT_THROW(p.initial_config(kMax - 2), std::invalid_argument);
+    EXPECT_EQ(p.initial_config(kMax - 3).size(), kMax);
+
+    // Two inputs whose counts each fit, but not together.
+    ProtocolBuilder two;
+    two.set_input("x", two.add_state("x", 0));
+    two.set_input("y", two.add_state("y", 1));
+    const Protocol q = std::move(two).build();
+    const std::vector<AgentCount> input = {kMax, 1};
+    EXPECT_THROW(q.initial_config(input), std::invalid_argument);
+}
+
+TEST(ProtocolBuilder, RejectsLeaderTotalPastAgentCount) {
+    constexpr AgentCount kMax = std::numeric_limits<AgentCount>::max();
+    ProtocolBuilder b;
+    const StateId x = b.add_state("x", 0);
+    const StateId ell = b.add_state("L", 1);
+    b.set_input("x", x);
+    b.add_leaders(ell, kMax - 1);
+    EXPECT_THROW(b.add_leaders(x, 2), std::invalid_argument);
+    b.add_leaders(x, 1);  // the total may reach the maximum exactly
+    const Protocol p = std::move(b).build();
+    EXPECT_EQ(p.initial_config(0).size(), kMax);
 }
 
 TEST(Protocol, ConsensusOutput) {

@@ -105,6 +105,49 @@ TEST(ProtocolParser, RejectsBrokenInputs) {
                  std::invalid_argument);  // duplicate state
 }
 
+TEST(ProtocolParser, LeaderTotalPastAgentCountIsTypedErrorOnItsLine) {
+    // Each count fits an int64, their sum does not: the second `leaders`
+    // line is the one reported, before any configuration holds the total.
+    const std::string text =
+        "state a 0\nstate b 1\ninput x -> a\n"
+        "leaders b 9223372036854775807\n"
+        "leaders b 9223372036854775807\n";
+    try {
+        parse_protocol(text);
+        FAIL() << "expected parse error";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 5"), std::string::npos) << what;
+        EXPECT_NE(what.find("leader total out of range"), std::string::npos) << what;
+    }
+    const Protocol p = parse_protocol(
+        "state a 0\nstate b 1\ninput x -> a\nleaders b 9223372036854775806\nleaders a 1\n");
+    EXPECT_EQ(p.leaders()[*p.find_state("b")], 9223372036854775806);
+    EXPECT_EQ(p.leaders()[*p.find_state("a")], 1);
+}
+
+TEST(ProtocolParser, LeaderCountTokensFollowTheIntegerGrammar) {
+    const std::string head = "state a 0\nstate b 1\ninput x -> a\nleaders b ";
+    EXPECT_EQ(parse_protocol(head + "+007\n").leaders()[1], 7);
+    for (const char* bad : {"12x", "0x10", "1.0", "-", "+"}) {
+        try {
+            parse_protocol(head + bad + "\n");
+            FAIL() << "expected parse error for '" << bad << "'";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("line 4: count must be an integer"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    try {
+        parse_protocol(head + "9223372036854775808\n");
+        FAIL() << "expected parse error";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("line 4: count out of range"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ProtocolParser, UnknownStateIsTypedError) {
     try {
         parse_protocol("state a 0\nstate b 1\ninput x -> a\ntrans a zz -> b b\n");

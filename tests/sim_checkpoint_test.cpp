@@ -276,6 +276,28 @@ TEST(Checkpoint, RotationKeepsLastK) {
     EXPECT_TRUE(latest.rejected.empty());
 }
 
+TEST(Checkpoint, RotationLeavesFilesThatAreNotSlots) {
+    // Only "ckpt-<digits>.ppc" names a slot: a signed, spaced, empty or
+    // overlong number is someone else's file, never loaded or pruned.
+    const TempDir tmp("foreign");
+    const std::vector<std::string> foreign = {
+        "ckpt-+0000000009.ppc", "ckpt--0.ppc",    "ckpt- 9.ppc",
+        "ckpt-.ppc",            "ckpt-9x.ppc",    "ckpt-99999999999999999999.ppc",
+    };
+    for (const std::string& name : foreign) std::ofstream(tmp.path / name) << "not a checkpoint";
+    CheckpointDir dir(tmp.path.string(), 2);
+    Checkpoint ck = reference_checkpoint();
+    for (int i = 0; i < 4; ++i) {
+        ck.interactions = static_cast<std::uint64_t>(i);
+        ASSERT_EQ(dir.write(ck), CheckpointError::none);
+    }
+    for (const std::string& name : foreign) EXPECT_TRUE(fs::exists(tmp.path / name)) << name;
+    const CheckpointDir::Latest latest = dir.load_latest();
+    ASSERT_TRUE(latest.checkpoint.has_value());
+    EXPECT_EQ(latest.checkpoint->interactions, 3u);
+    EXPECT_TRUE(latest.rejected.empty());
+}
+
 TEST(Checkpoint, LoaderFallsBackPastCorruptNewestSlots) {
     const TempDir tmp("fallback");
     CheckpointDir dir(tmp.path.string(), 4);

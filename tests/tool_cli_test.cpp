@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,7 +66,7 @@ struct ToolFixture : ::testing::Test {
 // --- degenerate inputs -----------------------------------------------------
 
 TEST_F(ToolFixture, RejectsNonNumericPopulation) {
-    for (const char* bad : {"abc", "12x", "", "-5", "1", "0"}) {
+    for (const char* bad : {"abc", "12x", "", "-5", "1", "0", " 3"}) {
         const RunResult r = run_tool("simulate " + pp + " '" + bad + "'");
         EXPECT_EQ(r.exit_code, 1) << "population '" << bad << "': " << r.output;
         EXPECT_NE(r.output.find("population"), std::string::npos) << r.output;
@@ -238,6 +239,38 @@ TEST_F(ToolFixture, AnalyzeReportsDiagnosticsOnTheirSourceLines) {
                          "analyze: 1 unreachable state, 1 dead transition, consensus 0 "
                          "possible, consensus 1 possible\n"
                          "certificates: 2 emitted, checker accepted all\n");
+}
+
+TEST_F(ToolFixture, AnalyzeCheckRejectsCertificateIdsPastTheirType) {
+    // Transition 1 is dead (z is unreachable).  A certificate naming
+    // transition 2^32 + 1 or state 2^32 + 2 claims nothing about this
+    // protocol; read as an int32 it would narrow onto the true ids and pass.
+    const std::string file = (dir / "dead.pp").string();
+    std::ofstream(file) << "state a 0\nstate b 1\nstate z 1\ninput x -> a\n"
+                           "trans a a -> b b\ntrans z a -> z z\n";
+    const std::string certs = (dir / "certs.txt").string();
+    const RunResult emitted = run_tool("analyze " + file + " --emit-certificates " + certs);
+    ASSERT_EQ(emitted.exit_code, 0) << emitted.output;
+    std::ifstream in(certs);
+    const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    ASSERT_NE(text.find("transition 1\n"), std::string::npos) << text;
+    ASSERT_NE(text.find("state 2\n"), std::string::npos) << text;
+    EXPECT_EQ(run_tool("analyze " + file + " --check " + certs).exit_code, 0);
+
+    const std::vector<std::pair<std::string, std::string>> forgeries = {
+        {"transition 1\n", "transition 4294967297\n"},
+        {"state 2\n", "state 4294967298\n"},
+    };
+    for (const auto& [real, forged] : forgeries) {
+        std::string forged_text = text;
+        forged_text.replace(forged_text.find(real), real.size(), forged);
+        const std::string forged_file = (dir / "forged.txt").string();
+        std::ofstream(forged_file) << forged_text;
+        const RunResult r = run_tool("analyze " + file + " --check " + forged_file);
+        EXPECT_EQ(r.exit_code, 1) << forged << r.output;
+        EXPECT_NE(r.output.find("error: certificate parse error"), std::string::npos)
+            << forged << r.output;
+    }
 }
 
 // --- crash/resume end to end -----------------------------------------------
@@ -419,6 +452,8 @@ TEST_F(ToolFixture, SweepRefusesCheckpointsOfAnotherSeed) {
     const RunResult eight = run_tool(sweep + "8" + flags);
     EXPECT_EQ(eight.exit_code, 1) << eight.output;
     EXPECT_NE(eight.output.find("error: "), std::string::npos) << eight.output;
+    // The refusal names the sweep seed, not the trial seed derived from it.
+    EXPECT_NE(eight.output.find("another seed, not 8\n"), std::string::npos) << eight.output;
     EXPECT_NE(eight.output.find(ck), std::string::npos) << eight.output;
     EXPECT_EQ(eight.output.find("population"), std::string::npos)
         << "no row may be printed:\n" << eight.output;

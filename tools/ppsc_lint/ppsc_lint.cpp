@@ -40,7 +40,7 @@
 //                           the weight lanes corrupts sampling distributions
 //                           without failing any test.
 //   R5 validated-parse      Raw numeric parse calls (strtoll, stoll, atoi,
-//                           sscanf, …) may only appear inside a function
+//                           from_chars, sscanf, …) may only appear inside a function
 //                           marked `// ppsc-lint: validated-parser` (a
 //                           helper that checks the end pointer / full-token
 //                           consumption and reports a typed error) or under
@@ -193,20 +193,8 @@ bool is_ident_char(char c) {
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/// True iff `token` occurs in `code` delimited by non-identifier characters.
-bool has_token(std::string_view code, std::string_view token) {
-    std::size_t pos = 0;
-    while ((pos = code.find(token, pos)) != std::string_view::npos) {
-        const bool left_ok = pos == 0 || !is_ident_char(code[pos - 1]);
-        const std::size_t end = pos + token.size();
-        const bool right_ok = end >= code.size() || !is_ident_char(code[end]);
-        if (left_ok && right_ok) return true;
-        pos += 1;
-    }
-    return false;
-}
-
-/// Position of a token occurrence, npos when absent.
+/// Position of a `token` occurrence in `code` delimited by non-identifier
+/// characters, npos when absent.
 std::size_t find_token(std::string_view code, std::string_view token, std::size_t from = 0) {
     std::size_t pos = from;
     while ((pos = code.find(token, pos)) != std::string_view::npos) {
@@ -217,6 +205,10 @@ std::size_t find_token(std::string_view code, std::string_view token, std::size_
         pos += 1;
     }
     return std::string_view::npos;
+}
+
+bool has_token(std::string_view code, std::string_view token) {
+    return find_token(code, token) != std::string_view::npos;
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +359,7 @@ const std::set<std::string>& parse_tokens() {
         "atoi",   "atol",   "atoll",   "atof",    "strtol", "strtoll",
         "strtoul", "strtoull", "strtof", "strtod", "sscanf", "fscanf",
         "scanf",  "stoi",   "stol",    "stoll",   "stoul",  "stoull",
-        "stof",   "stod",
+        "stof",   "stod",   "from_chars",
     };
     return kTokens;
 }
